@@ -1,153 +1,40 @@
-"""Hot numerical kernels, with numba-jitted and pure-numpy implementations.
-
-The jitted path is selected automatically when numba imports cleanly;
-setting the environment variable ``WEINSTEIN_NO_NUMBA=1`` forces the
-numpy fallback (the flag is read once, at import time).  Both
-implementations of every kernel compute the same quantities and agree
-to ~1e-13; ``benchmarks/bench_kernels.py`` times them side by side.
+"""Hot numerical kernels of the transform, in numpy/scipy.
 
 Kernels
 -------
 j_alpha            normalized Bessel function of index alpha, array-valued
 kernel_matrix      matrix of plane-wave x Bessel kernel values
 direct_transform   dense weighted kernel sum (the quadrature transform)
+
+The public functions share private helpers instead of calling one another,
+so a tracer wrapping public names (perfbench/tracer.py) counts each once.
 """
 
-import cmath
 import math
-import os
 
 import numpy as np
+from scipy import special
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - taken only when numba is absent
-    HAVE_NUMBA = False
-
-USE_NUMBA = HAVE_NUMBA and os.environ.get(
-    "WEINSTEIN_NO_NUMBA", "0"
-).lower() not in ("1", "true", "yes")
-
-# Series / large-argument evaluation parameters.  The power series for the
-# normalized Bessel function alternates; in float64 its partial sums reach
-# ~e^x/(pi*x), so beyond |x| ~ 12 cancellation eats more than 5 of the 16
-# digits and the large-argument (Hankel) form takes over.
-DEFAULT_SERIES_CUTOFF = 200
-DEFAULT_SWITCHOVER = 12.0
-_ASYMPT_MAX_TERMS = 40
+# The power series for the normalized Bessel function alternates; in float64
+# its partial sums reach ~e^x/(pi*x), so beyond |x| ~ 12 cancellation eats
+# more than 5 of the 16 digits and scipy's J_alpha takes over.
+SERIES_MAX_TERMS = 200
+SWITCHOVER = 12.0
+# The dense sum builds its kernel matrix this many output rows at a time.
+BLOCK_ROWS = 256
 
 
-# ---------------------------------------------------------------------------
-# scalar normalized Bessel function (python source shared by both paths)
-# ---------------------------------------------------------------------------
-
-def _j_alpha_scalar_py(alpha, x, cutoff, switchover):
-    ax = abs(x)
-    if ax <= switchover:
-        s = 1.0
-        t = 1.0
-        q = 0.25 * ax * ax
-        for k in range(cutoff):
-            t = -t * q / ((k + 1.0) * (alpha + k + 1.0))
-            s += t
-            if abs(t) < 1e-17 * abs(s):
-                break
-        return s
-    # Hankel expansion J_a(x) ~ sqrt(2/(pi x)) [P cos(chi) - Q sin(chi)],
-    # rescaled by 2^a Gamma(a+1) x^{-a}; truncated at the smallest term.
-    mu = 4.0 * alpha * alpha
-    inv8x = 1.0 / (8.0 * ax)
-    p = 1.0
-    q = 0.0
-    c = 1.0
-    for k in range(1, _ASYMPT_MAX_TERMS):
-        c_next = c * (mu - (2.0 * k - 1.0) ** 2) * inv8x / k
-        if abs(c_next) >= abs(c) and k > 1:
-            break
-        c = c_next
-        r = k % 4
-        if r == 1:
-            q += c
-        elif r == 2:
-            p -= c
-        elif r == 3:
-            q -= c
-        else:
-            p += c
-    chi = ax - (0.5 * alpha + 0.25) * math.pi
-    amp = math.sqrt(2.0 / (math.pi * ax))
-    j_std = amp * (p * math.cos(chi) - q * math.sin(chi))
-    scale = math.exp(
-        alpha * math.log(2.0) + math.lgamma(alpha + 1.0) - alpha * math.log(ax)
-    )
-    return scale * j_std
-
-
-if HAVE_NUMBA:
-    _j_alpha_scalar_nb = njit(cache=True)(_j_alpha_scalar_py)
-
-    @njit(cache=True)
-    def _j_alpha_array_numba(alpha, x, cutoff, switchover):
-        out = np.empty(x.shape[0])
-        for i in range(x.shape[0]):
-            out[i] = _j_alpha_scalar_nb(alpha, x[i], cutoff, switchover)
-        return out
-
-    @njit(cache=True)
-    def _kernel_matrix_numba(lam, x, alpha, sign, cutoff, switchover):
-        m = lam.shape[0]
-        n = x.shape[0]
-        d = lam.shape[1] - 1
-        out = np.empty((m, n), dtype=np.complex128)
-        for i in range(m):
-            for k in range(n):
-                ph = 0.0
-                for j in range(d):
-                    ph += lam[i, j] * x[k, j]
-                b = _j_alpha_scalar_nb(alpha, lam[i, d] * x[k, d], cutoff, switchover)
-                out[i, k] = b * cmath.exp(1j * sign * ph)
-        return out
-
-    @njit(cache=True)
-    def _direct_transform_numba(values, weights, pts_in, pts_out, alpha, sign,
-                                cutoff, switchover):
-        m = pts_out.shape[0]
-        n = pts_in.shape[0]
-        d = pts_in.shape[1] - 1
-        out = np.zeros(m, dtype=np.complex128)
-        for i in range(m):
-            acc = 0.0 + 0.0j
-            for k in range(n):
-                ph = 0.0
-                for j in range(d):
-                    ph += pts_out[i, j] * pts_in[k, j]
-                b = _j_alpha_scalar_nb(
-                    alpha, pts_out[i, d] * pts_in[k, d], cutoff, switchover
-                )
-                acc += weights[k] * values[k] * b * cmath.exp(1j * sign * ph)
-            out[i] = acc
-        return out
-
-
-# ---------------------------------------------------------------------------
-# numpy fallbacks
-# ---------------------------------------------------------------------------
-
-def _j_alpha_array_numpy(alpha, x, cutoff, switchover):
-    from scipy import special
-
+def _j_alpha(alpha, x):
     ax = np.abs(x)
     out = np.empty_like(ax)
-    small = ax <= switchover
+    small = ax <= SWITCHOVER
     if small.any():
         xs = ax[small]
         q = 0.25 * xs * xs
         s = np.ones_like(xs)
         t = np.ones_like(xs)
         active = np.ones(xs.shape, dtype=bool)
-        for k in range(cutoff):
+        for k in range(SERIES_MAX_TERMS):
             t = np.where(active, -t * q / ((k + 1.0) * (alpha + k + 1.0)), 0.0)
             s = s + t
             active = np.abs(t) >= 1e-17 * np.abs(s)
@@ -164,70 +51,40 @@ def _j_alpha_array_numpy(alpha, x, cutoff, switchover):
     return out
 
 
-def _kernel_matrix_numpy(lam, x, alpha, sign, cutoff, switchover):
+def _kernel_matrix(lam, x, alpha, sign):
     d = lam.shape[1] - 1
     phase = lam[:, :d] @ x[:, :d].T
-    radial_args = np.outer(lam[:, d], x[:, d]).ravel()
-    radial = _j_alpha_array_numpy(alpha, radial_args, cutoff, switchover)
+    radial = _j_alpha(alpha, np.outer(lam[:, d], x[:, d]).ravel())
     return radial.reshape(lam.shape[0], x.shape[0]) * np.exp(1j * sign * phase)
 
 
-def _direct_transform_numpy(values, weights, pts_in, pts_out, alpha, sign,
-                            cutoff, switchover, block=256):
-    wf = weights * values
-    out = np.empty(pts_out.shape[0], dtype=np.complex128)
-    for lo in range(0, pts_out.shape[0], block):
-        hi = min(lo + block, pts_out.shape[0])
-        kmat = _kernel_matrix_numpy(pts_out[lo:hi], pts_in, alpha, sign,
-                                    cutoff, switchover)
-        out[lo:hi] = kmat @ wf
-    return out
-
-
-# ---------------------------------------------------------------------------
-# dispatched public entry points
-# ---------------------------------------------------------------------------
-
-def j_alpha(alpha, x, cutoff=DEFAULT_SERIES_CUTOFF, switchover=DEFAULT_SWITCHOVER):
+def j_alpha(alpha, x):
     """Normalized Bessel function of index ``alpha`` on a float array."""
     x = np.asarray(x, dtype=np.float64)
-    shape = x.shape
-    flat = np.ascontiguousarray(x.ravel())
-    if USE_NUMBA:
-        out = _j_alpha_array_numba(float(alpha), flat, cutoff, float(switchover))
-    else:
-        out = _j_alpha_array_numpy(float(alpha), flat, cutoff, float(switchover))
-    return out.reshape(shape)
+    return _j_alpha(float(alpha), x.ravel()).reshape(x.shape)
 
 
-def kernel_matrix(lam_pts, x_pts, alpha, sign=-1.0,
-                  cutoff=DEFAULT_SERIES_CUTOFF, switchover=DEFAULT_SWITCHOVER):
+def kernel_matrix(lam_pts, x_pts, alpha, sign=-1.0):
     """Matrix K[i, k] = exp(1j*sign*<lam'_i, x'_k>) * j_alpha(lam_i[-1]*x_k[-1]).
 
     ``lam_pts`` and ``x_pts`` are (m, d+1) and (n, d+1) coordinate arrays;
     the first d columns carry the plane-wave phase, the last the Bessel
     argument.  sign=-1 gives the analysis kernel, sign=+1 the synthesis one.
     """
-    lam_pts = np.ascontiguousarray(lam_pts, dtype=np.float64)
-    x_pts = np.ascontiguousarray(x_pts, dtype=np.float64)
-    if USE_NUMBA:
-        return _kernel_matrix_numba(lam_pts, x_pts, float(alpha), float(sign),
-                                    cutoff, float(switchover))
-    return _kernel_matrix_numpy(lam_pts, x_pts, float(alpha), float(sign),
-                                cutoff, float(switchover))
+    return _kernel_matrix(np.ascontiguousarray(lam_pts, dtype=np.float64),
+                          np.ascontiguousarray(x_pts, dtype=np.float64),
+                          float(alpha), float(sign))
 
 
-def direct_transform(values, weights, pts_in, pts_out, alpha, sign=-1.0,
-                     cutoff=DEFAULT_SERIES_CUTOFF, switchover=DEFAULT_SWITCHOVER):
+def direct_transform(values, weights, pts_in, pts_out, alpha, sign=-1.0):
     """Dense quadrature sum out[i] = sum_k w_k f_k K[i, k] without caching K."""
-    values = np.ascontiguousarray(values, dtype=np.complex128)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
+    wf = np.ascontiguousarray(weights, dtype=np.float64) \
+        * np.ascontiguousarray(values, dtype=np.complex128)
     pts_in = np.ascontiguousarray(pts_in, dtype=np.float64)
     pts_out = np.ascontiguousarray(pts_out, dtype=np.float64)
-    if USE_NUMBA:
-        return _direct_transform_numba(values, weights, pts_in, pts_out,
-                                       float(alpha), float(sign),
-                                       cutoff, float(switchover))
-    return _direct_transform_numpy(values, weights, pts_in, pts_out,
-                                   float(alpha), float(sign),
-                                   cutoff, float(switchover))
+    out = np.empty(pts_out.shape[0], dtype=np.complex128)
+    for lo in range(0, pts_out.shape[0], BLOCK_ROWS):
+        kmat = _kernel_matrix(pts_out[lo:lo + BLOCK_ROWS], pts_in,
+                              float(alpha), float(sign))
+        out[lo:lo + BLOCK_ROWS] = kmat @ wf
+    return out

@@ -3,8 +3,8 @@
 j_alpha is the entire even function with j_alpha(0) = 1 solving the radial
 eigen-equation u'' + ((2*alpha+1)/r) u' = -u; it equals
 2^alpha * Gamma(alpha+1) * J_alpha(x) / x^alpha.  Evaluation uses the power
-series for small arguments and a large-argument expansion beyond the
-switchover (the alternating series loses too many digits in float64 there).
+series for |x| <= 12 and that identity with scipy's J_alpha beyond (the
+alternating series loses too many digits in float64 there).
 """
 
 from dataclasses import dataclass
@@ -16,27 +16,19 @@ from . import _accel
 
 @dataclass(frozen=True)
 class BesselEvaluator:
-    """Evaluation policy for j_alpha: series cutoff and switchover argument."""
+    """The index alpha > -1/2 at which j_alpha is evaluated."""
 
     alpha: float
-    series_cutoff: int = _accel.DEFAULT_SERIES_CUTOFF
-    switchover_argument: float = _accel.DEFAULT_SWITCHOVER
 
     def __post_init__(self):
         if not self.alpha > -0.5:
             raise ValueError(f"alpha out of range: need alpha > -1/2, got {self.alpha}")
-        if self.series_cutoff < 1:
-            raise ValueError("series cutoff must be positive")
-        if self.switchover_argument <= 0:
-            raise ValueError("switchover argument must be positive")
 
 
 def bessel_j_normalized(be, x):
     """j_alpha at a float or array of floats (even in x, values in [-1, 1])."""
-    arr = np.asarray(x, dtype=np.float64)
-    out = _accel.j_alpha(be.alpha, arr, cutoff=be.series_cutoff,
-                         switchover=be.switchover_argument)
-    if np.isscalar(x) or arr.ndim == 0:
+    out = _accel.j_alpha(be.alpha, x)
+    if np.ndim(x) == 0:
         return float(out)
     return out
 
@@ -57,9 +49,7 @@ def weinstein_kernel(params, be, lam, x):
     lam, x = np.broadcast_arrays(lam, x)
     d = params.d
     phase = np.einsum("ij,ij->i", x[:, :d], lam[:, :d])
-    radial = _accel.j_alpha(be.alpha, lam[:, d] * x[:, d],
-                            cutoff=be.series_cutoff,
-                            switchover=be.switchover_argument)
+    radial = _accel.j_alpha(be.alpha, lam[:, d] * x[:, d])
     vals = radial * np.exp(-1j * phase)
     if single:
         return complex(vals[0])

@@ -13,7 +13,6 @@ certificates) consumes the weighted sums defined here.
 All container types are immutable after construction; operations are pure.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -24,6 +23,8 @@ from scipy.special import roots_jacobi
 from .errors import GridMismatchError
 
 RADIAL_SCHEMES = ("uniform-offset", "collocation")
+NORMALIZATION_KINDS = ("self-reciprocal", "squared")
+MIN_AXIS_POINTS = 8
 
 LOG_WEIGHT_RULES = ("gregory", "trapezoid")
 
@@ -63,13 +64,11 @@ def normalization_constant(params, kind="self-reciprocal"):
         if value <= 0:
             raise ValueError("normalization constant must be positive")
         return value
+    if kind not in NORMALIZATION_KINDS:
+        raise ValueError(f"unknown normalization kind {kind!r}")
     base = (2.0 * math.pi) ** (params.d / 2.0) * 2.0 ** params.alpha \
         * math.gamma(params.alpha + 1.0)
-    if kind == "self-reciprocal":
-        return base
-    if kind == "squared":
-        return base * base
-    raise ValueError(f"unknown normalization kind {kind!r}")
+    return base if kind == "self-reciprocal" else base * base
 
 
 def _readonly(a):
@@ -173,8 +172,8 @@ def build_grid(params, extents, counts, radial_scheme="uniform-offset"):
         raise ValueError("need d+1 extents and d+1 counts")
     if any(e <= 0 for e in extents):
         raise ValueError("extents must be positive")
-    if any(n < 8 for n in counts):
-        raise ValueError("need at least 8 points per axis")
+    if any(n < MIN_AXIS_POINTS for n in counts):
+        raise ValueError(f"need at least {MIN_AXIS_POINTS} points per axis")
     euclid_axes = []
     for L, n in zip(extents[:-1], counts[:-1]):
         step = 2.0 * L / n
@@ -408,7 +407,3 @@ def grid_from_json(doc):
     grid = build_grid(params, extents, counts, radial_scheme=axes[-1]["scheme"])
     wfield = measure_weights(grid, normalization=float(doc["normalization_constant"]))
     return grid, wfield
-
-
-def grid_json_dumps(grid, wfield):
-    return json.dumps(grid_to_json(grid, wfield), sort_keys=True)

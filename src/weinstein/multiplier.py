@@ -218,17 +218,12 @@ def _psi_matrix(profile, plan, sigma, x_pts, y_pts):
     if n_u * max(x_pts.shape[0], y_pts.shape[0]) > DIRECT_PAIR_GUARD:
         raise SizeGuardError("kernel route exceeds the dense-size guard")
     alpha = grid_f.params.alpha
-    be = plan.bessel
     d = grid_f.params.d
     y_scaled = y_pts / sigma
     x_scaled = x_pts / sigma
     x_reflected = np.concatenate([-x_scaled[:, :d], x_scaled[:, d:]], axis=1)
-    a = _accel.kernel_matrix(u_pts, y_scaled, alpha, sign=-1.0,
-                             cutoff=be.series_cutoff,
-                             switchover=be.switchover_argument)
-    b = _accel.kernel_matrix(u_pts, x_reflected, alpha, sign=-1.0,
-                             cutoff=be.series_cutoff,
-                             switchover=be.switchover_argument)
+    a = _accel.kernel_matrix(u_pts, y_scaled, alpha, sign=-1.0)
+    b = _accel.kernel_matrix(u_pts, x_reflected, alpha, sign=-1.0)
     # frequency-side quadrature weights under the plan's normalization
     wm = plan.weights_out.flat * profile.symbol.flat
     return b.T @ (wm[:, None] * a)

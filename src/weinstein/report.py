@@ -8,13 +8,14 @@ byte-identical reports up to the timing section.
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Field, WeinsteinParams, build_grid, gaussian_field,
-                   norm_p)
+from .core import (MIN_AXIS_POINTS, NORMALIZATION_KINDS, RADIAL_SCHEMES, Field,
+                   WeinsteinParams, build_grid, gaussian_field, norm_p)
 from .errors import ConfigError
 from .multiplier import (ADMISSIBILITY_VARIANTS, PROFILE_FAMILIES,
                          apply_multiplier, apply_multiplier_kernel,
@@ -66,7 +67,7 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(doc):
         def need(section, key, desc):
-            if key not in section:
+            if not isinstance(section, dict) or key not in section:
                 raise ConfigError(f"missing config field: {desc}")
             return section[key]
 
@@ -77,16 +78,28 @@ class ExperimentConfig:
         if not isinstance(d, int) or d < 1:
             raise ConfigError("params.d must be a positive integer")
         alphas = params.get("alpha", 0.5)
-        if isinstance(alphas, (int, float)):
+        if not isinstance(alphas, (list, tuple)):
             alphas = [alphas]
-        if not alphas or not all(a > -0.5 for a in alphas):
-            raise ConfigError("params.alpha entries must satisfy alpha > -1/2")
+        if not alphas or not all(_real(a) and a > -0.5 for a in alphas):
+            raise ConfigError("params.alpha entries must be numbers > -1/2")
         grid = need(doc, "grid", "grid")
-        extents = tuple(float(x) for x in need(grid, "extents", "grid.extents"))
-        counts = tuple(int(n) for n in need(grid, "counts", "grid.counts"))
-        if len(extents) != d + 1 or len(counts) != d + 1:
-            raise ConfigError("grid.extents and grid.counts need d+1 entries")
+        extents = need(grid, "extents", "grid.extents")
+        counts = need(grid, "counts", "grid.counts")
+        if not isinstance(extents, (list, tuple)) or len(extents) != d + 1 \
+                or not all(_real(e) and e > 0 for e in extents):
+            raise ConfigError("grid.extents: need d+1 entries, all positive")
+        if not isinstance(counts, (list, tuple)) or len(counts) != d + 1 \
+                or not all(_real(n) and n == int(n) >= MIN_AXIS_POINTS
+                           for n in counts):
+            raise ConfigError("grid.counts: need d+1 entries, all whole "
+                              f"numbers >= {MIN_AXIS_POINTS}")
         scheme = grid.get("radial_scheme", "uniform-offset")
+        if scheme not in RADIAL_SCHEMES:
+            raise ConfigError(f"grid.radial_scheme: unknown scheme {scheme!r}")
+        normalization = doc.get("normalization", "self-reciprocal")
+        if normalization not in NORMALIZATION_KINDS \
+                and not (_real(normalization) and normalization > 0):
+            raise ConfigError(f"normalization: unknown kind {normalization!r}")
         tf = doc.get("test_functions", {})
         scales = tuple(float(s) for s in tf.get("gaussian_scales", [1.0]))
         bumps = int(tf.get("random_bumps", 0))
@@ -113,9 +126,11 @@ class ExperimentConfig:
         }
         tol = dict(DEFAULT_TOLERANCES)
         tol.update(doc.get("tolerances", {}))
-        if any(v <= 0 for v in tol.values()):
-            raise ConfigError("tolerances must all be positive")
         mult = doc.get("multiplier", {})
+        mult_tol = mult.get("tolerance", 1e-6)
+        if not all(_real(v) and v > 0 for v in [*tol.values(), mult_tol]):
+            raise ConfigError("tolerances and multiplier.tolerance must all "
+                              "be positive numbers")
         family = mult.get("family", "gaussian_bump")
         if family not in PROFILE_FAMILIES:
             raise ConfigError(f"multiplier.family: unknown family {family!r}")
@@ -125,19 +140,26 @@ class ExperimentConfig:
         seed = int(doc.get("seed", 0))
         return ExperimentConfig(
             d=d, alphas=tuple(float(a) for a in alphas),
-            extents=extents, counts=counts, radial_scheme=scheme,
-            normalization=doc.get("normalization", "self-reciprocal"),
+            extents=tuple(float(e) for e in extents),
+            counts=tuple(int(n) for n in counts),
+            radial_scheme=scheme, normalization=normalization,
             multiplier={
                 "family": family,
                 "variant": variant,
                 "sigma_range": mult.get("sigma_range"),
                 "sigma_count": mult.get("sigma_count"),
-                "tolerance": float(mult.get("tolerance", 1e-6)),
+                "tolerance": float(mult_tol),
             },
             gaussian_scales=scales, random_bumps=bumps,
             certificates=certs, general_exponents=exponents,
             donoho_stark=ds_conf, tolerances=tol, seed=seed,
         )
+
+
+def _real(v):
+    """True for a finite int or float (bool excluded)."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
 
 
 def _random_bump(grid, rng):

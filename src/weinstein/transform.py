@@ -77,9 +77,7 @@ class TransformPlan:
         identical weights, so one cache serves both directions)."""
         r = self.grid_in.radial_nodes
         rho = self.grid_out.radial_nodes
-        j = _accel.j_alpha(self.bessel.alpha, np.outer(rho, r),
-                           cutoff=self.bessel.series_cutoff,
-                           switchover=self.bessel.switchover_argument)
+        j = _accel.j_alpha(self.bessel.alpha, np.outer(rho, r))
         return j * self.grid_in.radial_weights()[None, :]
 
     @cached_property
@@ -181,10 +179,6 @@ def direct_quadrature(plan, f, inverse=False):
         sign = -1.0
     if not f.grid.same_geometry(src_grid):
         raise GridMismatchError("field does not live on the expected grid")
-    out = _accel.direct_transform(
-        f.flat, w.flat, src_grid.points, dst_grid.points,
-        plan.bessel.alpha, sign=sign,
-        cutoff=plan.bessel.series_cutoff,
-        switchover=plan.bessel.switchover_argument,
-    )
+    out = _accel.direct_transform(f.flat, w.flat, src_grid.points,
+                                  dst_grid.points, plan.bessel.alpha, sign=sign)
     return Field(grid=dst_grid, values=out.reshape(dst_grid.shape))

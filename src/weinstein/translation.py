@@ -81,14 +81,6 @@ def _check_point(grid, x):
     return x
 
 
-def euclid_shift_matrices(grid, shift):
-    """Per-axis linear-interpolation matrices realizing y' -> y' + shift."""
-    mats = []
-    for nodes, s in zip(grid.euclid_axes, shift):
-        mats.append(uniform_linear_matrix(nodes, np.asarray(nodes) + s))
-    return mats
-
-
 def radial_mix_matrix(rule, grid, x_r):
     """Matrix M with (M f)(r_k) = c_a * sum_t w_t f(rho(k, t)) for the
     angular average at radial offset ``x_r``; cubic interpolation rows."""

@@ -13,7 +13,6 @@ dispersion product: the Gaussian family saturates the plain product bound
 (ratio 1), which pins the constant 2/(2*alpha+d+2) numerically.
 """
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -357,7 +356,3 @@ def certificates_to_csv(certs):
     lines = [CSV_HEADER]
     lines.extend(c.to_csv_row() for c in certs)
     return "\n".join(lines) + "\n"
-
-
-def certificates_to_json(certs):
-    return json.dumps([c.to_json() for c in certs], sort_keys=True, indent=2)

@@ -41,12 +41,15 @@ def test_first_zero_of_order_one():
     assert abs(bessel_j_normalized(be, z)) < 1e-10
 
 
-@pytest.mark.parametrize("alpha", [-0.45, -0.1, 0.5, 1.0, 2.0, 3.7])
+@pytest.mark.parametrize("alpha", [-0.45, -0.1, 0.5, 1.0, 2.0, 3.7,
+                                   6.0, 10.0, 20.0])
 def test_against_extended_precision_series(alpha):
     be = BesselEvaluator(alpha=alpha)
     xs = np.concatenate([
         np.linspace(0.0, 14.0, 57),
         np.linspace(10.0, 100.0, 91),
+        # both sides of the series / scipy switchover at 12
+        np.linspace(11.5, 12.5, 41),
     ])
     vals = bessel_j_normalized(be, xs)
     for x, v in zip(xs, vals):
@@ -65,10 +68,6 @@ def test_even_and_bounded(rng):
 def test_evaluator_validation():
     with pytest.raises(ValueError, match="alpha out of range"):
         BesselEvaluator(alpha=-0.7)
-    with pytest.raises(ValueError):
-        BesselEvaluator(alpha=0.5, series_cutoff=0)
-    with pytest.raises(ValueError):
-        BesselEvaluator(alpha=0.5, switchover_argument=-1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,23 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict({**base, "tolerances": {"plancherel": -1}})
     with pytest.raises(ConfigError, match="unknown family"):
         ExperimentConfig.from_dict({**base, "multiplier": {"family": "nope"}})
+    # malformed values that used to reach the run and fail there
+    with pytest.raises(ConfigError, match="grid.counts"):
+        ExperimentConfig.from_dict(
+            {**base, "grid": {"extents": [5.0, 5.0], "counts": [4, 4]}})
+    with pytest.raises(ConfigError, match="normalization"):
+        ExperimentConfig.from_dict({**base, "normalization": "bogus"})
+    with pytest.raises(ConfigError, match="radial_scheme"):
+        ExperimentConfig.from_dict(
+            {**base, "grid": {**base["grid"], "radial_scheme": "nope"}})
+    with pytest.raises(ConfigError, match="alpha"):
+        ExperimentConfig.from_dict({**base, "params": {"d": 1, "alpha": ["x"]}})
+    with pytest.raises(ConfigError, match="tolerances"):
+        ExperimentConfig.from_dict({**base, "tolerances": {"plancherel": "1e-6"}})
+    with pytest.raises(ConfigError, match="tolerance"):
+        ExperimentConfig.from_dict(
+            {**base, "multiplier": {"family": "gaussian_bump",
+                                    "tolerance": "tight"}})
 
 
 def test_report_structure(small_report):
@@ -110,6 +127,12 @@ def test_cli_config_error(tmp_path):
     notjson = tmp_path / "notjson.json"
     notjson.write_text("{")
     assert main(["run", "--config", str(notjson)]) == 2
+    # exit 1 is kept for certificate failures: a malformed value is a config
+    # error even though it only breaks the run once the grid is built
+    small_counts = tmp_path / "small_counts.json"
+    small_counts.write_text(json.dumps(
+        {**SMALL_CONFIG, "grid": {"extents": [7.0, 7.0], "counts": [4, 4]}}))
+    assert main(["run", "--config", str(small_counts)]) == 2
 
 
 def test_cli_guard_error(tmp_path):
