@@ -12,7 +12,7 @@ from .core import (Field, Grid, SigmaGrid, WeightField, WeinsteinParams,
                    inner_product, measure_weights, norm_p,
                    normalization_constant, theta_integral)
 from .errors import (ConfigError, GridMismatchError, IntegrabilityGuardError,
-                     SigmaRangeError, SizeGuardError)
+                     MeasureRangeError, SigmaRangeError, SizeGuardError)
 from .multiplier import (MultiplierProfile, admissibility_defect,
                          apply_multiplier, apply_multiplier_kernel,
                          dilate_symbol, energy_weighted_defect, kernel_psi,
@@ -41,7 +41,7 @@ __all__ = [
     "grid_from_json", "grid_to_json", "inner_product", "measure_weights",
     "norm_p", "normalization_constant", "theta_integral",
     "ConfigError", "GridMismatchError", "IntegrabilityGuardError",
-    "SigmaRangeError", "SizeGuardError",
+    "MeasureRangeError", "SigmaRangeError", "SizeGuardError",
     "MultiplierProfile", "admissibility_defect", "apply_multiplier",
     "apply_multiplier_kernel", "dilate_symbol", "energy_weighted_defect",
     "kernel_psi", "make_admissible_radial", "multiplier_plancherel_defect",

@@ -13,8 +13,8 @@ import json
 import os
 import sys
 
-from .errors import (ConfigError, IntegrabilityGuardError, SigmaRangeError,
-                     SizeGuardError)
+from .errors import (ConfigError, IntegrabilityGuardError, MeasureRangeError,
+                     SigmaRangeError, SizeGuardError)
 from .report import KNOWN_CERTIFICATES, ExperimentConfig, emit, run
 
 EXIT_OK = 0
@@ -60,7 +60,7 @@ def main(argv=None):
     except (OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    if args.seed is not None:
+    if args.seed is not None and isinstance(doc, dict):
         doc["seed"] = args.seed
     try:
         config = ExperimentConfig.from_dict(doc)
@@ -68,7 +68,8 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
-    except (SizeGuardError, IntegrabilityGuardError, SigmaRangeError) as exc:
+    except (SizeGuardError, IntegrabilityGuardError, SigmaRangeError,
+            MeasureRangeError) as exc:
         print(f"numeric guard: {exc}", file=sys.stderr)
         return EXIT_GUARD_ERROR
     out_dir = args.out or os.environ.get("WEINSTEIN_OUT", "out")

@@ -20,7 +20,7 @@ from functools import cached_property
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .errors import GridMismatchError
+from .errors import GridMismatchError, MeasureRangeError
 
 RADIAL_SCHEMES = ("uniform-offset", "collocation")
 NORMALIZATION_KINDS = ("self-reciprocal", "squared")
@@ -122,16 +122,30 @@ class Grid:
         return tuple(a[1] - a[0] for a in self.euclid_axes)
 
     def radial_weights(self):
-        """Radial quadrature weights with the density r^{2*alpha+1} folded in."""
+        """Radial quadrature weights with the density r^{2*alpha+1} folded in.
+
+        Raises MeasureRangeError when they overflow the float range (large
+        alpha on a radial extent above 2).
+        """
         r = self.radial_nodes
-        if self.radial_scheme == "uniform-offset":
-            dr = self.radial_extent / len(r)
-            return r ** (2.0 * self.params.alpha + 1.0) * dr
-        # collocation: Gauss-Jacobi for weight (1+t)^{2*alpha+1} on [-1, 1],
-        # mapped to [0, R]; the density is exact inside the rule.
-        n = len(r)
-        _, w = roots_jacobi(n, 0.0, 2.0 * self.params.alpha + 1.0)
-        return w * (self.radial_extent / 2.0) ** (2.0 * self.params.alpha + 2.0)
+        alpha = self.params.alpha
+        with np.errstate(over="ignore"):
+            if self.radial_scheme == "uniform-offset":
+                dr = self.radial_extent / len(r)
+                w = r ** (2.0 * alpha + 1.0) * dr
+            else:
+                # collocation: Gauss-Jacobi for weight (1+t)^{2*alpha+1} on
+                # [-1, 1], mapped to [0, R]; the density is exact inside the
+                # rule.
+                _, w = roots_jacobi(len(r), 0.0, 2.0 * alpha + 1.0)
+                try:
+                    scale = (self.radial_extent / 2.0) ** (2.0 * alpha + 2.0)
+                except OverflowError:
+                    scale = math.inf
+                w = w * scale
+        if not np.all(np.isfinite(w)):
+            raise MeasureRangeError(f"radial weights overflow at alpha={alpha:g}")
+        return w
 
     @cached_property
     def points(self):
@@ -215,8 +229,16 @@ class WeightField:
 
 
 def measure_weights(grid, normalization="self-reciprocal"):
-    """Quadrature weights for the weighted measure on ``grid``."""
-    const = normalization_constant(grid.params, normalization)
+    """Quadrature weights for the weighted measure on ``grid``.
+
+    Raises MeasureRangeError when the normalization constant or the
+    weights leave the float range (for large alpha, Gamma(alpha+1)
+    overflows, and on a small box every weight underflows to 0).
+    """
+    try:
+        const = normalization_constant(grid.params, normalization)
+    except OverflowError:
+        const = math.inf
     nd = grid.params.d + 1
     w = np.ones(grid.shape)
     for j, step in enumerate(grid.euclid_spacings()):
@@ -226,7 +248,13 @@ def measure_weights(grid, normalization="self-reciprocal"):
     sh = [1] * nd
     sh[-1] = grid.shape[-1]
     w = w * grid.radial_weights().reshape(sh)
-    return WeightField(grid=grid, weights=_readonly(w / const),
+    with np.errstate(over="ignore"):
+        w = w / const
+    if not (math.isfinite(const) and np.all(np.isfinite(w)) and w.any()):
+        raise MeasureRangeError(
+            f"measure leaves the float range at alpha={grid.params.alpha:g} "
+            f"(normalization constant {const:g})")
+    return WeightField(grid=grid, weights=_readonly(w),
                        normalization_constant=const)
 
 

@@ -19,3 +19,7 @@ class SigmaRangeError(ValueError):
 
 class ConfigError(ValueError):
     """An experiment configuration document failed validation."""
+
+
+class MeasureRangeError(ArithmeticError):
+    """The measure's normalization constant or weights leave the float range."""

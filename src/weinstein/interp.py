@@ -47,38 +47,6 @@ def _cubic_weights(u):
     ], axis=-1)
 
 
-def uniform_cubic_matrix(nodes, queries):
-    """Cubic Lagrange interpolation on a uniform axis; 0 outside the range."""
-    nodes = np.asarray(nodes)
-    queries = np.asarray(queries, dtype=np.float64)
-    n = len(nodes)
-    h = nodes[1] - nodes[0]
-    t = (queries - nodes[0]) / h
-    base = np.floor(t).astype(np.int64)
-    u = t - base
-    on_node = np.abs(u) < 1e-12
-    u = np.where(on_node, 0.0, u)
-    w = _cubic_weights(u)
-    w[on_node] = np.array([0.0, 1.0, 0.0, 0.0])
-    # one-sided stencils at the two boundary cells
-    base = np.clip(base, 0, None)
-    shift_lo = base < 1
-    shift_hi = base > n - 3
-    m = np.zeros((len(queries), n))
-    rows = np.arange(len(queries))
-    inside = (t >= -0.5) & (t <= n - 0.5)
-    for s in range(4):
-        idx = base + _CUBIC_OFFSETS[s]
-        ok = inside & (idx >= 0) & (idx < n) & ~shift_lo & ~shift_hi
-        np.add.at(m, (rows[ok], idx[ok]), w[ok, s])
-    # boundary cells: fall back to linear (avoids one-sided overshoot)
-    edge = inside & (shift_lo | shift_hi)
-    if edge.any():
-        lin = uniform_linear_matrix(nodes, queries[edge])
-        m[edge] = lin
-    return m
-
-
 def radial_cubic_matrix(radial_nodes, radial_extent, queries):
     """Cubic interpolation on offset-uniform radial nodes (i+1/2)*dr.
 
@@ -112,34 +80,3 @@ def apply_axis_matrix(values, matrix, axis):
     out = moved @ matrix.T
     return np.moveaxis(out, -1, axis)
 
-
-def interp_offset_1d(samples, spacing, queries, parity="even"):
-    """Cubic interpolation of samples at offset-uniform nodes (i+1/2)*spacing.
-
-    ``parity`` controls the extension through 0: "even" mirrors values,
-    "odd" mirrors with a sign flip (right for profiles vanishing linearly
-    at 0, where the even extension would have a kink).  Queries beyond the
-    sampled range evaluate to 0.
-    """
-    if parity not in ("even", "odd"):
-        raise ValueError(f"unknown parity {parity!r}")
-    samples = np.asarray(samples)
-    queries = np.abs(np.asarray(queries, dtype=np.float64))
-    n = len(samples)
-    t = queries / spacing - 0.5
-    base = np.floor(t).astype(np.int64)
-    u = t - base
-    on_node = np.abs(u) < 1e-12
-    u = np.where(on_node, 0.0, u)
-    w = _cubic_weights(u)
-    w[on_node] = np.array([0.0, 1.0, 0.0, 0.0])
-    out = np.zeros(queries.shape, dtype=samples.dtype)
-    sign = -1.0 if parity == "odd" else 1.0
-    for s in range(4):
-        idx = base + _CUBIC_OFFSETS[s]
-        neg = idx < 0
-        ridx = np.where(neg, -idx - 1, idx)
-        ok = ridx < n
-        wt = np.where(neg, sign, 1.0) * w[:, s]
-        out[ok] += wt[ok] * samples[ridx[ok]]
-    return out

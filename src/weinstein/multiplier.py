@@ -10,12 +10,14 @@ should equal 1 at almost every frequency x (q = 2 in the default
 "modulus_squared" variant, q = 1 in the "modulus" variant, which is kept
 selectable for fidelity experiments but fails for the standard bump).
 
-The kernel route (``kernel_psi`` / ``apply_multiplier_kernel``) realizes
-the same operator through an explicit integral kernel with the dilation
-moved into analytically evaluated kernel arguments, so it carries no
-symbol interpolation; it cross-validates the spectral route and exhibits
-the sigma^{-(2*alpha+d+2)} prefactor bound used by the concentration
-certificates.
+The spectral route evaluates a radial symbol's radius profile at the
+dilated radii, so it carries no symbol interpolation either; only generic
+(non-radial) symbols are interpolated on the frequency grid.  The kernel
+route (``kernel_psi`` / ``apply_multiplier_kernel``) realizes the same
+operator through an explicit integral kernel with the dilation moved into
+analytically evaluated kernel arguments; it cross-validates the spectral
+route and exhibits the sigma^{-(2*alpha+d+2)} prefactor bound used by the
+concentration certificates.
 """
 
 import math
@@ -28,23 +30,20 @@ from . import _accel
 from .core import (Field, SigmaGrid, build_sigma_grid, field_from_function,
                    measure_weights, norm_p)
 from .errors import SizeGuardError, SigmaRangeError
-from .interp import (apply_axis_matrix, interp_offset_1d, radial_cubic_matrix,
-                     uniform_cubic_matrix, uniform_linear_matrix)
+from .interp import (apply_axis_matrix, radial_cubic_matrix,
+                     uniform_linear_matrix)
 from .transform import DIRECT_PAIR_GUARD, forward, inverse
 
 ADMISSIBILITY_VARIANTS = ("modulus", "modulus_squared")
-
-EUCLID_DILATION_ORDERS = ("linear", "cubic")
 
 
 @dataclass(frozen=True)
 class MultiplierProfile:
     """A sampled symbol on the frequency grid plus its dilation scales.
 
-    Radially symmetric symbols additionally carry a 1-D sampling of their
-    radius profile (``radial_samples`` at offset-uniform radii with step
-    ``radial_spacing``, extended through 0 with ``radial_parity``); the
-    dilation interpolates that sampling instead of the tensor samples.
+    A radial symbol m(|x|) also carries its radius profile
+    ``radial_profile`` (a vectorized callable u -> m(u)), and dilation
+    evaluates that profile instead of interpolating the tensor samples.
     Tensor-grid interpolation of a profile like sqrt(2)|x|exp(-|x|^2/2)
     saturates near the coordinate origin (the cone is never resolved by a
     fixed tensor grid), and the scale integral d(sigma)/sigma amplifies
@@ -55,11 +54,8 @@ class MultiplierProfile:
     sigma_grid: SigmaGrid
     admissibility_variant: str = "modulus_squared"
     family: str = "custom"
-    radial_profile: object = None    # optional analytic |m|(u) for oracle checks
+    radial_profile: object = None    # radius profile m(u) of a radial symbol
     tail_mass: object = None         # optional closed-form out-of-range mass
-    radial_samples: object = None    # optional 1-D radius-profile sampling
-    radial_spacing: float = 0.0
-    radial_parity: str = "even"
 
     def __post_init__(self):
         if self.admissibility_variant not in ADMISSIBILITY_VARIANTS:
@@ -75,42 +71,33 @@ class MultiplierProfile:
     def power(self):
         return 1.0 if self.admissibility_variant == "modulus" else 2.0
 
-    @property
-    def is_radial(self):
-        return self.radial_samples is not None
-
     @cached_property
     def defect_report(self):
-        """Admissibility defect report with default interpolation, cached
-        (the sigma sweep over all dilations is the expensive part)."""
+        """Admissibility defect report, cached (the sigma sweep over all
+        dilations is the expensive part)."""
         return admissibility_defect(self)
 
 
-def dilate_symbol(profile, sigma, euclid_order="linear"):
+def dilate_symbol(profile, sigma):
     """The dilated symbol m(sigma * .) sampled back on the frequency grid.
 
-    Radial profiles interpolate their 1-D radius sampling (cubic, with the
-    declared parity extension through 0); generic symbols use separable
-    interpolation, linear (or cubic) along the Euclidean axes and cubic
-    along the radial axis.  Points outside the sampled range give 0, and
-    sigma = 1 returns the symbol unchanged.
+    Radial profiles evaluate their radius profile at the dilated radii;
+    generic symbols use separable interpolation, linear along the
+    Euclidean axes and cubic along the radial axis, with points outside
+    the sampled range giving 0.  sigma = 1 returns the symbol unchanged.
     """
     if sigma <= 0:
         raise ValueError(f"dilation scale must be positive, got {sigma}")
-    if euclid_order not in EUCLID_DILATION_ORDERS:
-        raise ValueError(f"unknown euclid interpolation order {euclid_order!r}")
     grid = profile.symbol.grid
     if sigma == 1.0:
         return profile.symbol
-    if profile.is_radial:
-        radii = np.sqrt(grid.radius_sq.reshape(-1))
-        vals = interp_offset_1d(profile.radial_samples, profile.radial_spacing,
-                                sigma * radii, parity=profile.radial_parity)
-        return Field(grid=grid, values=vals.reshape(grid.shape))
+    if profile.radial_profile is not None:
+        return Field(grid=grid, values=profile.radial_profile(
+            sigma * np.sqrt(grid.radius_sq)))
     v = profile.symbol.values
-    mk_euclid = uniform_linear_matrix if euclid_order == "linear" else uniform_cubic_matrix
     for ax, nodes in enumerate(grid.euclid_axes):
-        v = apply_axis_matrix(v, mk_euclid(nodes, sigma * np.asarray(nodes)), ax)
+        v = apply_axis_matrix(
+            v, uniform_linear_matrix(nodes, sigma * np.asarray(nodes)), ax)
     radial_queries = sigma * np.asarray(grid.radial_nodes)
     v = apply_axis_matrix(
         v, radial_cubic_matrix(grid.radial_nodes, grid.radial_extent, radial_queries),
@@ -129,7 +116,7 @@ class AdmissibilityReport:
     variant: str
 
 
-def admissibility_defect(profile, euclid_order="linear"):
+def admissibility_defect(profile):
     """|sum_j w_j |m(sigma_j x)|^q - 1| per frequency point.
 
     The integral runs over the configured sigma range only; mass of the
@@ -142,7 +129,7 @@ def admissibility_defect(profile, euclid_order="linear"):
     q = profile.power
     acc = np.zeros(grid.shape)
     for sigma, lw in zip(profile.sigma_grid.sigmas, profile.sigma_grid.log_weights):
-        dil = dilate_symbol(profile, float(sigma), euclid_order=euclid_order)
+        dil = dilate_symbol(profile, float(sigma))
         acc += lw * np.abs(dil.values) ** q
     defect = np.abs(acc - 1.0)
     return AdmissibilityReport(
@@ -168,28 +155,29 @@ def energy_weighted_defect(profile, F, weights):
     return float((dens * rep.defect.values.real).sum() / total)
 
 
-def apply_multiplier(plan, profile, sigma, phi, euclid_order="linear"):
+def apply_multiplier(plan, profile, sigma, phi):
     """T phi = inverse(m(sigma .) * forward(phi)); linear in phi."""
     if sigma <= 0:
         raise ValueError(f"dilation scale must be positive, got {sigma}")
     F = forward(plan, phi)
-    dil = dilate_symbol(profile, float(sigma), euclid_order=euclid_order)
+    dil = dilate_symbol(profile, float(sigma))
     return inverse(plan, Field(grid=plan.grid_out, values=dil.values * F.values))
 
 
-def multiplier_sweep(plan, profile, phi, euclid_order="linear"):
-    """T phi for every sigma in the profile's grid, as an (n_sigma, size)
-    complex matrix (forward transform computed once)."""
+def multiplier_sweep(plan, profile, phi):
+    """The energy density |T_sigma phi|^2 for every sigma in the profile's
+    grid, as an (n_sigma, size) real matrix (forward transform computed
+    once)."""
     F = forward(plan, phi)
-    out = np.empty((len(profile.sigma_grid), plan.grid_in.size), dtype=np.complex128)
+    out = np.empty((len(profile.sigma_grid), plan.grid_in.size))
     for j, sigma in enumerate(profile.sigma_grid.sigmas):
-        dil = dilate_symbol(profile, float(sigma), euclid_order=euclid_order)
+        dil = dilate_symbol(profile, float(sigma))
         T = inverse(plan, Field(grid=plan.grid_out, values=dil.values * F.values))
-        out[j] = T.flat
+        out[j] = np.abs(T.flat) ** 2
     return out
 
 
-def multiplier_plancherel_defect(plan, profile, phi, euclid_order="linear"):
+def multiplier_plancherel_defect(plan, profile, phi):
     """Relative defect of the dilation-averaged norm identity
 
         sum_j w_j ||T_{sigma_j} phi||^2  =  ||phi||^2.
@@ -197,9 +185,7 @@ def multiplier_plancherel_defect(plan, profile, phi, euclid_order="linear"):
     n2 = norm_p(phi, plan.weights_in, 2) ** 2
     if n2 == 0:
         raise ValueError("phi must be nonzero")
-    sweep = multiplier_sweep(plan, profile, phi, euclid_order=euclid_order)
-    w = plan.weights_in.flat
-    per_sigma = (np.abs(sweep) ** 2) @ w
+    per_sigma = multiplier_sweep(plan, profile, phi) @ plan.weights_in.flat
     total = float(profile.sigma_grid.log_weights @ per_sigma)
     return abs(total - n2) / n2
 
@@ -302,9 +288,9 @@ def radial_admissibility_quadrature(radial_profile, sg, radius, q=2.0):
 
 
 PROFILE_FAMILIES = {
-    # profile, closed-form squared-mass outside [u_lo, u_hi], parity at 0
-    "gaussian_bump": (gaussian_bump_profile, gaussian_bump_tail_mass, "odd"),
-    "quadratic_bump": (quadratic_bump_profile, quadratic_bump_tail_mass, "even"),
+    # profile, closed-form squared-mass outside [u_lo, u_hi]
+    "gaussian_bump": (gaussian_bump_profile, gaussian_bump_tail_mass),
+    "quadratic_bump": (quadratic_bump_profile, quadratic_bump_tail_mass),
 }
 
 
@@ -342,7 +328,7 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
     """
     if family not in PROFILE_FAMILIES:
         raise ValueError(f"unknown profile family {family!r}")
-    profile_fn, tail_fn, parity = PROFILE_FAMILIES[family]
+    profile_fn, tail_fn = PROFILE_FAMILIES[family]
     grid_f = plan.grid_out
     rsq = grid_f.radius_sq
     x_lo = math.sqrt(float(rsq.min()))
@@ -370,12 +356,6 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
     symbol = field_from_function(
         grid_f, lambda pts: profile_fn(np.sqrt(np.sum(pts ** 2, axis=1)))
     )
-    # 1-D radius-profile sampling: quarter the radial-axis step, extended to
-    # the largest grid radius, with the parity of the profile's smooth
-    # extension through 0.
-    spacing = grid_f.radial_extent / (4 * grid_f.shape[-1])
-    n_samp = int(math.ceil(x_hi / spacing)) + 4
-    radii = (np.arange(n_samp) + 0.5) * spacing
     return MultiplierProfile(
         symbol=symbol,
         sigma_grid=sg,
@@ -383,7 +363,4 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
         family=family,
         radial_profile=profile_fn,
         tail_mass=tail_fn,
-        radial_samples=profile_fn(radii),
-        radial_spacing=spacing,
-        radial_parity=parity,
     )

@@ -71,11 +71,23 @@ class ExperimentConfig:
                 raise ConfigError(f"missing config field: {desc}")
             return section[key]
 
+        def optional_section(key):
+            section = doc.get(key, {})
+            if not isinstance(section, dict):
+                raise ConfigError(f"{key} must be a JSON object")
+            return section
+
+        def real_list(value, desc, ok=lambda v: True):
+            if not isinstance(value, (list, tuple)) \
+                    or not all(_real(v) and ok(v) for v in value):
+                raise ConfigError(desc)
+            return [float(v) for v in value]
+
         if not isinstance(doc, dict):
             raise ConfigError("config document must be a JSON object")
         params = need(doc, "params", "params")
         d = need(params, "d", "params.d")
-        if not isinstance(d, int) or d < 1:
+        if not _whole(d) or d < 1:
             raise ConfigError("params.d must be a positive integer")
         alphas = params.get("alpha", 0.5)
         if not isinstance(alphas, (list, tuple)):
@@ -89,21 +101,28 @@ class ExperimentConfig:
                 or not all(_real(e) and e > 0 for e in extents):
             raise ConfigError("grid.extents: need d+1 entries, all positive")
         if not isinstance(counts, (list, tuple)) or len(counts) != d + 1 \
-                or not all(_real(n) and n == int(n) >= MIN_AXIS_POINTS
-                           for n in counts):
+                or not all(_whole(n) and n >= MIN_AXIS_POINTS for n in counts):
             raise ConfigError("grid.counts: need d+1 entries, all whole "
                               f"numbers >= {MIN_AXIS_POINTS}")
         scheme = grid.get("radial_scheme", "uniform-offset")
-        if scheme not in RADIAL_SCHEMES:
+        if not isinstance(scheme, str) or scheme not in RADIAL_SCHEMES:
             raise ConfigError(f"grid.radial_scheme: unknown scheme {scheme!r}")
         normalization = doc.get("normalization", "self-reciprocal")
         if normalization not in NORMALIZATION_KINDS \
                 and not (_real(normalization) and normalization > 0):
             raise ConfigError(f"normalization: unknown kind {normalization!r}")
-        tf = doc.get("test_functions", {})
-        scales = tuple(float(s) for s in tf.get("gaussian_scales", [1.0]))
-        bumps = int(tf.get("random_bumps", 0))
-        certs = tuple(doc.get("certificates", ["heisenberg"]))
+        tf = optional_section("test_functions")
+        scales = tuple(real_list(
+            tf.get("gaussian_scales", [1.0]),
+            "test_functions.gaussian_scales must be a list of positive numbers",
+            lambda s: s > 0))
+        bumps = tf.get("random_bumps", 0)
+        if not _whole(bumps) or bumps < 0:
+            raise ConfigError("test_functions.random_bumps must be a whole "
+                              "number >= 0")
+        certs = doc.get("certificates", ["heisenberg"])
+        if not isinstance(certs, (list, tuple)):
+            raise ConfigError("certificates must be a list of names")
         if not certs:
             raise ConfigError("certificates: select at least one certificate")
         for c in certs:
@@ -112,47 +131,67 @@ class ExperimentConfig:
                     f"certificates: unknown certificate {c!r} "
                     f"(known: {', '.join(KNOWN_CERTIFICATES)})"
                 )
-        exponents = tuple(
-            (float(b), float(dd))
-            for b, dd in doc.get("general_exponents",
-                                 [[1, 1], [2, 1], [1, 2], [2, 2]])
-        )
-        if any(b < 1 or dd < 1 for b, dd in exponents):
-            raise ConfigError("general_exponents entries must be >= 1")
-        ds = doc.get("donoho_stark", {})
+        exponents = doc.get("general_exponents",
+                            [[1, 1], [2, 1], [1, 2], [2, 2]])
+        if not isinstance(exponents, (list, tuple)) or not all(
+                isinstance(e, (list, tuple)) and len(e) == 2
+                and all(_real(v) and v >= 1 for v in e) for e in exponents):
+            raise ConfigError("general_exponents entries must be [beta, "
+                              "delta] pairs of numbers >= 1")
+        exponents = tuple((float(b), float(dd)) for b, dd in exponents)
+        ds = optional_section("donoho_stark")
         ds_conf = {
-            "mass_fractions": [float(q) for q in ds.get("mass_fractions", [0.9, 0.99])],
-            "sigma_floors": [float(r) for r in ds.get("sigma_floors", [1.0, 2.0])],
+            "mass_fractions": real_list(
+                ds.get("mass_fractions", [0.9, 0.99]),
+                "donoho_stark.mass_fractions must be a list of numbers in "
+                "(0, 1]", lambda q: 0 < q <= 1),
+            "sigma_floors": real_list(
+                ds.get("sigma_floors", [1.0, 2.0]),
+                "donoho_stark.sigma_floors must be a list of numbers"),
         }
         tol = dict(DEFAULT_TOLERANCES)
-        tol.update(doc.get("tolerances", {}))
-        mult = doc.get("multiplier", {})
+        tol.update(optional_section("tolerances"))
+        mult = optional_section("multiplier")
         mult_tol = mult.get("tolerance", 1e-6)
         if not all(_real(v) and v > 0 for v in [*tol.values(), mult_tol]):
             raise ConfigError("tolerances and multiplier.tolerance must all "
                               "be positive numbers")
         family = mult.get("family", "gaussian_bump")
-        if family not in PROFILE_FAMILIES:
+        if not isinstance(family, str) or family not in PROFILE_FAMILIES:
             raise ConfigError(f"multiplier.family: unknown family {family!r}")
         variant = mult.get("variant", "modulus_squared")
         if variant not in ADMISSIBILITY_VARIANTS:
             raise ConfigError(f"multiplier.variant: unknown variant {variant!r}")
-        seed = int(doc.get("seed", 0))
+        sigma_range = mult.get("sigma_range")
+        if sigma_range is not None and not (
+                isinstance(sigma_range, (list, tuple)) and len(sigma_range) == 2
+                and all(_real(s) for s in sigma_range)
+                and 0 < sigma_range[0] < sigma_range[1]):
+            raise ConfigError("multiplier.sigma_range must be [lo, hi] with "
+                              "0 < lo < hi")
+        sigma_count = mult.get("sigma_count")
+        if sigma_count is not None and not (_whole(sigma_count)
+                                            and sigma_count >= 2):
+            raise ConfigError("multiplier.sigma_count must be a whole number "
+                              ">= 2")
+        seed = doc.get("seed", 0)
+        if not _whole(seed) or seed < 0:
+            raise ConfigError("seed must be a whole number >= 0")
         return ExperimentConfig(
-            d=d, alphas=tuple(float(a) for a in alphas),
+            d=int(d), alphas=tuple(float(a) for a in alphas),
             extents=tuple(float(e) for e in extents),
             counts=tuple(int(n) for n in counts),
             radial_scheme=scheme, normalization=normalization,
             multiplier={
                 "family": family,
                 "variant": variant,
-                "sigma_range": mult.get("sigma_range"),
-                "sigma_count": mult.get("sigma_count"),
+                "sigma_range": sigma_range,
+                "sigma_count": sigma_count,
                 "tolerance": float(mult_tol),
             },
-            gaussian_scales=scales, random_bumps=bumps,
-            certificates=certs, general_exponents=exponents,
-            donoho_stark=ds_conf, tolerances=tol, seed=seed,
+            gaussian_scales=scales, random_bumps=int(bumps),
+            certificates=tuple(certs), general_exponents=exponents,
+            donoho_stark=ds_conf, tolerances=tol, seed=int(seed),
         )
 
 
@@ -160,6 +199,11 @@ def _real(v):
     """True for a finite int or float (bool excluded)."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) \
         and math.isfinite(v)
+
+
+def _whole(v):
+    """True for a finite number with no fractional part (bool excluded)."""
+    return _real(v) and v == int(v)
 
 
 def _random_bump(grid, rng):

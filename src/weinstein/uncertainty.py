@@ -185,13 +185,15 @@ def aggregated_dispersion(plan, profile, f, beta=1.0, sweep=None,
 
         ( sum_j w_j * || |x|^beta T_{sigma_j} f ||^2 )^{1/2}.
 
-    ``return_per_sigma`` exposes the per-scale norms as a diagnostic (the
-    aggregated form is what the product bounds use).
+    ``sweep`` is a precomputed ``multiplier_sweep(plan, profile, f)`` (the
+    densities |T_sigma f|^2); ``return_per_sigma`` exposes the per-scale
+    norms as a diagnostic (the aggregated form is what the product bounds
+    use).
     """
     if sweep is None:
         sweep = multiplier_sweep(plan, profile, f)
     rb = plan.grid_in.radius_sq.reshape(-1) ** beta
-    per_sigma = (np.abs(sweep) ** 2 * rb[None, :]) @ plan.weights_in.flat
+    per_sigma = (sweep * rb[None, :]) @ plan.weights_in.flat
     total = float(profile.sigma_grid.log_weights @ per_sigma)
     if return_per_sigma:
         return math.sqrt(total), np.sqrt(per_sigma)
@@ -279,12 +281,11 @@ def sigma_concentration_defect(plan, profile, f, sigma_region, sweep=None):
     (sigma, x) region, in the product-measure norm."""
     if sweep is None:
         sweep = multiplier_sweep(plan, profile, f)
-    dens = np.abs(sweep) ** 2
     sg = profile.sigma_grid
-    total = theta_integral(dens, sg, plan.weights_in)
+    total = theta_integral(sweep, sg, plan.weights_in)
     if total == 0:
         raise ValueError("zero multiplier output has no concentration defect")
-    outside = theta_integral(np.where(sigma_region.mask, 0.0, dens), sg,
+    outside = theta_integral(np.where(sigma_region.mask, 0.0, sweep), sg,
                              plan.weights_in)
     return math.sqrt(min(max(outside / total, 0.0), 1.0))
 

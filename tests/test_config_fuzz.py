@@ -1,0 +1,57 @@
+"""Property test of the CLI exit-code contract on mutated configs.
+
+One field of configs/default.json (a section, a leaf or a list entry) is
+replaced by a value of the wrong kind on a 16x16 grid; whatever the
+mutation, ``weinstein run`` must return 0, 1, 2 or 3 without an escaping
+exception, and exit 1 must come with a report whose ``ok`` is false.
+"""
+
+import copy
+import json
+import pathlib
+import tempfile
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from weinstein.cli import main
+
+DEFAULT = pathlib.Path(__file__).resolve().parents[1] / "configs" / "default.json"
+BAD_VALUES = ("x", [1], {}, None, True, -1)
+
+
+def _base():
+    doc = json.loads(DEFAULT.read_text())
+    doc["grid"]["counts"] = [16, 16]
+    return doc
+
+
+def _paths(node, prefix=()):
+    """Every section, leaf and list entry of a JSON tree, as key paths."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+PATHS = sorted(_paths(_base()), key=repr)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(path=st.sampled_from(PATHS), value=st.sampled_from(BAD_VALUES))
+def test_mutated_config_exit_contract(path, value):
+    doc = _base()
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = copy.deepcopy(value)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = pathlib.Path(tmp) / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        out = pathlib.Path(tmp) / "out"
+        code = main(["run", "--config", str(cfg), "--out", str(out),
+                     "--format", "json"])
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert json.loads((out / "report.json").read_text())["ok"] is False

@@ -4,9 +4,10 @@ import math
 import numpy as np
 import pytest
 
-from weinstein import (Field, GridMismatchError, WeinsteinParams, build_grid,
-                       build_sigma_grid, gaussian_field, grid_from_json,
-                       grid_to_json, inner_product, measure_weights, norm_p,
+from weinstein import (Field, GridMismatchError, MeasureRangeError,
+                       WeinsteinParams, build_grid, build_sigma_grid,
+                       gaussian_field, grid_from_json, grid_to_json,
+                       inner_product, measure_weights, norm_p,
                        normalization_constant, theta_integral)
 
 
@@ -91,6 +92,20 @@ def test_weights_nonnegative_random_grids(rng):
         p = WeinsteinParams(d=d, alpha=alpha)
         g = build_grid(p, (4.0,) * (d + 1), (n,) * (d + 1))
         assert np.all(measure_weights(g).weights >= 0)
+
+
+def test_measure_out_of_float_range():
+    # alpha = 200: the radial weights overflow on a wide box and
+    # Gamma(alpha + 1) on a narrow one; alpha = 100 on a tiny box
+    # underflows every weight to 0
+    for alpha, extent, scheme in ((200.0, 7.0, "collocation"),
+                                  (200.0, 7.0, "uniform-offset"),
+                                  (200.0, 1.0, "collocation"),
+                                  (100.0, 0.01, "uniform-offset")):
+        g = build_grid(WeinsteinParams(d=1, alpha=alpha), (extent, extent),
+                       (16, 16), radial_scheme=scheme)
+        with pytest.raises(MeasureRangeError):
+            measure_weights(g)
 
 
 def test_gaussian_norm_closed_form():

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from weinstein.interp import (interp_offset_1d, radial_cubic_matrix,
-                              uniform_cubic_matrix, uniform_linear_matrix)
+from weinstein.interp import radial_cubic_matrix, uniform_linear_matrix
 
 
 def test_linear_exact_on_nodes():
@@ -15,16 +14,6 @@ def test_linear_zero_outside():
     nodes = np.linspace(-3, 3, 13)
     m = uniform_linear_matrix(nodes, np.array([-5.0, 4.1]))
     assert np.all(m == 0)
-
-
-def test_cubic_reproduces_cubics():
-    nodes = np.linspace(-4, 4, 33)
-    queries = np.linspace(-3.4, 3.4, 57)
-    m = uniform_cubic_matrix(nodes, queries)
-    for poly in (lambda t: t ** 3 - 2 * t, lambda t: 0.5 * t ** 2 + t - 1):
-        exact = poly(queries)
-        got = m @ poly(nodes)
-        assert np.max(np.abs(got - exact)) < 1e-12
 
 
 def test_radial_even_reflection():
@@ -49,19 +38,3 @@ def test_radial_zero_beyond_extent():
     m = radial_cubic_matrix(r, extent, np.array([5.0, 7.5]))
     assert np.all(m == 0)
 
-
-def test_offset_1d_parity():
-    n, dr = 128, 0.05
-    u = (np.arange(n) + 0.5) * dr
-    odd_samples = np.sin(u)          # odd through 0
-    even_samples = np.cos(u)         # even through 0
-    queries = np.linspace(0.0, 0.12, 25)
-    odd_got = interp_offset_1d(odd_samples, dr, queries, parity="odd")
-    even_got = interp_offset_1d(even_samples, dr, queries, parity="even")
-    assert np.max(np.abs(odd_got - np.sin(queries))) < 3e-7
-    assert np.max(np.abs(even_got - np.cos(queries))) < 3e-7
-    # the wrong parity kinks at the origin and loses accuracy there
-    wrong = interp_offset_1d(odd_samples, dr, np.array([0.01]), parity="even")
-    assert abs(wrong[0] - np.sin(0.01)) > 1e-4
-    with pytest.raises(ValueError):
-        interp_offset_1d(odd_samples, dr, queries, parity="sideways")

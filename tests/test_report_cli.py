@@ -62,6 +62,29 @@ def test_config_validation_errors():
         ExperimentConfig.from_dict(
             {**base, "multiplier": {"family": "gaussian_bump",
                                     "tolerance": "tight"}})
+    # wrong types in the remaining fields and sections
+    for bad, match in (
+            ({"seed": "abc"}, "seed"),
+            ({"seed": -1}, "seed"),
+            ({"general_exponents": [[1]]}, "general_exponents"),
+            ({"general_exponents": [["x", 1]]}, "general_exponents"),
+            ({"test_functions": [1]}, "test_functions"),
+            ({"donoho_stark": [1]}, "donoho_stark"),
+            ({"tolerances": [1]}, "tolerances"),
+            ({"multiplier": [1]}, "multiplier"),
+            ({"multiplier": "x"}, "multiplier"),
+            ({"multiplier": {"sigma_range": "x"}}, "sigma_range"),
+            ({"multiplier": {"sigma_range": [2.0, 1.0]}}, "sigma_range"),
+            ({"multiplier": {"sigma_count": "many"}}, "sigma_count"),
+            ({"multiplier": {"family": {}}}, "family"),
+            ({"test_functions": {"gaussian_scales": ["x"]}}, "gaussian_scales"),
+            ({"test_functions": {"gaussian_scales": 1.0}}, "gaussian_scales"),
+            ({"test_functions": {"random_bumps": "x"}}, "random_bumps"),
+            ({"donoho_stark": {"mass_fractions": ["x"]}}, "mass_fractions"),
+            ({"donoho_stark": {"sigma_floors": [None]}}, "sigma_floors"),
+            ({"certificates": 1}, "certificates")):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict({**base, **bad})
 
 
 def test_report_structure(small_report):
@@ -133,12 +156,30 @@ def test_cli_config_error(tmp_path):
     small_counts.write_text(json.dumps(
         {**SMALL_CONFIG, "grid": {"extents": [7.0, 7.0], "counts": [4, 4]}}))
     assert main(["run", "--config", str(small_counts)]) == 2
+    bad_seed = tmp_path / "bad_seed.json"
+    bad_seed.write_text(json.dumps({**SMALL_CONFIG, "seed": "abc"}))
+    assert main(["run", "--config", str(bad_seed)]) == 2
+    # a document that is not an object, with the seed overridden
+    listdoc = tmp_path / "list.json"
+    listdoc.write_text("[1]")
+    assert main(["run", "--config", str(listdoc), "--seed", "3"]) == 2
 
 
 def test_cli_guard_error(tmp_path):
     cfg = dict(SMALL_CONFIG)
     cfg["multiplier"] = {"family": "gaussian_bump", "sigma_range": [0.9, 1.1]}
     path = tmp_path / "guard.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+
+
+def test_cli_large_alpha_guard(tmp_path):
+    # (R/2)^{2 alpha + 2} and Gamma(alpha + 1) overflow at alpha = 200: a
+    # numeric guard, not a traceback
+    cfg = {**SMALL_CONFIG, "params": {"d": 1, "alpha": [200]},
+           "grid": {"extents": [7.0, 7.0], "counts": [16, 16],
+                    "radial_scheme": "collocation"}}
+    path = tmp_path / "alpha.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
 
@@ -208,7 +249,6 @@ def test_modulus_variant_flags_certificates(tmp_path):
     modulus = MultiplierProfile(
         symbol=base.symbol, sigma_grid=base.sigma_grid,
         admissibility_variant="modulus",
-        radial_samples=base.radial_samples,
-        radial_spacing=base.radial_spacing, radial_parity="odd")
+        radial_profile=base.radial_profile)
     cert = multiplier_heisenberg_certificate(plan, modulus, gaussian_field(g))
     assert cert.hypothesis_violated

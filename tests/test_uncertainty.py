@@ -204,7 +204,7 @@ def test_sigma_concentration_top_mass(plan_mult, bump_profile):
     f = gaussian_field(g)
     sweep = multiplier_sweep(plan_mult, bump_profile, f)
     sg = bump_profile.sigma_grid
-    dens = (np.abs(sweep) ** 2) * np.outer(sg.log_weights, w.flat)
+    dens = sweep * np.outer(sg.log_weights, w.flat)
     order = np.argsort(dens.ravel())[::-1]
     csum = np.cumsum(dens.ravel()[order])
     q = 0.9
