@@ -5,7 +5,7 @@ operators, and numerically certified uncertainty inequalities, on tensor
 grids carrying the weighted measure x_{d+1}^{2*alpha+1} dx / C.
 """
 
-from .bessel import BesselEvaluator, bessel_j_normalized, weinstein_kernel
+from .bessel import bessel_j_normalized, weinstein_kernel
 from .core import (Field, Grid, SigmaGrid, WeightField, WeinsteinParams,
                    build_grid, build_sigma_grid, field_from_function,
                    gaussian_field, grid_from_json, grid_to_json,
@@ -35,7 +35,7 @@ from .uncertainty import (InequalityCertificate, Region, SigmaRegion,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BesselEvaluator", "bessel_j_normalized", "weinstein_kernel",
+    "bessel_j_normalized", "weinstein_kernel",
     "Field", "Grid", "SigmaGrid", "WeightField", "WeinsteinParams",
     "build_grid", "build_sigma_grid", "field_from_function", "gaussian_field",
     "grid_from_json", "grid_to_json", "inner_product", "measure_weights",

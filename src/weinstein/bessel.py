@@ -7,34 +7,25 @@ series for |x| <= 12 and that identity with scipy's J_alpha beyond (the
 alternating series loses too many digits in float64 there).
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import _accel
 
 
-@dataclass(frozen=True)
-class BesselEvaluator:
-    """The index alpha > -1/2 at which j_alpha is evaluated."""
-
-    alpha: float
-
-    def __post_init__(self):
-        if not self.alpha > -0.5:
-            raise ValueError(f"alpha out of range: need alpha > -1/2, got {self.alpha}")
-
-
-def bessel_j_normalized(be, x):
-    """j_alpha at a float or array of floats (even in x, values in [-1, 1])."""
-    out = _accel.j_alpha(be.alpha, x)
+def bessel_j_normalized(alpha, x):
+    """j_alpha at a float or array of floats (even in x, values in [-1, 1]);
+    needs alpha > -1/2."""
+    if not alpha > -0.5:
+        raise ValueError(f"alpha out of range: need alpha > -1/2, got {alpha}")
+    out = _accel.j_alpha(alpha, x)
     if np.ndim(x) == 0:
         return float(out)
     return out
 
 
-def weinstein_kernel(params, be, lam, x):
-    """Kernel value exp(-1j*<x', lam'>) * j_alpha(x_{d+1} * lam_{d+1}).
+def weinstein_kernel(params, lam, x):
+    """Kernel value exp(-1j*<x', lam'>) * j_alpha(x_{d+1} * lam_{d+1}) at
+    alpha = params.alpha.
 
     ``lam`` and ``x`` are real points of R^{d+1} (single points or (n, d+1)
     arrays); the modulus never exceeds 1 on real arguments.
@@ -49,7 +40,7 @@ def weinstein_kernel(params, be, lam, x):
     lam, x = np.broadcast_arrays(lam, x)
     d = params.d
     phase = np.einsum("ij,ij->i", x[:, :d], lam[:, :d])
-    radial = _accel.j_alpha(be.alpha, lam[:, d] * x[:, d])
+    radial = _accel.j_alpha(params.alpha, lam[:, d] * x[:, d])
     vals = radial * np.exp(-1j * phase)
     if single:
         return complex(vals[0])

@@ -4,7 +4,8 @@
                   [--seed N] [--list-certificates]
 
 Exit codes: 0 success, 1 certificate or self-test failure, 2 config error,
-3 numeric guard error.  The only environment override is WEINSTEIN_OUT for
+3 numeric guard error, 4 internal error (any other exception; the traceback
+goes to stderr).  The only environment override is WEINSTEIN_OUT for
 the default output directory.
 """
 
@@ -12,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from .errors import (ConfigError, IntegrabilityGuardError, MeasureRangeError,
                      SigmaRangeError, SizeGuardError)
@@ -21,6 +23,7 @@ EXIT_OK = 0
 EXIT_CERT_FAILURE = 1
 EXIT_CONFIG_ERROR = 2
 EXIT_GUARD_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def build_parser():
@@ -45,6 +48,14 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    try:
+        return _main(args)
+    except Exception:
+        traceback.print_exc()
+        return EXIT_INTERNAL_ERROR
+
+
+def _main(args):
     if args.command != "run":  # pragma: no cover - argparse enforces
         return EXIT_CONFIG_ERROR
     if args.list_certificates:

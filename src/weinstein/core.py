@@ -14,7 +14,7 @@ All container types are immutable after construction; operations are pure.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -25,8 +25,6 @@ from .errors import GridMismatchError, MeasureRangeError
 RADIAL_SCHEMES = ("uniform-offset", "collocation")
 NORMALIZATION_KINDS = ("self-reciprocal", "squared")
 MIN_AXIS_POINTS = 8
-
-LOG_WEIGHT_RULES = ("gregory", "trapezoid")
 
 # Gregory endpoint corrections for uniform-step trapezoid sums (sixth
 # order); they preserve the total weight (n-1)*h exactly.
@@ -279,9 +277,6 @@ class Field:
     def flat(self):
         return _readonly(self.values.reshape(-1))
 
-    def map(self, fn):
-        return Field(grid=self.grid, values=fn(self.values))
-
     def __add__(self, other):
         self._check(other)
         return Field(grid=self.grid, values=self.values + other.values)
@@ -306,10 +301,9 @@ def field_from_function(grid, fn):
     return Field(grid=grid, values=vals)
 
 
-def gaussian_field(grid, scale=1.0, amplitude=1.0):
-    """The Gaussian amplitude * exp(-|x|^2 / (2 scale^2)) on the grid."""
-    return Field(grid=grid,
-                 values=amplitude * np.exp(-grid.radius_sq / (2.0 * scale ** 2)))
+def gaussian_field(grid, scale=1.0):
+    """The Gaussian exp(-|x|^2 / (2 scale^2)) on the grid."""
+    return Field(grid=grid, values=np.exp(-grid.radius_sq / (2.0 * scale ** 2)))
 
 
 def norm_p(f, w, p):
@@ -362,26 +356,23 @@ class SigmaGrid:
         return len(self.sigmas)
 
 
-def build_sigma_grid(sigma_min, sigma_max, count, rule="gregory"):
+def build_sigma_grid(sigma_min, sigma_max, count):
     """Log-spaced scales on [sigma_min, sigma_max] with d(sigma)/sigma weights.
 
-    "gregory" (default) corrects the trapezoid endpoints to fourth order;
-    "trapezoid" keeps the plain rule.  Both sum to log(sigma_max/sigma_min)
-    exactly.
+    The trapezoid rule, with Gregory endpoint corrections once there are at
+    least 10 scales; the weights sum to log(sigma_max/sigma_min) exactly.
     """
     if not 0 < sigma_min < sigma_max:
         raise ValueError("need 0 < sigma_min < sigma_max")
     count = int(count)
     if count < 2:
         raise ValueError("need at least 2 sigma points")
-    if rule not in LOG_WEIGHT_RULES:
-        raise ValueError(f"unknown log-weight rule {rule!r}")
     s = np.exp(np.linspace(math.log(sigma_min), math.log(sigma_max), count))
     h = math.log(sigma_max / sigma_min) / (count - 1)
     w = np.full(count, h)
     w[0] = w[-1] = h / 2.0
     k = len(_GREGORY_EDGE)
-    if rule == "gregory" and count >= 2 * k:
+    if count >= 2 * k:
         w[:k] = _GREGORY_EDGE * h
         w[-k:] = _GREGORY_EDGE[::-1] * h
     return SigmaGrid(sigmas=_readonly(s), log_weights=_readonly(w))

@@ -53,7 +53,6 @@ class MultiplierProfile:
     symbol: Field
     sigma_grid: SigmaGrid
     admissibility_variant: str = "modulus_squared"
-    family: str = "custom"
     radial_profile: object = None    # radius profile m(u) of a radial symbol
     tail_mass: object = None         # optional closed-form out-of-range mass
 
@@ -360,7 +359,6 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
         symbol=symbol,
         sigma_grid=sg,
         admissibility_variant="modulus_squared",
-        family=family,
         radial_profile=profile_fn,
         tail_mass=tail_fn,
     )

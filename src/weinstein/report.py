@@ -23,8 +23,7 @@ from .multiplier import (ADMISSIBILITY_VARIANTS, PROFILE_FAMILIES,
                          multiplier_plancherel_defect, multiplier_sweep,
                          radial_admissibility_quadrature)
 from .transform import direct_quadrature, forward, inverse, make_plan
-from .uncertainty import (CSV_HEADER, ball_region_for_mass,
-                          donoho_stark_certificate,
+from .uncertainty import (ball_region_for_mass, donoho_stark_certificate,
                           general_heisenberg_certificate,
                           heisenberg_certificate,
                           multiplier_heisenberg_certificate,
@@ -45,6 +44,8 @@ DEFAULT_TOLERANCES = {
     "multiplier_plancherel": 1e-4,
     "admissibility": 1e-3,
 }
+
+CSV_HEADER = "name,d,alpha,lhs,rhs,ratio,satisfied,slack,input_digest"
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,6 @@ from functools import cached_property
 import numpy as np
 
 from . import _accel
-from .bessel import BesselEvaluator
 from .core import Field, Grid, build_grid, measure_weights
 from .errors import GridMismatchError, SizeGuardError
 
@@ -53,7 +52,6 @@ class TransformPlan:
     grid_in: Grid
     grid_out: Grid
     method: str
-    bessel: BesselEvaluator
     normalization: object = "self-reciprocal"
 
     def __post_init__(self):
@@ -77,7 +75,7 @@ class TransformPlan:
         identical weights, so one cache serves both directions)."""
         r = self.grid_in.radial_nodes
         rho = self.grid_out.radial_nodes
-        j = _accel.j_alpha(self.bessel.alpha, np.outer(rho, r))
+        j = _accel.j_alpha(self.grid_in.params.alpha, np.outer(rho, r))
         return j * self.grid_in.radial_weights()[None, :]
 
     @cached_property
@@ -94,14 +92,11 @@ class TransformPlan:
         return tuple(phases)
 
 
-def make_plan(grid, method="fast_separable", bessel=None,
-              normalization="self-reciprocal"):
-    """Plan the transform from ``grid`` to its conjugate frequency grid."""
-    if bessel is None:
-        bessel = BesselEvaluator(alpha=grid.params.alpha)
+def make_plan(grid, method="fast_separable", normalization="self-reciprocal"):
+    """Plan the transform from ``grid`` to its conjugate frequency grid; the
+    Bessel index is the grid's alpha."""
     return TransformPlan(grid_in=grid, grid_out=frequency_grid(grid),
-                         method=method, bessel=bessel,
-                         normalization=normalization)
+                         method=method, normalization=normalization)
 
 
 def _axis_view(vec, axis, ndim):
@@ -180,5 +175,6 @@ def direct_quadrature(plan, f, inverse=False):
     if not f.grid.same_geometry(src_grid):
         raise GridMismatchError("field does not live on the expected grid")
     out = _accel.direct_transform(f.flat, w.flat, src_grid.points,
-                                  dst_grid.points, plan.bessel.alpha, sign=sign)
+                                  dst_grid.points, src_grid.params.alpha,
+                                  sign=sign)
     return Field(grid=dst_grid, values=out.reshape(dst_grid.shape))

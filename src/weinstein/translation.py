@@ -31,20 +31,19 @@ from .interp import apply_axis_matrix, radial_cubic_matrix, uniform_linear_matri
 from .transform import forward, inverse
 
 CONVOLVE_DIRECT_GUARD = 4096
+N_THETA = 64
 
 
 @dataclass(frozen=True)
 class TranslationRule:
-    """Angular quadrature for the translation average."""
+    """Angular quadrature (N_THETA Gauss-Jacobi nodes) for the translation
+    average."""
 
     alpha: float
-    n_theta: int = 64
 
     def __post_init__(self):
         if not self.alpha > -0.5:
             raise ValueError("alpha out of range: need alpha > -1/2")
-        if self.n_theta < 2:
-            raise ValueError("need at least 2 angular nodes")
 
     @cached_property
     def c_alpha(self):
@@ -57,16 +56,16 @@ class TranslationRule:
     def _nodes(self):
         # integral over [0, pi] with density sin(theta)^{2 alpha} equals the
         # Jacobi integral over t = cos(theta) with weight (1-t^2)^{alpha-1/2}
-        t, w = roots_jacobi(self.n_theta, self.alpha - 0.5, self.alpha - 0.5)
-        return t, w
-
-    @property
-    def theta_nodes(self):
-        return np.arccos(self._nodes[0])
+        return roots_jacobi(N_THETA, self.alpha - 0.5, self.alpha - 0.5)
 
     @property
     def theta_weights(self):
         return self._nodes[1]
+
+
+def _check_alpha(rule, grid):
+    if abs(rule.alpha - grid.params.alpha) > 1e-14:
+        raise ValueError("rule and grid disagree on alpha")
 
 
 def _check_point(grid, x):
@@ -84,6 +83,7 @@ def _check_point(grid, x):
 def radial_mix_matrix(rule, grid, x_r):
     """Matrix M with (M f)(r_k) = c_a * sum_t w_t f(rho(k, t)) for the
     angular average at radial offset ``x_r``; cubic interpolation rows."""
+    _check_alpha(rule, grid)
     if grid.radial_scheme != "uniform-offset":
         raise ValueError("direct translation needs the uniform-offset radial axis")
     r = grid.radial_nodes
@@ -97,8 +97,7 @@ def radial_mix_matrix(rule, grid, x_r):
 def translate_direct(rule, f, x):
     """Translate ``f`` by the point ``x`` through the angular-average integral."""
     grid = f.grid
-    if abs(rule.alpha - grid.params.alpha) > 1e-14:
-        raise ValueError("rule and grid disagree on alpha")
+    _check_alpha(rule, grid)
     x = _check_point(grid, x)
     v = f.values
     for ax, (nodes, s) in enumerate(zip(grid.euclid_axes, x[:-1])):
@@ -126,7 +125,7 @@ def translate_spectral(plan, f, x):
     F = forward(plan, f)
     mult = field_from_function(
         plan.grid_out,
-        lambda pts: weinstein_kernel(plan.grid_in.params, plan.bessel, xr, pts),
+        lambda pts: weinstein_kernel(plan.grid_in.params, xr, pts),
     )
     return inverse(plan, Field(grid=plan.grid_out, values=mult.values * F.values))
 

@@ -25,26 +25,20 @@ from .transform import forward
 
 DEFAULT_SLACK = 1e-3
 
-CSV_HEADER = "name,d,alpha,lhs,rhs,ratio,satisfied,slack,input_digest"
-
 
 @dataclass(frozen=True)
 class Region:
     """Measurable subset of the spatial box as a boolean mask."""
 
-    grid: object
     mask: np.ndarray
     measure: float
-
-    def complement(self, w):
-        return region_from_mask(self.grid, w, ~self.mask)
 
 
 def region_from_mask(grid, w, mask):
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != grid.shape:
         raise ValueError("mask shape does not match grid")
-    return Region(grid=grid, mask=mask, measure=float(w.weights[mask].sum()))
+    return Region(mask=mask, measure=float(w.weights[mask].sum()))
 
 
 def ball_region(grid, w, radius):
@@ -71,8 +65,6 @@ def ball_region_for_mass(f, w, fraction):
 class SigmaRegion:
     """Measurable subset of (0, inf) x spatial box as an (n_sigma, size) mask."""
 
-    sigma_grid: object
-    grid: object
     mask: np.ndarray
     theta_measure: float
 
@@ -82,17 +74,13 @@ def sigma_region_from_mask(sg, grid, w, mask):
     if mask.shape != (len(sg), grid.size):
         raise ValueError(f"mask must be shaped ({len(sg)}, {grid.size})")
     measure = theta_integral(mask.astype(float), sg, w)
-    return SigmaRegion(sigma_grid=sg, grid=grid, mask=mask, theta_measure=measure)
+    return SigmaRegion(mask=mask, theta_measure=measure)
 
 
-def sigma_halfline_region(sg, grid, w, sigma_floor, spatial_mask=None):
-    """The product region {sigma >= sigma_floor} x (spatial mask or full box)."""
-    rows = sg.sigmas >= sigma_floor
-    if spatial_mask is None:
-        spatial = np.ones(grid.size, dtype=bool)
-    else:
-        spatial = np.asarray(spatial_mask, dtype=bool).reshape(-1)
-    return sigma_region_from_mask(sg, grid, w, np.outer(rows, spatial))
+def sigma_halfline_region(sg, grid, w, sigma_floor):
+    """The product region {sigma >= sigma_floor} x (full box)."""
+    mask = np.outer(sg.sigmas >= sigma_floor, np.ones(grid.size, dtype=bool))
+    return sigma_region_from_mask(sg, grid, w, mask)
 
 
 @dataclass(frozen=True)
@@ -126,13 +114,6 @@ class InequalityCertificate:
             doc["flags"] = self.flags
         return doc
 
-    def to_csv_row(self):
-        return (
-            f"{self.name},{self.d},{self.alpha!r},{self.lhs!r},{self.rhs!r},"
-            f"{self.ratio!r},{str(self.satisfied).lower()},{self.slack!r},"
-            f"{self.input_digest}"
-        )
-
     @property
     def hypothesis_violated(self):
         return bool(self.flags.get("hypothesis_violated", False))
@@ -152,6 +133,13 @@ def _certificate(name, params, lhs, rhs, slack, digest, flags=None):
     )
 
 
+def _norm2(plan, f):
+    n2 = norm_p(f, plan.weights_in, 2) ** 2
+    if n2 == 0:
+        raise ValueError("certificate needs a nonzero field")
+    return n2
+
+
 def dispersion(f, w, beta=1.0):
     """Weighted spread (integral of |x|^{2 beta} |f|^2)^{1/2}; beta >= 1."""
     if beta < 1.0:
@@ -168,9 +156,7 @@ def heisenberg_certificate(plan, f, slack=DEFAULT_SLACK, digest=""):
     with equality on the Gaussian family.
     """
     params = plan.grid_in.params
-    n2 = norm_p(f, plan.weights_in, 2) ** 2
-    if n2 == 0:
-        raise ValueError("certificate needs a nonzero field")
+    n2 = _norm2(plan, f)
     F = forward(plan, f)
     d_space = dispersion(f, plan.weights_in, 1.0)
     d_freq = dispersion(F, plan.weights_out, 1.0)
@@ -179,28 +165,23 @@ def heisenberg_certificate(plan, f, slack=DEFAULT_SLACK, digest=""):
                         digest or f"norm2={n2:.6e}")
 
 
-def aggregated_dispersion(plan, profile, f, beta=1.0, sweep=None,
-                          return_per_sigma=False):
+def aggregated_dispersion(plan, profile, f, beta=1.0, sweep=None):
     """Dilation-averaged spread of the multiplier family output:
 
         ( sum_j w_j * || |x|^beta T_{sigma_j} f ||^2 )^{1/2}.
 
     ``sweep`` is a precomputed ``multiplier_sweep(plan, profile, f)`` (the
-    densities |T_sigma f|^2); ``return_per_sigma`` exposes the per-scale
-    norms as a diagnostic (the aggregated form is what the product bounds
-    use).
+    densities |T_sigma f|^2).
     """
     if sweep is None:
         sweep = multiplier_sweep(plan, profile, f)
     rb = plan.grid_in.radius_sq.reshape(-1) ** beta
     per_sigma = (sweep * rb[None, :]) @ plan.weights_in.flat
     total = float(profile.sigma_grid.log_weights @ per_sigma)
-    if return_per_sigma:
-        return math.sqrt(total), np.sqrt(per_sigma)
     return math.sqrt(total)
 
 
-def _admissibility_gate(plan, profile, F, tol):
+def _admissibility_gate(plan, profile, F):
     if profile.admissibility_variant != "modulus_squared":
         return math.inf
     return energy_weighted_defect(profile, F, plan.weights_out)
@@ -219,11 +200,9 @@ def multiplier_heisenberg_certificate(plan, profile, f, slack=DEFAULT_SLACK,
     hypothesis_violated certificate (numbers still reported).
     """
     params = plan.grid_in.params
-    n2 = norm_p(f, plan.weights_in, 2) ** 2
-    if n2 == 0:
-        raise ValueError("certificate needs a nonzero field")
+    n2 = _norm2(plan, f)
     F = forward(plan, f)
-    defect = _admissibility_gate(plan, profile, F, admissibility_tol)
+    defect = _admissibility_gate(plan, profile, F)
     a = aggregated_dispersion(plan, profile, f, 1.0, sweep=sweep)
     b = dispersion(F, plan.weights_out, 1.0)
     rhs = (2.0 / params.homogeneity_degree) * b * a
@@ -249,12 +228,10 @@ def general_heisenberg_certificate(plan, profile, f, beta, delta,
     if beta < 1.0 or delta < 1.0:
         raise ValueError("exponents must satisfy beta, delta >= 1")
     params = plan.grid_in.params
-    n2 = norm_p(f, plan.weights_in, 2) ** 2
-    if n2 == 0:
-        raise ValueError("certificate needs a nonzero field")
+    n2 = _norm2(plan, f)
     eps = delta / (beta + delta)
     F = forward(plan, f)
-    defect = _admissibility_gate(plan, profile, F, admissibility_tol)
+    defect = _admissibility_gate(plan, profile, F)
     a = aggregated_dispersion(plan, profile, f, beta, sweep=sweep)
     b = dispersion(F, plan.weights_out, float(delta))
     const = 2.0 / params.homogeneity_degree
@@ -313,15 +290,17 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
             "the smallest sampled scale)"
         )
     F = forward(plan, f)
-    defect = _admissibility_gate(plan, profile, F, admissibility_tol)
+    defect = _admissibility_gate(plan, profile, F)
     if sweep is None:
         sweep = multiplier_sweep(plan, profile, f)
     eps = concentration_defect(f, plan.weights_in, region)
     nu = sigma_concentration_defect(plan, profile, f, sigma_region, sweep=sweep)
     deg = params.homogeneity_degree
-    decay = np.where(
-        sigma_region.mask, (sg.sigmas ** (-2.0 * deg))[:, None], 0.0
-    )
+    # sigma^{-2 deg} on the region's rows only (at large alpha it overflows
+    # on the small scales below them)
+    rows = sigma_region.mask.any(axis=1)
+    weight = np.where(rows, sg.sigmas, 1.0) ** (-2.0 * deg)
+    decay = np.where(sigma_region.mask, weight[:, None], 0.0)
     theta_decay = theta_integral(decay, sg, plan.weights_in)
     if not math.isfinite(theta_decay):
         raise IntegrabilityGuardError("sigma-region integral is not finite")
@@ -338,7 +317,6 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
     # corollary form for half-line sigma regions: with rho = 1/min(sigma
     # over the region), rho^{2 deg} * Theta(Sigma) dominates the decay
     # integral, so its bound is implied by the main one
-    rows = sigma_region.mask.any(axis=1)
     if rows.any():
         rho = 1.0 / float(sg.sigmas[rows][0])
         corollary_bound = (rho ** deg) * m_norm1 \
@@ -348,12 +326,5 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
             corollary_bound >= constrained - slack * abs(constrained)
         )
         flags["corollary_dominates"] = bool(corollary_bound >= bound * (1 - 1e-12))
-    cert = _certificate("donoho_stark", params, constrained, bound, slack,
+    return _certificate("donoho_stark", params, constrained, bound, slack,
                         digest or f"eps={eps:.4f},nu={nu:.4f}", flags)
-    return cert
-
-
-def certificates_to_csv(certs):
-    lines = [CSV_HEADER]
-    lines.extend(c.to_csv_row() for c in certs)
-    return "\n".join(lines) + "\n"

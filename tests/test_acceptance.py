@@ -25,8 +25,8 @@ from weinstein import (Field, TranslationRule, WeinsteinParams, build_grid,
                        multiplier_heisenberg_certificate,
                        multiplier_plancherel_defect, multiplier_sweep,
                        apply_multiplier, apply_multiplier_kernel,
-                       sigma_halfline_region)
-from weinstein.bessel import BesselEvaluator, bessel_j_normalized, weinstein_kernel
+                       sigma_halfline_region, bessel_j_normalized,
+                       weinstein_kernel)
 from weinstein.multiplier import (gaussian_bump_profile,
                                   gaussian_bump_tail_mass,
                                   radial_admissibility_quadrature)
@@ -98,17 +98,16 @@ def test_criterion_02_kernel_properties():
     for d in (1, 2):
         for alpha in (0.5, 1.0, 2.0):
             params = WeinsteinParams(d=d, alpha=alpha)
-            be = BesselEvaluator(alpha=alpha)
             n = 10_000
             lam = rng.normal(scale=3.0, size=(n, d + 1))
             x = rng.normal(scale=3.0, size=(n, d + 1))
-            val = weinstein_kernel(params, be, lam, x)
-            sym = weinstein_kernel(params, be, x, lam)
+            val = weinstein_kernel(params, lam, x)
+            sym = weinstein_kernel(params, x, lam)
             refl_x = np.concatenate([-x[:, :d], x[:, d:]], axis=1)
             refl_lam = np.concatenate([-lam[:, :d], lam[:, d:]], axis=1)
-            r1 = weinstein_kernel(params, be, lam, refl_x)
-            r2 = weinstein_kernel(params, be, refl_lam, x)
-            ones = weinstein_kernel(params, be, lam, np.zeros((n, d + 1)))
+            r1 = weinstein_kernel(params, lam, refl_x)
+            r2 = weinstein_kernel(params, refl_lam, x)
+            ones = weinstein_kernel(params, lam, np.zeros((n, d + 1)))
             worst_id = max(
                 worst_id,
                 float(np.max(np.abs(val - sym))),
@@ -118,11 +117,10 @@ def test_criterion_02_kernel_properties():
             )
     # second-order eigen-equation residual under step refinement
     alpha, lam_r = 1.0, 1.7
-    be = BesselEvaluator(alpha=alpha)
 
     def residual(h):
         r = np.arange(1, 2001) * h
-        u = bessel_j_normalized(be, lam_r * r)
+        u = bessel_j_normalized(alpha, lam_r * r)
         d2 = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
         d1 = (u[2:] - u[:-2]) / (2 * h)
         res = d2 + (2 * alpha + 1) / r[1:-1] * d1 + lam_r ** 2 * u[1:-1]
@@ -299,7 +297,7 @@ def test_criterion_09_translation_convolution():
     # spectral characterization as an identity of the implementation
     x = np.array([0.7, 1.1])
     ts = translate_spectral(plan, f, x)
-    mult = weinstein_kernel(params, plan.bessel, np.array([-x[0], x[1]]),
+    mult = weinstein_kernel(params, np.array([-x[0], x[1]]),
                             plan.grid_out.points)
     ident = float(np.max(np.abs(
         forward(plan, ts).values

@@ -202,7 +202,7 @@ def test_sigma_grid_weights():
     sg = build_sigma_grid(1e-2, 1e2, 128)
     assert sg.log_weights.sum() == pytest.approx(math.log(1e4), rel=1e-14)
     assert np.all(np.diff(sg.sigmas) > 0)
-    sg_t = build_sigma_grid(0.5, 2.0, 8, rule="trapezoid")
+    sg_t = build_sigma_grid(0.5, 2.0, 8)
     assert sg_t.log_weights.sum() == pytest.approx(math.log(4.0), rel=1e-14)
     with pytest.raises(ValueError):
         build_sigma_grid(1.0, 0.5, 16)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import pytest
 
@@ -6,6 +7,9 @@ from weinstein.cli import main
 from weinstein.errors import ConfigError
 from weinstein.report import (ExperimentConfig, emit, report_csv,
                               report_json_bytes, run)
+
+DEFAULT_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" \
+    / "default.json"
 
 SMALL_CONFIG = {
     "params": {"d": 1, "alpha": [0.5]},
@@ -115,6 +119,7 @@ def test_report_csv_columns(small_report):
     lines = csv.strip().split("\n")
     assert lines[0] == "name,d,alpha,lhs,rhs,ratio,satisfied,slack,input_digest"
     assert len(lines) == 1 + len(small_report["runs"][0]["certificates"])
+    assert lines[1].startswith("heisenberg,1,0.5,")
     for line in lines[1:]:
         assert len(line.split(",")) == 9
 
@@ -182,6 +187,37 @@ def test_cli_large_alpha_guard(tmp_path):
     path = tmp_path / "alpha.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
+
+
+def test_cli_alpha_100_runs_without_warnings(tmp_path):
+    # at alpha = 100 the measure still fits the float range, the self-tests
+    # fail (exit 1 with a report) and sigma^{-2 deg} below the Donoho-Stark
+    # regions must not overflow (pytest turns RuntimeWarnings into errors)
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    cfg["params"]["alpha"] = [100]
+    cfg["grid"]["counts"] = [16, 16]
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert report["ok"] is False
+    assert any(c["name"] == "donoho_stark"
+               for c in report["runs"][0]["certificates"])
+
+
+def test_cli_internal_error_exit(tmp_path, monkeypatch, capsys):
+    # an unexpected exception is neither a certificate failure (1) nor a
+    # config or guard error: exit 4 with the traceback on stderr
+    def broken(config):
+        raise RuntimeError("unexpected")
+
+    monkeypatch.setattr("weinstein.cli.run", broken)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SMALL_CONFIG))
+    assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: unexpected" in err
 
 
 def test_cli_run_and_seed_override(tmp_path, capsys):

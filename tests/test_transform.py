@@ -6,8 +6,7 @@ import pytest
 from weinstein import (Field, SizeGuardError, WeinsteinParams, build_grid,
                        direct_quadrature, forward, frequency_grid,
                        gaussian_field, inner_product, inverse, make_plan,
-                       norm_p)
-from weinstein.bessel import BesselEvaluator, weinstein_kernel
+                       norm_p, weinstein_kernel)
 
 
 def resolved_field(grid, rng, n_terms=3):
@@ -129,8 +128,7 @@ def test_direct_quadrature_one_hot():
     out = direct_quadrature(plan, f)
     x0 = np.array([g.euclid_axes[0][3], g.radial_nodes[4]])
     w0 = plan.weights_in.weights[3, 4]
-    be = BesselEvaluator(alpha=0.5)
-    expected = w0 * weinstein_kernel(p, be, plan.grid_out.points, x0)
+    expected = w0 * weinstein_kernel(p, plan.grid_out.points, x0)
     assert np.max(np.abs(out.flat - expected)) < 1e-14
 
 

@@ -7,8 +7,8 @@ from scipy.special import ive
 from weinstein import (Field, SizeGuardError, TranslationRule, WeinsteinParams,
                        build_grid, convolve, convolve_direct, forward,
                        gaussian_field, make_plan, measure_weights, norm_p,
-                       translate_direct, translate_spectral)
-from weinstein.bessel import weinstein_kernel
+                       translate_direct, translate_spectral, weinstein_kernel)
+from weinstein.translation import radial_mix_matrix
 
 
 def translated_gaussian(grid, x):
@@ -64,6 +64,18 @@ def test_translate_outside_box_rejected(plan_half):
         translate_spectral(plan_half, f, np.array([0.0, -0.5]))
 
 
+def test_rule_alpha_must_match_grid(plan_half):
+    # a rule built for another alpha would average with the wrong density;
+    # both routes into the angular average refuse it, including a purely
+    # Euclidean shift that never builds the radial matrix
+    rule = TranslationRule(alpha=3.0)
+    g = plan_half.grid_in
+    with pytest.raises(ValueError, match="disagree on alpha"):
+        radial_mix_matrix(rule, g, 1.0)
+    with pytest.raises(ValueError, match="disagree on alpha"):
+        translate_direct(rule, gaussian_field(g), np.array([0.5, 0.0]))
+
+
 @pytest.mark.parametrize("alpha", [0.5, 1.0])
 def test_translate_gaussian_closed_form(alpha):
     params = WeinsteinParams(d=1, alpha=alpha)
@@ -111,9 +123,8 @@ def test_spectral_characterization_identity(plan_half):
     ts = translate_spectral(plan_half, f, x)
     lhs = forward(plan_half, ts)
     params = plan_half.grid_in.params
-    be = plan_half.bessel
     xr = np.array([-x[0], x[1]])
-    mult = weinstein_kernel(params, be, xr, plan_half.grid_out.points)
+    mult = weinstein_kernel(params, xr, plan_half.grid_out.points)
     rhs = mult.reshape(lhs.values.shape) * forward(plan_half, f).values
     assert np.max(np.abs(lhs.values - rhs)) < 1e-10
 
