@@ -13,6 +13,7 @@ from weinstein import (Field, IntegrabilityGuardError, WeinsteinParams,
                        norm_p, region_from_mask, sigma_concentration_defect,
                        sigma_halfline_region, sigma_region_from_mask)
 from weinstein.multiplier import MultiplierProfile
+from weinstein.report import report_csv
 
 
 def test_dispersion_zero_and_validation(plan_half):
@@ -246,3 +247,12 @@ def test_donoho_stark_integrability_guard(plan_mult, bump_profile):
     omega = ball_region_for_mass(f, w, 0.9)
     with pytest.raises(IntegrabilityGuardError):
         donoho_stark_certificate(plan_mult, bump_profile, f, omega, touching)
+
+
+def test_certificate_csv_shape(plan_half):
+    cert = heisenberg_certificate(plan_half, gaussian_field(plan_half.grid_in))
+    csv = report_csv({"runs": [{"certificates": [cert.to_json()]}]})
+    lines = csv.strip().split("\n")
+    assert lines[0] == "name,d,alpha,lhs,rhs,ratio,satisfied,slack,input_digest"
+    assert lines[1].startswith("heisenberg,1,0.5,")
+    assert len(lines) == 2
