@@ -54,8 +54,13 @@ def _j_alpha(alpha, x):
 def _kernel_matrix(lam, x, alpha, sign):
     d = lam.shape[1] - 1
     phase = lam[:, :d] @ x[:, :d].T
-    radial = _j_alpha(alpha, np.outer(lam[:, d], x[:, d]).ravel())
-    return radial.reshape(lam.shape[0], x.shape[0]) * np.exp(1j * sign * phase)
+    # a tensor grid repeats each radial coordinate across the Euclidean
+    # axes: evaluate j on the distinct radial products and gather
+    lam_r, lam_idx = np.unique(lam[:, d], return_inverse=True)
+    x_r, x_idx = np.unique(x[:, d], return_inverse=True)
+    radial = _j_alpha(alpha, np.outer(lam_r, x_r).ravel())
+    radial = radial.reshape(len(lam_r), len(x_r))[np.ix_(lam_idx, x_idx)]
+    return radial * np.exp(1j * sign * phase)
 
 
 def j_alpha(alpha, x):

@@ -36,6 +36,16 @@ from .transform import DIRECT_PAIR_GUARD, forward, inverse
 
 ADMISSIBILITY_VARIANTS = ("modulus", "modulus_squared")
 
+# Widening of a derived sigma range in ln(sigma) beyond the tail brackets.
+# Below, the profile's u^2 edge (u^4 for quadratic_bump) drops to ~1e-12;
+# above, its super-exponential decay moves off the Gregory edge nodes.
+LOG_PAD_BELOW = 5.0
+LOG_PAD_ABOVE = 1.0
+# Probe radii per period of log-radius, and the scale counts searched.
+PROBES_PER_PERIOD = 16
+MIN_SIGMA_COUNT = 16
+MAX_SIGMA_COUNT = 1024
+
 
 @dataclass(frozen=True)
 class MultiplierProfile:
@@ -280,10 +290,12 @@ def radial_admissibility_quadrature(radial_profile, sg, radius, q=2.0):
     """1-D dilation-average quadrature sum_j w_j |g(sigma_j * radius)|^q.
 
     This is the oracle the sampled-symbol defect is validated against: no
-    grid interpolation enters, only the log-grid rule.
+    grid interpolation enters, only the log-grid rule.  ``radius`` may be
+    an array of radii, giving one sum per radius.
     """
-    u = sg.sigmas * float(radius)
-    return float(sg.log_weights @ np.abs(radial_profile(u)) ** q)
+    u = np.multiply.outer(np.asarray(radius, dtype=np.float64), sg.sigmas)
+    out = np.abs(radial_profile(u)) ** q @ sg.log_weights
+    return float(out) if out.ndim == 0 else out
 
 
 PROFILE_FAMILIES = {
@@ -315,15 +327,47 @@ def _tail_bracket(tail, target, start, direction):
     return hi if direction > 0 else lo
 
 
+def _probe(profile_fn, tail_fn, sg, x_lo, x_hi):
+    """Quadrature and closed-form out-of-range mass at the radii a sigma
+    grid is checked on: one period h (the grid's log-step) of log-radius
+    above x_lo, where the trapezoid error is h-periodic once the integrand
+    is negligible at both ends of the range, plus sqrt(x_lo*x_hi) and x_hi."""
+    h = math.log(sg.sigma_max / sg.sigma_min) / (len(sg) - 1)
+    steps = np.exp(h * np.arange(PROBES_PER_PERIOD) / PROBES_PER_PERIOD)
+    radii = np.append(np.minimum(x_lo * steps, x_hi),
+                      [math.sqrt(x_lo * x_hi), x_hi])
+    quad = radial_admissibility_quadrature(profile_fn, sg, radii)
+    tail = np.array([tail_fn(sg.sigma_min * r, sg.sigma_max * r)
+                     for r in radii])
+    return quad, tail
+
+
+def _smallest_sigma_count(profile_fn, tail_fn, s_min, s_max, x_lo, x_hi,
+                          target):
+    """Smallest scale count whose quadrature defect |quad + tail - 1| at
+    the probe radii is <= ``target`` (MAX_SIGMA_COUNT if none is)."""
+    for count in range(MIN_SIGMA_COUNT, MAX_SIGMA_COUNT):
+        sg = build_sigma_grid(s_min, s_max, count)
+        quad, tail = _probe(profile_fn, tail_fn, sg, x_lo, x_hi)
+        if np.max(np.abs(quad + tail - 1.0)) <= target:
+            return count
+    return MAX_SIGMA_COUNT
+
+
 def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
                            sigma_count=None, tolerance=1e-6):
     """Construct a radial symbol satisfying the modulus-squared
     admissibility condition over its sigma grid.
 
-    When no range is given, one is derived so that the closed-form mass of
-    the dilation profile outside [sigma_min*|x|, sigma_max*|x|] stays below
-    ``tolerance`` for every frequency-grid radius |x|.  An explicitly
-    narrow range raises SigmaRangeError with the achieved defect.
+    When no range is given, one is derived: the tail brackets put the
+    closed-form mass of the dilation profile outside [sigma_min*|x|,
+    sigma_max*|x|] below ``tolerance``/16 for every frequency-grid radius
+    |x|, and ln(sigma) is then widened by LOG_PAD_BELOW below and
+    LOG_PAD_ABOVE above, so the integrand is negligible at both ends and
+    the rule converges geometrically in the count.  When no count is
+    given, the smallest one whose quadrature defect at the probe radii is
+    <= ``tolerance``/16 is used.  A range too narrow for ``tolerance``
+    raises SigmaRangeError with the achieved defect.
     """
     if family not in PROFILE_FAMILIES:
         raise ValueError(f"unknown profile family {family!r}")
@@ -337,16 +381,15 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
                              start=1.0, direction=-1)
         u_hi = _tail_bracket(lambda u: tail_fn(0.0, u), tolerance / 16.0,
                              start=1.0, direction=+1)
-        sigma_range = (u_lo / x_hi, u_hi / x_lo)
+        sigma_range = (u_lo / x_hi * math.exp(-LOG_PAD_BELOW),
+                       u_hi / x_lo * math.exp(LOG_PAD_ABOVE))
     s_min, s_max = float(sigma_range[0]), float(sigma_range[1])
     if sigma_count is None:
-        sigma_count = max(int(math.ceil(math.log(s_max / s_min) / 0.06)) + 1, 16)
+        sigma_count = _smallest_sigma_count(profile_fn, tail_fn, s_min, s_max,
+                                            x_lo, x_hi, tolerance / 16.0)
     sg = build_sigma_grid(s_min, s_max, sigma_count)
-    worst = 0.0
-    for radius in (x_lo, math.sqrt(x_lo * x_hi), x_hi):
-        tail = tail_fn(s_min * radius, s_max * radius)
-        quad = radial_admissibility_quadrature(profile_fn, sg, radius)
-        worst = max(worst, abs(quad - 1.0), tail)
+    quad, tail = _probe(profile_fn, tail_fn, sg, x_lo, x_hi)
+    worst = max(float(np.max(np.abs(quad - 1.0))), float(np.max(tail)))
     if worst > tolerance:
         raise SigmaRangeError(
             f"sigma range [{s_min:g}, {s_max:g}] too narrow: achieved "

@@ -323,6 +323,11 @@ def run(config):
         adm_tol = config.tolerances["admissibility"]
         certs = []
         t0 = time.perf_counter()
+        halflines = []
+        if "donoho_stark" in config.certificates:
+            halflines = [sigma_halfline_region(profile.sigma_grid, grid,
+                                               plan.weights_in, floor)
+                         for floor in config.donoho_stark["sigma_floors"]]
         for name, f in fields:
             sweep = None
             needs_sweep = any(c in config.certificates for c in
@@ -346,14 +351,12 @@ def run(config):
                         sweep=sweep))
             if "donoho_stark" in config.certificates:
                 for q in config.donoho_stark["mass_fractions"]:
-                    for floor in config.donoho_stark["sigma_floors"]:
-                        omega = ball_region_for_mass(f, plan.weights_in, q)
-                        sig_reg = sigma_halfline_region(
-                            profile.sigma_grid, grid, plan.weights_in, floor)
+                    omega = ball_region_for_mass(f, plan.weights_in, q)
+                    for sig_reg in halflines:
                         certs.append(donoho_stark_certificate(
                             plan, profile, f, omega, sig_reg, slack=slack,
                             admissibility_tol=adm_tol,
-                            digest=f"{name};q={q:g};floor={floor:g}",
+                            digest=f"{name};q={q:g};floor={sig_reg.floor:g}",
                             sweep=sweep))
         timings[f"certificates_alpha_{alpha:g}"] = time.perf_counter() - t0
         per_alpha.append({

@@ -14,9 +14,10 @@ dispersion product: the Gaussian family saturates the plain product bound
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import special
 
 from .core import norm_p, theta_integral
 from .errors import IntegrabilityGuardError
@@ -24,6 +25,7 @@ from .multiplier import energy_weighted_defect, multiplier_sweep
 from .transform import forward
 
 DEFAULT_SLACK = 1e-3
+LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 
 
 @dataclass(frozen=True)
@@ -63,10 +65,16 @@ def ball_region_for_mass(f, w, fraction):
 
 @dataclass(frozen=True)
 class SigmaRegion:
-    """Measurable subset of (0, inf) x spatial box as an (n_sigma, size) mask."""
+    """Measurable subset of (0, inf) x spatial box as an (n_sigma, size) mask.
+
+    A half-line region {sigma >= floor} x box also records its ``floor``:
+    the Donoho-Stark certificate integrates over the half-line itself, not
+    over the sampled rows of the mask.
+    """
 
     mask: np.ndarray
     theta_measure: float
+    floor: float = None
 
 
 def sigma_region_from_mask(sg, grid, w, mask):
@@ -80,7 +88,8 @@ def sigma_region_from_mask(sg, grid, w, mask):
 def sigma_halfline_region(sg, grid, w, sigma_floor):
     """The product region {sigma >= sigma_floor} x (full box)."""
     mask = np.outer(sg.sigmas >= sigma_floor, np.ones(grid.size, dtype=bool))
-    return sigma_region_from_mask(sg, grid, w, mask)
+    region = sigma_region_from_mask(sg, grid, w, mask)
+    return replace(region, floor=float(sigma_floor))
 
 
 @dataclass(frozen=True)
@@ -267,6 +276,27 @@ def sigma_concentration_defect(plan, profile, f, sigma_region, sweep=None):
     return math.sqrt(min(max(outside / total, 0.0), 1.0))
 
 
+def _halfline_concentration_defect(sweep, sg, w, floor):
+    """Concentration defect on {sigma >= floor} x box.
+
+    The per-sigma totals of the densities are analytic in t = ln(sigma)
+    and negligible at both ends of a derived range, so their sinc
+    interpolant on the uniform t grid (step h) is integrated exactly up to
+    ln(floor) itself, not to a grid node: node j contributes
+    h * (1/2 + Si(pi * (ln(floor) - t_j) / h) / pi), and over the whole
+    line each contributes h, the trapezoid sum.
+    """
+    t = np.log(sg.sigmas)
+    h = (t[-1] - t[0]) / (len(t) - 1)
+    per_sigma = sweep @ w.flat
+    total = float(per_sigma.sum())
+    if total == 0:
+        raise ValueError("zero multiplier output has no concentration defect")
+    below = 0.5 + special.sici(math.pi * (math.log(floor) - t) / h)[0] / math.pi
+    outside = float(per_sigma @ below)
+    return math.sqrt(min(max(outside / total, 0.0), 1.0))
+
+
 def donoho_stark_certificate(plan, profile, f, region, sigma_region,
                              slack=DEFAULT_SLACK, admissibility_tol=1e-3,
                              digest="", sweep=None):
@@ -279,31 +309,39 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
     The bound side is reported as rhs and the constrained side 1-(eps+nu)
     as lhs, so ratio = lhs/rhs keeps the satisfied convention.  Vacuous
     instances (eps + nu >= 1) are flagged and never count as evidence.
-    The sigma^{-2 deg} integrand explodes toward sigma -> 0; masks touching
-    the smallest scale are rejected rather than silently truncated.
+
+    The sigma-region must be a half-line {sigma >= floor} x box (from
+    ``sigma_halfline_region``).  Its decay integral has the closed form
+    mu(box) * floor^{-2 deg} / (2 deg), evaluated in log space, so it does
+    not depend on the sigma grid; nu is integrated exactly up to the floor.
+    The sigma^{-2 deg} integrand explodes toward sigma -> 0: regions whose
+    mask touches the smallest scale, or whose decay integral leaves the
+    float range, raise IntegrabilityGuardError.
     """
     params = plan.grid_in.params
-    sg = profile.sigma_grid
     if sigma_region.mask[0].any():
         raise IntegrabilityGuardError(
             "sigma-region reaches the integrability boundary (mask touches "
             "the smallest sampled scale)"
         )
+    floor = sigma_region.floor
+    if floor is None:
+        raise ValueError("the Donoho-Stark certificate needs a half-line "
+                         "sigma-region (sigma_halfline_region)")
+    deg = params.homogeneity_degree
+    log_rho = -math.log(floor)
+    log_decay = math.log(float(plan.weights_in.flat.sum())) \
+        + 2.0 * deg * log_rho - math.log(2.0 * deg)
+    if max(log_decay, deg * log_rho) > LOG_FLOAT_MAX:
+        raise IntegrabilityGuardError("sigma-region integral is not finite")
+    theta_decay = math.exp(log_decay)
     F = forward(plan, f)
     defect = _admissibility_gate(plan, profile, F)
     if sweep is None:
         sweep = multiplier_sweep(plan, profile, f)
     eps = concentration_defect(f, plan.weights_in, region)
-    nu = sigma_concentration_defect(plan, profile, f, sigma_region, sweep=sweep)
-    deg = params.homogeneity_degree
-    # sigma^{-2 deg} on the region's rows only (at large alpha it overflows
-    # on the small scales below them)
-    rows = sigma_region.mask.any(axis=1)
-    weight = np.where(rows, sg.sigmas, 1.0) ** (-2.0 * deg)
-    decay = np.where(sigma_region.mask, weight[:, None], 0.0)
-    theta_decay = theta_integral(decay, sg, plan.weights_in)
-    if not math.isfinite(theta_decay):
-        raise IntegrabilityGuardError("sigma-region integral is not finite")
+    nu = _halfline_concentration_defect(sweep, profile.sigma_grid,
+                                        plan.weights_in, floor)
     m_norm1 = norm_p(profile.symbol, plan.weights_out, 1)
     bound = m_norm1 * math.sqrt(region.measure) * math.sqrt(theta_decay)
     constrained = 1.0 - (eps + nu)
@@ -314,17 +352,14 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
         flags["admissibility_defect"] = defect
     if constrained <= 0:
         flags["vacuous"] = True
-    # corollary form for half-line sigma regions: with rho = 1/min(sigma
-    # over the region), rho^{2 deg} * Theta(Sigma) dominates the decay
-    # integral, so its bound is implied by the main one
-    if rows.any():
-        rho = 1.0 / float(sg.sigmas[rows][0])
-        corollary_bound = (rho ** deg) * m_norm1 \
-            * math.sqrt(region.measure) * math.sqrt(sigma_region.theta_measure)
-        flags["corollary_bound"] = corollary_bound
-        flags["corollary_satisfied"] = bool(
-            corollary_bound >= constrained - slack * abs(constrained)
-        )
-        flags["corollary_dominates"] = bool(corollary_bound >= bound * (1 - 1e-12))
+    # corollary form: with rho = 1/floor, rho^{2 deg} * Theta(Sigma)
+    # dominates the decay integral, so its bound is implied by the main one
+    corollary_bound = math.exp(deg * log_rho) * m_norm1 \
+        * math.sqrt(region.measure) * math.sqrt(sigma_region.theta_measure)
+    flags["corollary_bound"] = corollary_bound
+    flags["corollary_satisfied"] = bool(
+        corollary_bound >= constrained - slack * abs(constrained)
+    )
+    flags["corollary_dominates"] = bool(corollary_bound >= bound * (1 - 1e-12))
     return _certificate("donoho_stark", params, constrained, bound, slack,
                         digest or f"eps={eps:.4f},nu={nu:.4f}", flags)

@@ -159,6 +159,44 @@ def test_make_admissible_families(plan_mult):
         make_admissible_radial(plan_mult, family="bogus")
 
 
+@pytest.fixture(scope="module")
+def plan_default():
+    """The grid of configs/default.json."""
+    params = WeinsteinParams(d=1, alpha=0.5)
+    grid = build_grid(params, (15.0, 15.0), (256, 256),
+                      radial_scheme="collocation")
+    return make_plan(grid)
+
+
+@pytest.mark.parametrize("tolerance", [1e-6, 1e-8])
+@pytest.mark.parametrize("family,profile_fn", [
+    ("gaussian_bump", gaussian_bump_profile),
+    ("quadratic_bump", quadratic_bump_profile),
+])
+def test_derived_sigma_grid_meets_tolerance(plan_default, family, profile_fn,
+                                            tolerance):
+    # the derived range and count hold the full dilation average (no tail
+    # mass added back) within tolerance/16 at every distinct frequency
+    # radius of the grid, not only at the probe radii the count is chosen on
+    prof = make_admissible_radial(plan_default, family=family,
+                                  tolerance=tolerance)
+    sg = prof.sigma_grid
+    assert len(sg) < 128
+    radii = np.unique(np.sqrt(plan_default.grid_out.radius_sq))
+    quad = radial_admissibility_quadrature(profile_fn, sg, radii)
+    assert np.max(np.abs(quad - 1.0)) <= tolerance / 16.0
+
+
+def test_radial_quadrature_vectorized():
+    sg = build_sigma_grid(1e-2, 1e2, 64)
+    radii = np.array([0.3, 1.0, 4.0])
+    quad = radial_admissibility_quadrature(gaussian_bump_profile, sg, radii)
+    assert quad.shape == (3,)
+    for r, v in zip(radii, quad):
+        assert v == pytest.approx(radial_admissibility_quadrature(
+            gaussian_bump_profile, sg, float(r)), rel=1e-14)
+
+
 def test_make_admissible_narrow_range_errors(plan_mult):
     with pytest.raises(SigmaRangeError, match="too narrow"):
         make_admissible_radial(plan_mult, sigma_range=(0.9, 1.1))

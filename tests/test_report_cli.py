@@ -1,5 +1,6 @@
 import json
 import pathlib
+import warnings
 
 import pytest
 
@@ -204,6 +205,24 @@ def test_cli_alpha_100_runs_without_warnings(tmp_path):
     assert report["ok"] is False
     assert any(c["name"] == "donoho_stark"
                for c in report["runs"][0]["certificates"])
+
+
+def test_cli_alpha_100_floor_guard_no_warnings(tmp_path):
+    # sigma^{-2 deg} integrated from a floor of 0.05 leaves the float range
+    # at alpha = 100: the guard says so (exit 3) and no overflow warning
+    # comes before it
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    cfg["params"]["alpha"] = [100]
+    cfg["grid"]["counts"] = [16, 16]
+    cfg["donoho_stark"]["sigma_floors"] = [0.05]
+    path = tmp_path / "alpha.json"
+    path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["run", "--config", str(path), "--out",
+                     str(tmp_path / "out")])
+    assert code == 3
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_cli_internal_error_exit(tmp_path, monkeypatch, capsys):

@@ -8,7 +8,7 @@ from weinstein import (Field, IntegrabilityGuardError, WeinsteinParams,
                        concentration_defect, dispersion,
                        donoho_stark_certificate, forward, gaussian_field,
                        general_heisenberg_certificate, heisenberg_certificate,
-                       make_plan, measure_weights,
+                       make_admissible_radial, make_plan, measure_weights,
                        multiplier_heisenberg_certificate, multiplier_sweep,
                        norm_p, region_from_mask, sigma_concentration_defect,
                        sigma_halfline_region, sigma_region_from_mask)
@@ -235,6 +235,52 @@ def test_donoho_stark_designed_family(plan_mult, bump_profile):
                 assert cert.lhs > 0
                 assert cert.rhs >= cert.lhs
     assert saw_nonvacuous
+
+
+def test_donoho_stark_halfline_matches_fine_grid(plan_mult, bump_profile):
+    # the decay integral over {sigma >= floor} has the closed form
+    # mu(box) floor^{-2 deg} / (2 deg), and nu read at the floor itself
+    # agrees with a 600-scale grid; for the unit Gaussian and the gaussian
+    # bump, nu^2 = 1 - (1 + floor^2)^{-deg/2} exactly
+    g = plan_mult.grid_in
+    w = plan_mult.weights_in
+    f = gaussian_field(g)
+    deg = g.params.homogeneity_degree
+    box = float(w.flat.sum())
+    fine = make_admissible_radial(plan_mult, sigma_count=600)
+    assert len(bump_profile.sigma_grid) < 128
+    omega = ball_region_for_mass(f, w, 0.99)
+    sweep = multiplier_sweep(plan_mult, bump_profile, f)
+    sweep_fine = multiplier_sweep(plan_mult, fine, f)
+    for floor in (0.5, 1.0, 2.0):
+        cert = donoho_stark_certificate(
+            plan_mult, bump_profile, f, omega,
+            sigma_halfline_region(bump_profile.sigma_grid, g, w, floor),
+            sweep=sweep)
+        ref = donoho_stark_certificate(
+            plan_mult, fine, f, omega,
+            sigma_halfline_region(fine.sigma_grid, g, w, floor),
+            sweep=sweep_fine)
+        closed = box * floor ** (-2.0 * deg) / (2.0 * deg)
+        assert cert.flags["theta_decay_integral"] == pytest.approx(
+            closed, rel=1e-12)
+        assert cert.flags["nu"] == pytest.approx(ref.flags["nu"], abs=5e-3)
+        exact = math.sqrt(1.0 - (1.0 + floor ** 2) ** (-deg / 2.0))
+        assert cert.flags["nu"] == pytest.approx(exact, abs=2e-4)
+
+
+def test_donoho_stark_needs_halfline(plan_mult, bump_profile):
+    # a mask-built region has no floor to integrate to
+    g = plan_mult.grid_in
+    w = plan_mult.weights_in
+    f = gaussian_field(g)
+    sg = bump_profile.sigma_grid
+    mask = np.zeros((len(sg), g.size), dtype=bool)
+    mask[len(sg) // 2:] = True
+    region = sigma_region_from_mask(sg, g, w, mask)
+    omega = ball_region_for_mass(f, w, 0.9)
+    with pytest.raises(ValueError, match="half-line"):
+        donoho_stark_certificate(plan_mult, bump_profile, f, omega, region)
 
 
 def test_donoho_stark_integrability_guard(plan_mult, bump_profile):
