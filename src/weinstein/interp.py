@@ -2,7 +2,9 @@
 
 Each helper returns a dense (n_query, n_nodes) matrix applying one 1-D
 interpolation rule; tensor-grid evaluations (translations, dilations)
-reduce to per-axis matmuls with these.
+reduce to per-axis matmuls with these.  The radial rule is also available
+as its 4-point stencil, for callers that contract it before building a
+matrix.
 
 Radial interpolation assumes the half-step-offset uniform sampling of
 (0, R] and extends fields evenly through 0 (fields here are even in the
@@ -47,15 +49,17 @@ def _cubic_weights(u):
     ], axis=-1)
 
 
-def radial_cubic_matrix(radial_nodes, radial_extent, queries):
-    """Cubic interpolation on offset-uniform radial nodes (i+1/2)*dr.
+def radial_cubic_stencil(radial_nodes, radial_extent, queries):
+    """Cubic interpolation stencils on offset-uniform radial nodes
+    (i+1/2)*dr: (indices, weights), each of shape queries.shape + (4,),
+    with sum_s weights[..., s] * f[indices[..., s]] the interpolant.
 
     Fields are extended evenly through r=0 (mirrored nodes continue the
-    uniform spacing) and as 0 beyond the sampled extent.
+    uniform spacing, so indices reflect) and as 0 beyond the sampled
+    extent (those stencil points carry weight 0 on a clipped index).
     """
-    r = np.asarray(radial_nodes)
     queries = np.abs(np.asarray(queries, dtype=np.float64))
-    n = len(r)
+    n = len(radial_nodes)
     dr = radial_extent / n
     t = queries / dr - 0.5
     base = np.floor(t).astype(np.int64)
@@ -64,13 +68,19 @@ def radial_cubic_matrix(radial_nodes, radial_extent, queries):
     u = np.where(on_node, 0.0, u)
     w = _cubic_weights(u)
     w[on_node] = np.array([0.0, 1.0, 0.0, 0.0])
-    m = np.zeros((len(queries), n))
-    rows = np.arange(len(queries))
-    for s in range(4):
-        idx = base + _CUBIC_OFFSETS[s]
-        idx = np.where(idx < 0, -idx - 1, idx)  # even reflection through 0
-        ok = idx < n
-        np.add.at(m, (rows[ok], idx[ok]), w[ok, s])
+    idx = base[..., None] + _CUBIC_OFFSETS
+    idx = np.where(idx < 0, -idx - 1, idx)  # even reflection through 0
+    beyond = idx >= n
+    w[beyond] = 0.0
+    idx[beyond] = n - 1
+    return idx, w
+
+
+def radial_cubic_matrix(radial_nodes, radial_extent, queries):
+    """Dense (n_query, n_nodes) form of ``radial_cubic_stencil``."""
+    idx, w = radial_cubic_stencil(radial_nodes, radial_extent, np.ravel(queries))
+    m = np.zeros((len(idx), len(radial_nodes)))
+    np.add.at(m, (np.arange(len(idx))[:, None], idx), w)
     return m
 
 

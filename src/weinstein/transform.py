@@ -79,17 +79,31 @@ class TransformPlan:
         return j * self.grid_in.radial_weights()[None, :]
 
     @cached_property
-    def _euclid_phases(self):
-        """Per-axis (pre, post) phase vectors turning the plain FFT into the
-        midpoint-symmetric-grid Fourier sum  sum_k f_k exp(-1j x_k lam_m)."""
-        phases = []
-        for n in self.grid_in.shape[:-1]:
-            c = (n - 1) / 2.0
-            k = np.arange(n)
-            pre = np.exp(2j * np.pi * c * k / n)
-            post = np.exp(2j * np.pi * c * (k - c) / n)
-            phases.append((pre, post))
-        return tuple(phases)
+    def _euclid_factors(self):
+        """Per-direction tuples of per-axis (pre, post) factors around the
+        plain FFT (analysis, index 0) or the unscaled inverse FFT
+        (synthesis, index 1) giving the midpoint-symmetric-grid Fourier sum
+        sum_k f_k exp(-+1j x_k lam_m).  The source grid's spacing is folded
+        into each post factor and the source measure's 1/C into the first
+        axis' one, so the separable route returns the normalized transform.
+        """
+        directions = []
+        for grid_src, weights, synthesis in (
+                (self.grid_in, self.weights_in, False),
+                (self.grid_out, self.weights_out, True)):
+            factors = []
+            for ax, (n, step) in enumerate(zip(grid_src.shape[:-1],
+                                               grid_src.euclid_spacings())):
+                c = (n - 1) / 2.0
+                k = np.arange(n)
+                pre = np.exp(2j * np.pi * c * k / n)
+                post = np.exp(2j * np.pi * c * (k - c) / n)
+                scale = step / weights.normalization_constant if ax == 0 else step
+                if synthesis:
+                    pre, post = np.conj(post), np.conj(pre)
+                factors.append((pre, post * scale))
+            directions.append(tuple(factors))
+        return tuple(directions)
 
 
 def make_plan(grid, method="fast_separable", normalization="self-reciprocal"):
@@ -106,24 +120,30 @@ def _axis_view(vec, axis, ndim):
 
 
 def _separable_apply(plan, values, sign):
-    """Euclidean FFTs (analysis sign=-1 / synthesis sign=+1) then the radial
-    kernel matmul; returns unnormalized sums (caller divides by C)."""
-    grid_src = plan.grid_in if sign < 0 else plan.grid_out
-    v = np.ascontiguousarray(values, dtype=np.complex128)
+    """Normalized transform (analysis sign=-1 / synthesis sign=+1) as
+    Euclidean FFTs followed by one real matrix product over the radial axis.
+
+    The radial axis is moved first (one C-order copy), each Euclidean axis
+    gets its phase-corrected FFT, and the (n_r, rest) complex block, viewed
+    as an (n_r, 2 * rest) real block, is multiplied by the real
+    ``kernel_cache``: a real GEMM instead of a complex one against an
+    upcast kernel.  The radial axis then moves back last; the result is
+    C-contiguous.
+    """
+    factors = plan._euclid_factors[0 if sign < 0 else 1]
+    v = np.array(np.moveaxis(values, -1, 0), dtype=np.complex128, order="C")
     nd = v.ndim
-    for ax, (pre, post) in enumerate(plan._euclid_phases):
-        step = grid_src.euclid_spacings()[ax]
+    for ax, (pre, post) in enumerate(factors, start=1):
+        v *= _axis_view(pre, ax, nd)
         if sign < 0:
-            v = v * _axis_view(pre, ax, nd)
             v = np.fft.fft(v, axis=ax)
-            v = v * _axis_view(post * step, ax, nd)
         else:
-            n = v.shape[ax]
-            v = v * _axis_view(np.conj(post), ax, nd)
-            v = np.fft.ifft(v, axis=ax) * n
-            v = v * _axis_view(np.conj(pre) * step, ax, nd)
-    v = np.tensordot(v, plan.kernel_cache, axes=([nd - 1], [1]))
-    return v
+            v = np.fft.ifft(v, axis=ax, norm="forward")
+        v *= _axis_view(post, ax, nd)
+    n_r = v.shape[0]
+    out = plan.kernel_cache @ v.reshape(n_r, -1).view(np.float64)
+    out = out.view(np.complex128).reshape(v.shape)
+    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
 
 
 def forward(plan, f):
@@ -132,9 +152,7 @@ def forward(plan, f):
         raise GridMismatchError("field does not live on the plan's input grid")
     if plan.method == "direct_quadrature":
         return direct_quadrature(plan, f)
-    v = _separable_apply(plan, f.values, sign=-1)
-    return Field(grid=plan.grid_out,
-                 values=v / plan.weights_in.normalization_constant)
+    return Field(grid=plan.grid_out, values=_separable_apply(plan, f.values, -1))
 
 
 def inverse(plan, F):
@@ -149,9 +167,7 @@ def inverse(plan, F):
     if plan.method == "direct_quadrature":
         return direct_quadrature(plan, F, inverse=True)
     # Mirrored radial axes make kernel_cache (weights included) self-paired.
-    v = _separable_apply(plan, F.values, sign=+1)
-    return Field(grid=plan.grid_in,
-                 values=v / plan.weights_out.normalization_constant)
+    return Field(grid=plan.grid_in, values=_separable_apply(plan, F.values, +1))
 
 
 def direct_quadrature(plan, f, inverse=False):

@@ -25,9 +25,9 @@ import numpy as np
 from scipy.special import roots_jacobi
 
 from .bessel import weinstein_kernel
-from .core import Field, field_from_function
+from .core import Field
 from .errors import GridMismatchError, SizeGuardError
-from .interp import apply_axis_matrix, radial_cubic_matrix, uniform_linear_matrix
+from .interp import apply_axis_matrix, radial_cubic_stencil, uniform_linear_matrix
 from .transform import forward, inverse
 
 CONVOLVE_DIRECT_GUARD = 4096
@@ -82,16 +82,25 @@ def _check_point(grid, x):
 
 def radial_mix_matrix(rule, grid, x_r):
     """Matrix M with (M f)(r_k) = c_a * sum_t w_t f(rho(k, t)) for the
-    angular average at radial offset ``x_r``; cubic interpolation rows."""
+    angular average at radial offset ``x_r``.
+
+    Each of the n_r * N_THETA points rho(k, t) has a 4-point cubic stencil
+    (``radial_cubic_stencil``); c_a * w_t is folded into its weights, which
+    one bincount scatters into the (n_r, n_r) matrix, so no dense
+    interpolation matrix over all points is built.
+    """
     _check_alpha(rule, grid)
     if grid.radial_scheme != "uniform-offset":
         raise ValueError("direct translation needs the uniform-offset radial axis")
     r = grid.radial_nodes
+    n = len(r)
     cos_t, w_t = rule._nodes
     rho = np.sqrt(r[:, None] ** 2 + x_r ** 2 + 2.0 * x_r * r[:, None] * cos_t[None, :])
-    interp = radial_cubic_matrix(grid.radial_nodes, grid.radial_extent, rho.ravel())
-    interp = interp.reshape(len(r), len(cos_t), len(r))
-    return rule.c_alpha * np.einsum("t,kti->ki", w_t, interp)
+    idx, wts = radial_cubic_stencil(r, grid.radial_extent, rho)
+    wts = wts * (rule.c_alpha * w_t)[None, :, None]
+    flat = idx + (n * np.arange(n))[:, None, None]
+    return np.bincount(flat.ravel(), weights=wts.ravel(),
+                       minlength=n * n).reshape(n, n)
 
 
 def translate_direct(rule, f, x):
@@ -111,23 +120,42 @@ def translate_direct(rule, f, x):
     return Field(grid=grid, values=v)
 
 
+def spectral_multiplier(plan, x):
+    """Lambda(-x, .) on plan.grid_out, grid-shaped, with -x = (-x', x_r)
+    the Euclidean reflection of ``x``.
+
+    The kernel is a product of a Euclidean and a radial factor, and each
+    factor is the kernel itself with the other coordinates at 0 (j_a(0) = 1
+    and exp(0) = 1): one ``weinstein_kernel`` call on the Euclidean mesh at
+    radial coordinate 0 and one on the radial nodes at Euclidean origin,
+    multiplied by broadcasting.
+    """
+    grid = plan.grid_out
+    params = grid.params
+    x = _check_point(plan.grid_in, x)
+    xr = np.concatenate([-x[:-1], x[-1:]])
+    mesh = np.meshgrid(*grid.euclid_axes, indexing="ij")
+    euclid_pts = np.stack([m.ravel() for m in mesh]
+                          + [np.zeros(mesh[0].size)], axis=-1)
+    radial_pts = np.zeros((grid.shape[-1], params.d + 1))
+    radial_pts[:, -1] = grid.radial_nodes
+    euclid = weinstein_kernel(params, xr, euclid_pts)
+    radial = weinstein_kernel(params, xr, radial_pts)
+    return euclid.reshape(grid.shape[:-1] + (1,)) * radial
+
+
 def translate_spectral(plan, f, x):
     """Translate by multiplying the transform with the kernel at the
-    Euclidean reflection of ``x``.
+    Euclidean reflection of ``x`` (``spectral_multiplier``).
 
     The multiplier is Lambda(-x, .) with -x = (-x', x_r): this is the
     spectral characterization consistent with the angular-average integral
     (the adjoint of a Euclidean shift is the opposite shift), and it makes
     the two translation routes coincide.
     """
-    x = _check_point(plan.grid_in, x)
-    xr = np.concatenate([-x[:-1], x[-1:]])
+    mult = spectral_multiplier(plan, x)
     F = forward(plan, f)
-    mult = field_from_function(
-        plan.grid_out,
-        lambda pts: weinstein_kernel(plan.grid_in.params, xr, pts),
-    )
-    return inverse(plan, Field(grid=plan.grid_out, values=mult.values * F.values))
+    return inverse(plan, Field(grid=plan.grid_out, values=mult * F.values))
 
 
 def convolve(plan, f, g):

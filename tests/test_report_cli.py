@@ -7,7 +7,7 @@ import pytest
 from weinstein.cli import main
 from weinstein.errors import ConfigError
 from weinstein.report import (ExperimentConfig, emit, report_csv,
-                              report_json_bytes, run)
+                              report_json_bytes, run, self_tests_pass)
 
 DEFAULT_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" \
     / "default.json"
@@ -103,6 +103,27 @@ def test_report_structure(small_report):
     certs = r["runs"][0]["certificates"]
     assert len(certs) == 4  # 2 fields x 2 certificates
     assert {c["name"] for c in certs} == {"heisenberg", "multiplier_heisenberg"}
+
+
+def test_self_tests_pass_gates_every_oracle():
+    # each of these keys alone, just above its tolerance, fails the run's
+    # self-tests; at the tolerance it passes
+    config = ExperimentConfig.from_dict(json.loads(DEFAULT_CONFIG.read_text()))
+    tol = config.tolerances
+    mult_tol = config.multiplier["tolerance"]
+    gated = {
+        "kernel_vs_spectral_rel_l2": tol["fast_vs_direct"],
+        "admissibility_oracle_defect": mult_tol,
+        "sampled_admissibility_max_defect": mult_tol,
+    }
+    keys = ("plancherel_defect", "roundtrip_max_abs", "fast_vs_direct_rel_l2",
+            "multiplier_plancherel_defect",
+            "sampled_admissibility_mean_defect", *gated)
+    zeros = dict.fromkeys(keys, 0.0)
+    assert self_tests_pass(zeros, config)
+    for key, bound in gated.items():
+        assert self_tests_pass({**zeros, key: bound}, config)
+        assert not self_tests_pass({**zeros, key: bound * (1 + 1e-9)}, config)
 
 
 def test_report_determinism():

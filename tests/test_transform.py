@@ -117,6 +117,31 @@ def test_direct_quadrature_matches_fast(rng):
         assert norm_p(fb_fast - fb_dense, wi, 2) / norm_p(fb_fast, wi, 2) < 1e-8
 
 
+@pytest.mark.parametrize("normalization", ["self-reciprocal", "squared", 2.75])
+def test_fast_matches_direct_nonsquare(rng, normalization):
+    # axes of different lengths catch axis mix-ups in the separable route
+    # (radial axis moved first, Euclidean FFTs along the rest) that the
+    # cubic grids above cannot; both routes evaluate the same discrete sum
+    for d, extents, counts, scheme in (
+            (1, (5.0, 6.0), (12, 20), "uniform-offset"),
+            (1, (5.0, 6.0), (12, 20), "collocation"),
+            (2, (5.0, 4.0, 6.0), (10, 8, 14), "uniform-offset")):
+        p = WeinsteinParams(d=d, alpha=0.75)
+        g = build_grid(p, extents, counts, radial_scheme=scheme)
+        plan = make_plan(g, normalization=normalization)
+        f = Field(grid=g, values=rng.normal(size=g.shape)
+                  + 1j * rng.normal(size=g.shape))
+        fast = forward(plan, f)
+        dense = direct_quadrature(plan, f)
+        w = plan.weights_out
+        assert norm_p(fast - dense, w, 2) / norm_p(dense, w, 2) < 1e-12
+        back = inverse(plan, fast)
+        back_dense = direct_quadrature(plan, fast, inverse=True)
+        wi = plan.weights_in
+        assert norm_p(back - back_dense, wi, 2) \
+            / norm_p(back_dense, wi, 2) < 1e-12
+
+
 def test_direct_quadrature_one_hot():
     # a single-point field transforms to weight * kernel sampled over lam
     p = WeinsteinParams(d=1, alpha=0.5)
