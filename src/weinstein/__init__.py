@@ -13,11 +13,11 @@ from .core import (Field, Grid, SigmaGrid, WeightField, WeinsteinParams,
                    normalization_constant, theta_integral)
 from .errors import (ConfigError, GridMismatchError, IntegrabilityGuardError,
                      MeasureRangeError, SigmaRangeError, SizeGuardError)
-from .multiplier import (MultiplierProfile, admissibility_defect,
+from .multiplier import (MultiplierProfile, SweepStats, admissibility_defect,
                          apply_multiplier, apply_multiplier_kernel,
-                         dilate_symbol, energy_weighted_defect, kernel_psi,
-                         make_admissible_radial, multiplier_plancherel_defect,
-                         multiplier_sweep)
+                         dilate_symbol, kernel_psi,
+                         make_admissible_radial, multiplier_densities,
+                         multiplier_plancherel_defect, multiplier_sweep)
 from .transform import (TransformPlan, direct_quadrature, forward,
                         frequency_grid, inverse, make_plan)
 from .translation import (TranslationRule, convolve, convolve_direct,
@@ -42,10 +42,10 @@ __all__ = [
     "norm_p", "normalization_constant", "theta_integral",
     "ConfigError", "GridMismatchError", "IntegrabilityGuardError",
     "MeasureRangeError", "SigmaRangeError", "SizeGuardError",
-    "MultiplierProfile", "admissibility_defect", "apply_multiplier",
-    "apply_multiplier_kernel", "dilate_symbol", "energy_weighted_defect",
-    "kernel_psi", "make_admissible_radial", "multiplier_plancherel_defect",
-    "multiplier_sweep",
+    "MultiplierProfile", "SweepStats", "admissibility_defect",
+    "apply_multiplier", "apply_multiplier_kernel", "dilate_symbol",
+    "kernel_psi", "make_admissible_radial",
+    "multiplier_densities", "multiplier_plancherel_defect", "multiplier_sweep",
     "TransformPlan", "direct_quadrature", "forward", "frequency_grid",
     "inverse", "make_plan",
     "TranslationRule", "convolve", "convolve_direct", "translate_direct",

@@ -149,21 +149,6 @@ def admissibility_defect(profile):
     )
 
 
-def energy_weighted_defect(profile, F, weights):
-    """Admissibility defect averaged against the energy density |F|^2.
-
-    This is the aggregate that controls the dilation-averaged Plancherel
-    identity for an input with transform F, and the quantity certificates
-    gate their hypothesis on.
-    """
-    rep = profile.defect_report
-    dens = weights.weights * np.abs(F.values) ** 2
-    total = dens.sum()
-    if total == 0:
-        raise ValueError("zero field has no energy distribution")
-    return float((dens * rep.defect.values.real).sum() / total)
-
-
 def apply_multiplier(plan, profile, sigma, phi):
     """T phi = inverse(m(sigma .) * forward(phi)); linear in phi."""
     if sigma <= 0:
@@ -173,29 +158,81 @@ def apply_multiplier(plan, profile, sigma, phi):
     return inverse(plan, Field(grid=plan.grid_out, values=dil.values * F.values))
 
 
-def multiplier_sweep(plan, profile, phi):
-    """The energy density |T_sigma phi|^2 for every sigma in the profile's
-    grid, as an (n_sigma, size) real matrix (forward transform computed
-    once)."""
+@dataclass(frozen=True)
+class SweepStats:
+    """One multiplier sweep of a field phi, reduced as it ran.
+
+    ``moments[j, i]`` = sum_x w |x|^{2 betas[i]} |T_{sigma_j} phi|^2 is all
+    that the norm identity and the certificates read of the sweep.  phi's
+    ``transform`` is kept, so a field is transformed once for all of its
+    certificates, and so is its energy-weighted admissibility defect.
+    """
+
+    profile: MultiplierProfile
+    weights_out: object              # WeightField of the plan's frequency grid
+    betas: tuple
+    moments: np.ndarray              # (n_sigma, len(betas))
+    transform: Field
+
+    def column(self, beta):
+        """Per-scale moments of one swept beta, shape (n_sigma,)."""
+        if float(beta) not in self.betas:
+            raise ValueError(f"beta={beta:g} was not swept (have {self.betas})")
+        return self.moments[:, self.betas.index(float(beta))]
+
+    @cached_property
+    def admissibility_defect(self):
+        """Admissibility defect averaged against the energy density |F|^2
+        of phi's transform: the aggregate that controls the dilation-averaged
+        norm identity, and the hypothesis certificates gate on (inf for the
+        "modulus" variant, which they do not admit)."""
+        if self.profile.admissibility_variant != "modulus_squared":
+            return math.inf
+        dens = self.weights_out.weights * np.abs(self.transform.values) ** 2
+        total = dens.sum()
+        if total == 0:
+            raise ValueError("zero field has no energy distribution")
+        defect = self.profile.defect_report.defect.values.real
+        return float((dens * defect).sum() / total)
+
+
+def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
+    """Sweep the family over the profile's sigma grid.  Each output is
+    reduced against the (size, len(betas)) matrix of w |x|^{2 beta} as
+    soon as it is computed, so no (n_sigma, size) array is formed."""
+    betas = tuple(float(b) for b in betas)
     F = forward(plan, phi)
-    out = np.empty((len(profile.sigma_grid), plan.grid_in.size))
+    rsq = plan.grid_in.radius_sq.reshape(-1)
+    wb = np.stack([plan.weights_in.flat * rsq ** b for b in betas], axis=1)
+    moments = np.empty((len(profile.sigma_grid), len(betas)))
     for j, sigma in enumerate(profile.sigma_grid.sigmas):
         dil = dilate_symbol(profile, float(sigma))
         T = inverse(plan, Field(grid=plan.grid_out, values=dil.values * F.values))
-        out[j] = np.abs(T.flat) ** 2
-    return out
+        moments[j] = np.abs(T.flat) ** 2 @ wb
+    return SweepStats(profile=profile, weights_out=plan.weights_out,
+                      betas=betas, moments=moments, transform=F)
 
 
-def multiplier_plancherel_defect(plan, profile, phi):
+def multiplier_densities(plan, profile, phi):
+    """The densities |T_sigma phi|^2 as an (n_sigma, size) matrix, one
+    ``apply_multiplier`` per scale: the dense oracle for the sweep's moments
+    and for mask-built sigma-regions.  No production path calls it."""
+    return np.array([np.abs(apply_multiplier(plan, profile, s, phi).flat) ** 2
+                     for s in profile.sigma_grid.sigmas])
+
+
+def multiplier_plancherel_defect(plan, profile, phi, stats=None):
     """Relative defect of the dilation-averaged norm identity
 
-        sum_j w_j ||T_{sigma_j} phi||^2  =  ||phi||^2.
+        sum_j w_j ||T_{sigma_j} phi||^2  =  ||phi||^2,
+
+    read from ``stats`` (phi's ``multiplier_sweep``; swept when omitted).
     """
     n2 = norm_p(phi, plan.weights_in, 2) ** 2
     if n2 == 0:
         raise ValueError("phi must be nonzero")
-    per_sigma = multiplier_sweep(plan, profile, phi) @ plan.weights_in.flat
-    total = float(profile.sigma_grid.log_weights @ per_sigma)
+    stats = stats or multiplier_sweep(plan, profile, phi)
+    total = float(profile.sigma_grid.log_weights @ stats.column(0.0))
     return abs(total - n2) / n2
 
 

@@ -14,14 +14,14 @@ dispersion product: the Gaussian family saturates the plain product bound
 """
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
 
 from .core import norm_p, theta_integral
 from .errors import IntegrabilityGuardError
-from .multiplier import energy_weighted_defect, multiplier_sweep
+from .multiplier import multiplier_densities, multiplier_sweep
 from .transform import forward
 
 DEFAULT_SLACK = 1e-3
@@ -65,16 +65,17 @@ def ball_region_for_mass(f, w, fraction):
 
 @dataclass(frozen=True)
 class SigmaRegion:
-    """Measurable subset of (0, inf) x spatial box as an (n_sigma, size) mask.
+    """Measurable subset of (0, inf) x spatial box.
 
-    A half-line region {sigma >= floor} x box also records its ``floor``:
-    the Donoho-Stark certificate integrates over the half-line itself, not
-    over the sampled rows of the mask.
+    A half-line region {sigma >= floor} x box is its ``floor``; the
+    Donoho-Stark certificate integrates over the half-line itself.  A
+    general region is an (n_sigma, size) ``mask`` over the sampled scales,
+    read only against the dense densities (``sigma_concentration_defect``).
     """
 
-    mask: np.ndarray
     theta_measure: float
     floor: float = None
+    mask: np.ndarray = None
 
 
 def sigma_region_from_mask(sg, grid, w, mask):
@@ -82,14 +83,15 @@ def sigma_region_from_mask(sg, grid, w, mask):
     if mask.shape != (len(sg), grid.size):
         raise ValueError(f"mask must be shaped ({len(sg)}, {grid.size})")
     measure = theta_integral(mask.astype(float), sg, w)
-    return SigmaRegion(mask=mask, theta_measure=measure)
+    return SigmaRegion(theta_measure=measure, mask=mask)
 
 
-def sigma_halfline_region(sg, grid, w, sigma_floor):
-    """The product region {sigma >= sigma_floor} x (full box)."""
-    mask = np.outer(sg.sigmas >= sigma_floor, np.ones(grid.size, dtype=bool))
-    region = sigma_region_from_mask(sg, grid, w, mask)
-    return replace(region, floor=float(sigma_floor))
+def sigma_halfline_region(sg, w, sigma_floor):
+    """The product region {sigma >= sigma_floor} x (full box); its measure
+    is the log-weight of the sampled scales >= sigma_floor times mu(box)."""
+    lw = float(sg.log_weights[sg.sigmas >= sigma_floor].sum())
+    return SigmaRegion(theta_measure=lw * w.total,
+                       floor=float(sigma_floor))
 
 
 @dataclass(frozen=True)
@@ -157,16 +159,18 @@ def dispersion(f, w, beta=1.0):
     return float(np.sqrt(vals.sum()))
 
 
-def heisenberg_certificate(plan, f, slack=DEFAULT_SLACK, digest=""):
+def heisenberg_certificate(plan, f, slack=DEFAULT_SLACK, digest="",
+                           stats=None):
     """Product uncertainty bound for the transform pair:
 
         ||f||^2 <= (2 / (2 alpha + d + 2)) * ||x| f|| * ||y| F f||,
 
-    with equality on the Gaussian family.
+    with equality on the Gaussian family.  F is read from ``stats`` (f's
+    ``multiplier_sweep``) when given.
     """
     params = plan.grid_in.params
     n2 = _norm2(plan, f)
-    F = forward(plan, f)
+    F = forward(plan, f) if stats is None else stats.transform
     d_space = dispersion(f, plan.weights_in, 1.0)
     d_freq = dispersion(F, plan.weights_out, 1.0)
     rhs = (2.0 / params.homogeneity_degree) * d_space * d_freq
@@ -174,31 +178,28 @@ def heisenberg_certificate(plan, f, slack=DEFAULT_SLACK, digest=""):
                         digest or f"norm2={n2:.6e}")
 
 
-def aggregated_dispersion(plan, profile, f, beta=1.0, sweep=None):
+def _hypothesis_flags(stats, admissibility_tol):
+    """Flags of a certificate whose admissibility gate fails, else {}."""
+    defect = stats.admissibility_defect
+    if defect > admissibility_tol:
+        return {"hypothesis_violated": True, "admissibility_defect": defect}
+    return {}
+
+
+def aggregated_dispersion(plan, profile, f, beta=1.0, stats=None):
     """Dilation-averaged spread of the multiplier family output:
 
-        ( sum_j w_j * || |x|^beta T_{sigma_j} f ||^2 )^{1/2}.
+        ( sum_j w_j * || |x|^beta T_{sigma_j} f ||^2 )^{1/2},
 
-    ``sweep`` is a precomputed ``multiplier_sweep(plan, profile, f)`` (the
-    densities |T_sigma f|^2).
+    read from ``stats`` (f's ``multiplier_sweep``, swept when omitted).
     """
-    if sweep is None:
-        sweep = multiplier_sweep(plan, profile, f)
-    rb = plan.grid_in.radius_sq.reshape(-1) ** beta
-    per_sigma = (sweep * rb[None, :]) @ plan.weights_in.flat
-    total = float(profile.sigma_grid.log_weights @ per_sigma)
-    return math.sqrt(total)
-
-
-def _admissibility_gate(plan, profile, F):
-    if profile.admissibility_variant != "modulus_squared":
-        return math.inf
-    return energy_weighted_defect(profile, F, plan.weights_out)
+    stats = stats or multiplier_sweep(plan, profile, f, (beta,))
+    return math.sqrt(float(profile.sigma_grid.log_weights @ stats.column(beta)))
 
 
 def multiplier_heisenberg_certificate(plan, profile, f, slack=DEFAULT_SLACK,
                                       admissibility_tol=1e-3, digest="",
-                                      sweep=None):
+                                      stats=None):
     """Product uncertainty bound with the multiplier family on the spatial
     side:
 
@@ -206,25 +207,24 @@ def multiplier_heisenberg_certificate(plan, profile, f, slack=DEFAULT_SLACK,
 
     where A aggregates ||x| T_sigma f|| over the dilation scales.  A
     profile failing the squared-modulus admissibility gate yields a
-    hypothesis_violated certificate (numbers still reported).
+    hypothesis_violated certificate (numbers still reported).  ``stats``
+    is f's ``multiplier_sweep`` (swept when omitted); the certificate reads
+    f's transform and admissibility defect from it too.
     """
     params = plan.grid_in.params
     n2 = _norm2(plan, f)
-    F = forward(plan, f)
-    defect = _admissibility_gate(plan, profile, F)
-    a = aggregated_dispersion(plan, profile, f, 1.0, sweep=sweep)
-    b = dispersion(F, plan.weights_out, 1.0)
+    stats = stats or multiplier_sweep(plan, profile, f, (1.0,))
+    a = aggregated_dispersion(plan, profile, f, 1.0, stats=stats)
+    b = dispersion(stats.transform, plan.weights_out, 1.0)
     rhs = (2.0 / params.homogeneity_degree) * b * a
-    flags = {}
-    if defect > admissibility_tol:
-        flags = {"hypothesis_violated": True, "admissibility_defect": defect}
+    flags = _hypothesis_flags(stats, admissibility_tol)
     return _certificate("multiplier_heisenberg", params, n2, rhs, slack,
                         digest or f"norm2={n2:.6e}", flags)
 
 
 def general_heisenberg_certificate(plan, profile, f, beta, delta,
                                    slack=DEFAULT_SLACK, admissibility_tol=1e-3,
-                                   digest="", sweep=None):
+                                   digest="", stats=None):
     """General-exponent product bound.  With eps = delta/(beta+delta) (the
     unique solution of beta*eps = (1-eps)*delta),
 
@@ -239,16 +239,13 @@ def general_heisenberg_certificate(plan, profile, f, beta, delta,
     params = plan.grid_in.params
     n2 = _norm2(plan, f)
     eps = delta / (beta + delta)
-    F = forward(plan, f)
-    defect = _admissibility_gate(plan, profile, F)
-    a = aggregated_dispersion(plan, profile, f, beta, sweep=sweep)
-    b = dispersion(F, plan.weights_out, float(delta))
+    stats = stats or multiplier_sweep(plan, profile, f, (beta,))
+    a = aggregated_dispersion(plan, profile, f, beta, stats=stats)
+    b = dispersion(stats.transform, plan.weights_out, float(delta))
     const = 2.0 / params.homogeneity_degree
     rhs = const ** (2.0 * beta * eps) * a ** (2.0 * eps) * b ** (2.0 * (1.0 - eps))
-    flags = {"beta": beta, "delta": delta, "eps": eps}
-    if defect > admissibility_tol:
-        flags["hypothesis_violated"] = True
-        flags["admissibility_defect"] = defect
+    flags = {"beta": beta, "delta": delta, "eps": eps,
+             **_hypothesis_flags(stats, admissibility_tol)}
     return _certificate("general_heisenberg", params, n2, rhs, slack,
                         digest or f"norm2={n2:.6e}", flags)
 
@@ -262,21 +259,23 @@ def concentration_defect(f, w, region):
     return math.sqrt(min(max(outside / total, 0.0), 1.0))
 
 
-def sigma_concentration_defect(plan, profile, f, sigma_region, sweep=None):
-    """Concentration defect of the multiplier family output on a
-    (sigma, x) region, in the product-measure norm."""
-    if sweep is None:
-        sweep = multiplier_sweep(plan, profile, f)
+def sigma_concentration_defect(plan, profile, f, sigma_region):
+    """Concentration defect of the multiplier family output on a mask-built
+    (sigma, x) region, in the product-measure norm, over the dense
+    ``multiplier_densities`` (the oracle for the half-line defect)."""
+    if sigma_region.mask is None:
+        raise ValueError("sigma-region has no mask (sigma_region_from_mask)")
+    dens = multiplier_densities(plan, profile, f)
     sg = profile.sigma_grid
-    total = theta_integral(sweep, sg, plan.weights_in)
+    total = theta_integral(dens, sg, plan.weights_in)
     if total == 0:
         raise ValueError("zero multiplier output has no concentration defect")
-    outside = theta_integral(np.where(sigma_region.mask, 0.0, sweep), sg,
+    outside = theta_integral(np.where(sigma_region.mask, 0.0, dens), sg,
                              plan.weights_in)
     return math.sqrt(min(max(outside / total, 0.0), 1.0))
 
 
-def _halfline_concentration_defect(sweep, sg, w, floor):
+def _halfline_concentration_defect(per_sigma, sg, floor):
     """Concentration defect on {sigma >= floor} x box.
 
     The per-sigma totals of the densities are analytic in t = ln(sigma)
@@ -288,7 +287,6 @@ def _halfline_concentration_defect(sweep, sg, w, floor):
     """
     t = np.log(sg.sigmas)
     h = (t[-1] - t[0]) / (len(t) - 1)
-    per_sigma = sweep @ w.flat
     total = float(per_sigma.sum())
     if total == 0:
         raise ValueError("zero multiplier output has no concentration defect")
@@ -299,7 +297,7 @@ def _halfline_concentration_defect(sweep, sg, w, floor):
 
 def donoho_stark_certificate(plan, profile, f, region, sigma_region,
                              slack=DEFAULT_SLACK, admissibility_tol=1e-3,
-                             digest="", sweep=None):
+                             digest="", stats=None):
     """Concentration bound: if f is eps-concentrated on the spatial region
     and the multiplier output nu-concentrated on the (sigma, x) region,
 
@@ -313,21 +311,23 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
     The sigma-region must be a half-line {sigma >= floor} x box (from
     ``sigma_halfline_region``).  Its decay integral has the closed form
     mu(box) * floor^{-2 deg} / (2 deg), evaluated in log space, so it does
-    not depend on the sigma grid; nu is integrated exactly up to the floor.
-    The sigma^{-2 deg} integrand explodes toward sigma -> 0: regions whose
-    mask touches the smallest scale, or whose decay integral leaves the
-    float range, raise IntegrabilityGuardError.
+    not depend on the sigma grid; nu is integrated exactly up to the floor
+    from the per-scale totals in ``stats`` (f's ``multiplier_sweep``, swept
+    when omitted).  The sigma^{-2 deg} integrand explodes toward
+    sigma -> 0: half-lines reaching the smallest sampled scale (floor <=
+    sigma_min), or whose decay integral leaves the float range, raise
+    IntegrabilityGuardError.
     """
     params = plan.grid_in.params
-    if sigma_region.mask[0].any():
-        raise IntegrabilityGuardError(
-            "sigma-region reaches the integrability boundary (mask touches "
-            "the smallest sampled scale)"
-        )
+    sg = profile.sigma_grid
     floor = sigma_region.floor
     if floor is None:
         raise ValueError("the Donoho-Stark certificate needs a half-line "
                          "sigma-region (sigma_halfline_region)")
+    if floor <= sg.sigma_min:
+        raise IntegrabilityGuardError(
+            "sigma-region reaches the integrability boundary (floor <= the "
+            "smallest sampled scale)")
     deg = params.homogeneity_degree
     log_rho = -math.log(floor)
     log_decay = math.log(float(plan.weights_in.flat.sum())) \
@@ -335,21 +335,15 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
     if max(log_decay, deg * log_rho) > LOG_FLOAT_MAX:
         raise IntegrabilityGuardError("sigma-region integral is not finite")
     theta_decay = math.exp(log_decay)
-    F = forward(plan, f)
-    defect = _admissibility_gate(plan, profile, F)
-    if sweep is None:
-        sweep = multiplier_sweep(plan, profile, f)
+    stats = stats or multiplier_sweep(plan, profile, f)
     eps = concentration_defect(f, plan.weights_in, region)
-    nu = _halfline_concentration_defect(sweep, profile.sigma_grid,
-                                        plan.weights_in, floor)
+    nu = _halfline_concentration_defect(stats.column(0.0), sg, floor)
     m_norm1 = norm_p(profile.symbol, plan.weights_out, 1)
     bound = m_norm1 * math.sqrt(region.measure) * math.sqrt(theta_decay)
     constrained = 1.0 - (eps + nu)
     flags = {"eps": eps, "nu": nu, "m_norm1": m_norm1,
-             "theta_decay_integral": theta_decay}
-    if defect > admissibility_tol:
-        flags["hypothesis_violated"] = True
-        flags["admissibility_defect"] = defect
+             "theta_decay_integral": theta_decay,
+             **_hypothesis_flags(stats, admissibility_tol)}
     if constrained <= 0:
         flags["vacuous"] = True
     # corollary form: with rho = 1/floor, rho^{2 deg} * Theta(Sigma)

@@ -38,6 +38,15 @@ def plan_2d():
 
 
 @pytest.fixture(scope="session")
+def plan_2d_small():
+    """A small d=2 plan for checks that materialize every sigma scale."""
+    params = WeinsteinParams(d=2, alpha=1.0)
+    grid = build_grid(params, (6.5, 6.5, 6.5), (24, 24, 24),
+                      radial_scheme="collocation")
+    return make_plan(grid)
+
+
+@pytest.fixture(scope="session")
 def bump_profile(plan_mult):
     return make_admissible_radial(plan_mult)
 

@@ -194,12 +194,12 @@ def test_criterion_06_certificate_sweep():
     worst_ratio = 0.0
     worst_collapse = 0.0
     for f in fields:
-        sweep = multiplier_sweep(plan, profile, f)
-        c31 = multiplier_heisenberg_certificate(plan, profile, f, sweep=sweep)
+        stats = multiplier_sweep(plan, profile, f, (1.0, 2.0))
+        c31 = multiplier_heisenberg_certificate(plan, profile, f, stats=stats)
         assert not c31.hypothesis_violated
         for beta, delta in exponents:
             cert = general_heisenberg_certificate(plan, profile, f, beta,
-                                                  delta, sweep=sweep)
+                                                  delta, stats=stats)
             n_instances += 1
             worst_ratio = max(worst_ratio, cert.ratio)
             if (beta, delta) == (1.0, 1.0):
@@ -266,15 +266,15 @@ def test_criterion_08_concentration_certificates():
     plan = make_plan(grid)
     profile = make_admissible_radial(plan)
     f = gaussian_field(grid)
-    sweep = multiplier_sweep(plan, profile, f)
+    stats = multiplier_sweep(plan, profile, f)
     w = plan.weights_in
     n_total, n_vacuous, all_ok, corollary_ok = 0, 0, True, True
     for q in (0.5, 0.9, 0.99):
         omega = ball_region_for_mass(f, w, q)
         for floor in (0.5, 1.0, 2.0):
-            sig = sigma_halfline_region(profile.sigma_grid, grid, w, floor)
+            sig = sigma_halfline_region(profile.sigma_grid, w, floor)
             cert = donoho_stark_certificate(plan, profile, f, omega, sig,
-                                            sweep=sweep)
+                                            stats=stats)
             n_total += 1
             n_vacuous += int(cert.vacuous)
             all_ok &= cert.satisfied and not cert.hypothesis_violated

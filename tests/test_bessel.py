@@ -11,13 +11,15 @@ mp.mp.dps = 80
 
 
 def j_reference(alpha, x, terms=200):
-    """Truncated power series in extended precision."""
-    x = mp.mpf(x)
+    """Truncated power series in extended precision, sum_k t_k with t_0 = 1
+    and the term recurrence t_{k+1} = -t_k (x/2)^2 / ((k+1)(alpha+k+1))."""
+    q = (mp.mpf(x) / 2) ** 2
     a = mp.mpf(alpha)
-    total = mp.mpf(0)
-    for k in range(terms):
-        total += (-1) ** k * (x / 2) ** (2 * k) / (mp.factorial(k) * mp.gamma(a + k + 1))
-    return float(mp.gamma(a + 1) * total)
+    t = total = mp.mpf(1)
+    for k in range(1, terms):
+        t = -t * q / (k * (a + k))
+        total += t
+    return float(total)
 
 
 def test_j_at_zero_is_one():

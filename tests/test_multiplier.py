@@ -6,10 +6,10 @@ import pytest
 from weinstein import (Field, MultiplierProfile, SigmaRangeError,
                        WeinsteinParams, admissibility_defect, apply_multiplier,
                        apply_multiplier_kernel, build_grid, build_sigma_grid,
-                       dilate_symbol, field_from_function,
+                       dilate_symbol, field_from_function, forward,
                        gaussian_field, kernel_psi, make_admissible_radial,
-                       make_plan, multiplier_plancherel_defect,
-                       multiplier_sweep, norm_p)
+                       make_plan, multiplier_densities,
+                       multiplier_plancherel_defect, multiplier_sweep, norm_p)
 from weinstein.multiplier import (gaussian_bump_profile,
                                   gaussian_bump_tail_mass,
                                   quadratic_bump_profile,
@@ -377,12 +377,39 @@ def test_kernel_route_pointwise_bound(small_setup, rng):
 
 def test_multiplier_sweep_shape(plan_mult, bump_profile):
     f = gaussian_field(plan_mult.grid_in)
-    sweep = multiplier_sweep(plan_mult, bump_profile, f)
-    assert sweep.shape == (len(bump_profile.sigma_grid), plan_mult.grid_in.size)
-    # the sweep stores the energy density |T_sigma f|^2 per scale
-    assert sweep.dtype == np.float64
-    assert np.all(sweep >= 0)
+    stats = multiplier_sweep(plan_mult, bump_profile, f, (0, 1, 2))
+    assert stats.betas == (0.0, 1.0, 2.0)
+    assert stats.moments.shape == (len(bump_profile.sigma_grid), 3)
+    # the sweep keeps the moments sum w |x|^{2 beta} |T_sigma f|^2 per scale
+    assert stats.moments.dtype == np.float64
+    assert np.all(stats.moments >= 0)
+    assert np.array_equal(stats.transform.values,
+                          forward(plan_mult, f).values)
+    w = plan_mult.weights_in.flat
+    rsq = plan_mult.grid_in.radius_sq.reshape(-1)
     for j in (0, len(bump_profile.sigma_grid) // 2):
         sigma = float(bump_profile.sigma_grid.sigmas[j])
-        T = apply_multiplier(plan_mult, bump_profile, sigma, f)
-        np.testing.assert_allclose(sweep[j], np.abs(T.flat) ** 2, rtol=1e-12)
+        dens = np.abs(apply_multiplier(plan_mult, bump_profile, sigma, f).flat) ** 2
+        expected = [dens @ (w * rsq ** b) for b in (0, 1, 2)]
+        np.testing.assert_allclose(stats.moments[j], expected, rtol=1e-12)
+        np.testing.assert_allclose(stats.column(1)[j], expected[1], rtol=1e-12)
+    with pytest.raises(ValueError, match="not swept"):
+        stats.column(1.5)
+
+
+@pytest.mark.parametrize("plan_name", ["plan_mult", "plan_2d_small"])
+def test_sweep_stats_match_density_oracle(plan_name, request):
+    # the streamed moments equal the materialized densities reduced
+    # afterwards, on a d=1 and a d=2 grid
+    plan = request.getfixturevalue(plan_name)
+    profile = make_admissible_radial(plan)
+    f = gaussian_field(plan.grid_in, scale=0.9)
+    betas = (0.0, 1.0, 1.5, 2.0)
+    stats = multiplier_sweep(plan, profile, f, betas)
+    dens = multiplier_densities(plan, profile, f)
+    assert dens.shape == (len(profile.sigma_grid), plan.grid_in.size)
+    rsq = plan.grid_in.radius_sq.reshape(-1)
+    for i, beta in enumerate(betas):
+        oracle = dens @ (plan.weights_in.flat * rsq ** beta)
+        np.testing.assert_allclose(stats.moments[:, i], oracle, rtol=1e-12)
+        np.testing.assert_allclose(stats.column(beta), oracle, rtol=1e-12)

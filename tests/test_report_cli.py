@@ -126,6 +126,38 @@ def test_self_tests_pass_gates_every_oracle():
         assert not self_tests_pass({**zeros, key: bound * (1 + 1e-9)}, config)
 
 
+def test_default_run_sweeps_each_distinct_field_once(monkeypatch):
+    # the self-test Gaussian and gaussian_s1 are one field, so the default
+    # run sweeps twice (with bump_0); each field is transformed once for
+    # all of its certificates
+    import weinstein.multiplier
+    import weinstein.transform
+    import weinstein.uncertainty
+
+    calls = {"sweep": [], "forward": 0}
+    sweep = weinstein.multiplier.multiplier_sweep
+    forward = weinstein.transform.forward
+
+    def counted_sweep(plan, profile, phi, betas=(0.0,)):
+        calls["sweep"].append(tuple(betas))
+        return sweep(plan, profile, phi, betas)
+
+    def counted_forward(plan, f):
+        calls["forward"] += 1
+        return forward(plan, f)
+
+    for module in ("report", "uncertainty", "multiplier"):
+        monkeypatch.setattr(f"weinstein.{module}.multiplier_sweep",
+                            counted_sweep)
+    for module in ("report", "uncertainty", "multiplier", "transform"):
+        monkeypatch.setattr(f"weinstein.{module}.forward", counted_forward)
+    report = run(json.loads(DEFAULT_CONFIG.read_text()))
+    assert report["ok"] is True
+    assert calls["sweep"] == [(0.0, 1.0, 2.0)] * 2
+    # 2 sweeps + the small-grid fast-vs-dense and kernel-vs-spectral checks
+    assert calls["forward"] == 4
+
+
 def test_report_determinism():
     r1 = run(dict(SMALL_CONFIG))
     r2 = run(dict(SMALL_CONFIG))

@@ -9,6 +9,7 @@ from weinstein import (Field, IntegrabilityGuardError, WeinsteinParams,
                        donoho_stark_certificate, forward, gaussian_field,
                        general_heisenberg_certificate, heisenberg_certificate,
                        make_admissible_radial, make_plan, measure_weights,
+                       multiplier_densities,
                        multiplier_heisenberg_certificate, multiplier_sweep,
                        norm_p, region_from_mask, sigma_concentration_defect,
                        sigma_halfline_region, sigma_region_from_mask)
@@ -109,10 +110,10 @@ def test_multiplier_heisenberg_zero_symbol_flagged(plan_mult, bump_profile):
 
 def test_general_heisenberg_collapses_at_unit_exponents(plan_mult, bump_profile):
     f = gaussian_field(plan_mult.grid_in)
-    sweep = multiplier_sweep(plan_mult, bump_profile, f)
-    c31 = multiplier_heisenberg_certificate(plan_mult, bump_profile, f, sweep=sweep)
+    stats = multiplier_sweep(plan_mult, bump_profile, f, (1.0,))
+    c31 = multiplier_heisenberg_certificate(plan_mult, bump_profile, f, stats=stats)
     c32 = general_heisenberg_certificate(plan_mult, bump_profile, f, 1.0, 1.0,
-                                         sweep=sweep)
+                                         stats=stats)
     assert abs(c32.ratio - c31.ratio) < 1e-12 * c31.ratio
 
 
@@ -184,16 +185,16 @@ def test_sigma_concentration_limits(plan_mult, bump_profile):
     g = plan_mult.grid_in
     w = plan_mult.weights_in
     f = gaussian_field(g)
-    sweep = multiplier_sweep(plan_mult, bump_profile, f)
     sg = bump_profile.sigma_grid
     full = sigma_region_from_mask(sg, g, w,
                                   np.ones((len(sg), g.size), dtype=bool))
     empty = sigma_region_from_mask(sg, g, w,
                                    np.zeros((len(sg), g.size), dtype=bool))
-    assert sigma_concentration_defect(plan_mult, bump_profile, f, full,
-                                      sweep=sweep) < 1e-12
-    assert sigma_concentration_defect(plan_mult, bump_profile, f, empty,
-                                      sweep=sweep) == 1.0
+    assert sigma_concentration_defect(plan_mult, bump_profile, f, full) < 1e-12
+    assert sigma_concentration_defect(plan_mult, bump_profile, f, empty) == 1.0
+    with pytest.raises(ValueError, match="mask"):
+        sigma_concentration_defect(plan_mult, bump_profile, f,
+                                   sigma_halfline_region(sg, w, 1.0))
 
 
 def test_sigma_concentration_top_mass(plan_mult, bump_profile):
@@ -202,9 +203,9 @@ def test_sigma_concentration_top_mass(plan_mult, bump_profile):
     g = plan_mult.grid_in
     w = plan_mult.weights_in
     f = gaussian_field(g)
-    sweep = multiplier_sweep(plan_mult, bump_profile, f)
     sg = bump_profile.sigma_grid
-    dens = sweep * np.outer(sg.log_weights, w.flat)
+    dens = multiplier_densities(plan_mult, bump_profile, f) \
+        * np.outer(sg.log_weights, w.flat)
     order = np.argsort(dens.ravel())[::-1]
     csum = np.cumsum(dens.ravel()[order])
     q = 0.9
@@ -212,7 +213,7 @@ def test_sigma_concentration_top_mass(plan_mult, bump_profile):
     mask = np.zeros(dens.size, dtype=bool)
     mask[order[:k + 1]] = True
     region = sigma_region_from_mask(sg, g, w, mask.reshape(dens.shape))
-    nu = sigma_concentration_defect(plan_mult, bump_profile, f, region, sweep=sweep)
+    nu = sigma_concentration_defect(plan_mult, bump_profile, f, region)
     assert nu == pytest.approx(math.sqrt(1 - q), abs=5e-3)
 
 
@@ -220,14 +221,14 @@ def test_donoho_stark_designed_family(plan_mult, bump_profile):
     g = plan_mult.grid_in
     w = plan_mult.weights_in
     f = gaussian_field(g)
-    sweep = multiplier_sweep(plan_mult, bump_profile, f)
+    stats = multiplier_sweep(plan_mult, bump_profile, f)
     saw_nonvacuous = False
     for q in (0.9, 0.99):
         omega = ball_region_for_mass(f, w, q)
         for floor in (0.5, 1.0, 2.0):
-            sig = sigma_halfline_region(bump_profile.sigma_grid, g, w, floor)
+            sig = sigma_halfline_region(bump_profile.sigma_grid, w, floor)
             cert = donoho_stark_certificate(plan_mult, bump_profile, f,
-                                            omega, sig, sweep=sweep)
+                                            omega, sig, stats=stats)
             assert cert.satisfied
             assert cert.flags["corollary_dominates"]
             if not cert.vacuous:
@@ -250,17 +251,17 @@ def test_donoho_stark_halfline_matches_fine_grid(plan_mult, bump_profile):
     fine = make_admissible_radial(plan_mult, sigma_count=600)
     assert len(bump_profile.sigma_grid) < 128
     omega = ball_region_for_mass(f, w, 0.99)
-    sweep = multiplier_sweep(plan_mult, bump_profile, f)
-    sweep_fine = multiplier_sweep(plan_mult, fine, f)
+    stats = multiplier_sweep(plan_mult, bump_profile, f)
+    stats_fine = multiplier_sweep(plan_mult, fine, f)
     for floor in (0.5, 1.0, 2.0):
         cert = donoho_stark_certificate(
             plan_mult, bump_profile, f, omega,
-            sigma_halfline_region(bump_profile.sigma_grid, g, w, floor),
-            sweep=sweep)
+            sigma_halfline_region(bump_profile.sigma_grid, w, floor),
+            stats=stats)
         ref = donoho_stark_certificate(
             plan_mult, fine, f, omega,
-            sigma_halfline_region(fine.sigma_grid, g, w, floor),
-            sweep=sweep_fine)
+            sigma_halfline_region(fine.sigma_grid, w, floor),
+            stats=stats_fine)
         closed = box * floor ** (-2.0 * deg) / (2.0 * deg)
         assert cert.flags["theta_decay_integral"] == pytest.approx(
             closed, rel=1e-12)
@@ -284,15 +285,35 @@ def test_donoho_stark_needs_halfline(plan_mult, bump_profile):
 
 
 def test_donoho_stark_integrability_guard(plan_mult, bump_profile):
+    # a half-line reaching the smallest sampled scale is refused; one just
+    # above it is certified
     g = plan_mult.grid_in
     w = plan_mult.weights_in
     f = gaussian_field(g)
     sg = bump_profile.sigma_grid
-    touching = sigma_region_from_mask(
-        sg, g, w, np.ones((len(sg), g.size), dtype=bool))
     omega = ball_region_for_mass(f, w, 0.9)
-    with pytest.raises(IntegrabilityGuardError):
-        donoho_stark_certificate(plan_mult, bump_profile, f, omega, touching)
+    for floor in (sg.sigma_min, 0.5 * sg.sigma_min):
+        with pytest.raises(IntegrabilityGuardError):
+            donoho_stark_certificate(plan_mult, bump_profile, f, omega,
+                                     sigma_halfline_region(sg, w, floor))
+    above = sigma_halfline_region(sg, w, float(sg.sigmas[1]))
+    cert = donoho_stark_certificate(plan_mult, bump_profile, f, omega, above)
+    assert math.isfinite(cert.flags["theta_decay_integral"])
+
+
+def test_halfline_measure_matches_mask(plan_mult, bump_profile):
+    # the mask-free half-line measure equals the one integrated over the
+    # materialized mask of the same scales
+    g = plan_mult.grid_in
+    w = plan_mult.weights_in
+    sg = bump_profile.sigma_grid
+    for floor in (sg.sigma_min, 0.5, 1.0, 2.0, float(sg.sigmas[7]) * 1.01):
+        half = sigma_halfline_region(sg, w, floor)
+        mask = np.outer(sg.sigmas >= floor, np.ones(g.size, dtype=bool))
+        ref = sigma_region_from_mask(sg, g, w, mask)
+        assert half.floor == floor and half.mask is None
+        assert half.theta_measure == pytest.approx(ref.theta_measure,
+                                                   rel=1e-13)
 
 
 def test_certificate_csv_shape(plan_half):
