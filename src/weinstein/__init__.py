@@ -29,8 +29,7 @@ from .uncertainty import (InequalityCertificate, Region, SigmaRegion,
                           general_heisenberg_certificate,
                           heisenberg_certificate,
                           multiplier_heisenberg_certificate,
-                          region_from_mask, sigma_concentration_defect,
-                          sigma_halfline_region, sigma_region_from_mask)
+                          region_from_mask, sigma_halfline_region)
 
 __version__ = "0.1.0"
 
@@ -54,6 +53,5 @@ __all__ = [
     "ball_region_for_mass", "concentration_defect", "dispersion",
     "donoho_stark_certificate", "general_heisenberg_certificate",
     "heisenberg_certificate", "multiplier_heisenberg_certificate",
-    "region_from_mask", "sigma_concentration_defect", "sigma_halfline_region",
-    "sigma_region_from_mask",
+    "region_from_mask", "sigma_halfline_region",
 ]

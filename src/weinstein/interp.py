@@ -1,10 +1,10 @@
-"""Separable interpolation matrices for sampled fields.
+"""Separable interpolation of sampled fields, used by translation.
 
-Each helper returns a dense (n_query, n_nodes) matrix applying one 1-D
-interpolation rule; tensor-grid evaluations (translations, dilations)
-reduce to per-axis matmuls with these.  The radial rule is also available
-as its 4-point stencil, for callers that contract it before building a
-matrix.
+Each rule is one 1-D interpolation: the Euclidean shifts apply a dense
+(n_query, n_nodes) linear matrix per axis, and the radial rule is its
+4-point cubic stencil, which translation contracts before building any
+matrix.  ``radial_cubic_matrix``, the stencil's dense form, is the
+reference the contracted radial mix is tested against.
 
 Radial interpolation assumes the half-step-offset uniform sampling of
 (0, R] and extends fields evenly through 0 (fields here are even in the

@@ -10,13 +10,13 @@ should equal 1 at almost every frequency x (q = 2 in the default
 "modulus_squared" variant, q = 1 in the "modulus" variant, which is kept
 selectable for fidelity experiments but fails for the standard bump).
 
-The spectral route evaluates a radial symbol's radius profile at the
-dilated radii, so it carries no symbol interpolation either; only generic
-(non-radial) symbols are interpolated on the frequency grid.  The kernel
-route (``kernel_psi`` / ``apply_multiplier_kernel``) realizes the same
-operator through an explicit integral kernel with the dilation moved into
-analytically evaluated kernel arguments; it cross-validates the spectral
-route and exhibits the sigma^{-(2*alpha+d+2)} prefactor bound used by the
+Every symbol is radial and owned by its radius profile u -> m(u): the
+spectral route evaluates that profile at the dilated radii sigma*|x|, so
+no symbol is ever interpolated.  The kernel route (``kernel_psi`` /
+``apply_multiplier_kernel``) realizes the same operator through an
+explicit integral kernel with the dilation moved into analytically
+evaluated kernel arguments; it cross-validates the spectral route and
+exhibits the sigma^{-(2*alpha+d+2)} prefactor bound used by the
 concentration certificates.
 """
 
@@ -27,11 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from . import _accel
-from .core import (Field, SigmaGrid, build_sigma_grid, field_from_function,
-                   measure_weights, norm_p)
+from .core import Field, Grid, SigmaGrid, build_sigma_grid, norm_p
 from .errors import SizeGuardError, SigmaRangeError
-from .interp import (apply_axis_matrix, radial_cubic_matrix,
-                     uniform_linear_matrix)
 from .transform import DIRECT_PAIR_GUARD, forward, inverse
 
 ADMISSIBILITY_VARIANTS = ("modulus", "modulus_squared")
@@ -49,21 +46,20 @@ MAX_SIGMA_COUNT = 1024
 
 @dataclass(frozen=True)
 class MultiplierProfile:
-    """A sampled symbol on the frequency grid plus its dilation scales.
+    """A radial symbol m(|x|) on a frequency grid plus its dilation scales.
 
-    A radial symbol m(|x|) also carries its radius profile
-    ``radial_profile`` (a vectorized callable u -> m(u)), and dilation
-    evaluates that profile instead of interpolating the tensor samples.
-    Tensor-grid interpolation of a profile like sqrt(2)|x|exp(-|x|^2/2)
-    saturates near the coordinate origin (the cone is never resolved by a
-    fixed tensor grid), and the scale integral d(sigma)/sigma amplifies
-    that floor without bound, so radial symbols must dilate radially.
+    The symbol is owned by its radius profile ``radial_profile`` (a
+    vectorized callable u -> m(u)); ``symbol`` is that profile sampled on
+    ``grid``, and dilation evaluates the profile at the dilated radii.
+    Interpolating the samples instead would saturate near the coordinate
+    origin, where a |x|-type symbol is never resolved, and the scale
+    integral d(sigma)/sigma amplifies that floor without bound.
     """
 
-    symbol: Field
+    grid: Grid
+    radial_profile: object           # radius profile u -> m(u)
     sigma_grid: SigmaGrid
     admissibility_variant: str = "modulus_squared"
-    radial_profile: object = None    # radius profile m(u) of a radial symbol
     tail_mass: object = None         # optional closed-form out-of-range mass
 
     def __post_init__(self):
@@ -73,8 +69,12 @@ class MultiplierProfile:
             )
 
     @cached_property
-    def weights(self):
-        return measure_weights(self.symbol.grid)
+    def radius(self):
+        return np.sqrt(self.grid.radius_sq)
+
+    @cached_property
+    def symbol(self):
+        return Field(grid=self.grid, values=self.radial_profile(self.radius))
 
     @property
     def power(self):
@@ -88,31 +88,14 @@ class MultiplierProfile:
 
 
 def dilate_symbol(profile, sigma):
-    """The dilated symbol m(sigma * .) sampled back on the frequency grid.
-
-    Radial profiles evaluate their radius profile at the dilated radii;
-    generic symbols use separable interpolation, linear along the
-    Euclidean axes and cubic along the radial axis, with points outside
-    the sampled range giving 0.  sigma = 1 returns the symbol unchanged.
-    """
+    """The dilated symbol m(sigma * .) on the frequency grid: the radius
+    profile evaluated at the dilated radii.  sigma = 1 returns the symbol."""
     if sigma <= 0:
         raise ValueError(f"dilation scale must be positive, got {sigma}")
-    grid = profile.symbol.grid
     if sigma == 1.0:
         return profile.symbol
-    if profile.radial_profile is not None:
-        return Field(grid=grid, values=profile.radial_profile(
-            sigma * np.sqrt(grid.radius_sq)))
-    v = profile.symbol.values
-    for ax, nodes in enumerate(grid.euclid_axes):
-        v = apply_axis_matrix(
-            v, uniform_linear_matrix(nodes, sigma * np.asarray(nodes)), ax)
-    radial_queries = sigma * np.asarray(grid.radial_nodes)
-    v = apply_axis_matrix(
-        v, radial_cubic_matrix(grid.radial_nodes, grid.radial_extent, radial_queries),
-        grid.params.d,
-    )
-    return Field(grid=grid, values=v)
+    return Field(grid=profile.grid,
+                 values=profile.radial_profile(sigma * profile.radius))
 
 
 @dataclass(frozen=True)
@@ -134,15 +117,13 @@ def admissibility_defect(profile):
     truncation from quadrature).  Radial nodes are strictly positive, so
     the degenerate point x = 0 never occurs on the grid.
     """
-    grid = profile.symbol.grid
     q = profile.power
-    acc = np.zeros(grid.shape)
+    acc = np.zeros(profile.grid.shape)
     for sigma, lw in zip(profile.sigma_grid.sigmas, profile.sigma_grid.log_weights):
-        dil = dilate_symbol(profile, float(sigma))
-        acc += lw * np.abs(dil.values) ** q
+        acc += lw * np.abs(profile.radial_profile(sigma * profile.radius)) ** q
     defect = np.abs(acc - 1.0)
     return AdmissibilityReport(
-        defect=Field(grid=grid, values=defect),
+        defect=Field(grid=profile.grid, values=defect),
         max_defect=float(defect.max()),
         mean_defect=float(defect.mean()),
         variant=profile.admissibility_variant,
@@ -182,12 +163,10 @@ class SweepStats:
 
     @cached_property
     def admissibility_defect(self):
-        """Admissibility defect averaged against the energy density |F|^2
-        of phi's transform: the aggregate that controls the dilation-averaged
-        norm identity, and the hypothesis certificates gate on (inf for the
-        "modulus" variant, which they do not admit)."""
-        if self.profile.admissibility_variant != "modulus_squared":
-            return math.inf
+        """Admissibility defect (in the profile's variant) averaged against
+        the energy density |F|^2 of phi's transform: the aggregate that
+        controls the dilation-averaged norm identity, and that the
+        hypothesis certificates gate on."""
         dens = self.weights_out.weights * np.abs(self.transform.values) ** 2
         total = dens.sum()
         if total == 0:
@@ -215,8 +194,8 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
 
 def multiplier_densities(plan, profile, phi):
     """The densities |T_sigma phi|^2 as an (n_sigma, size) matrix, one
-    ``apply_multiplier`` per scale: the dense oracle for the sweep's moments
-    and for mask-built sigma-regions.  No production path calls it."""
+    ``apply_multiplier`` per scale: the dense oracle for the sweep's
+    moments.  No production path calls it."""
     return np.array([np.abs(apply_multiplier(plan, profile, s, phi).flat) ** 2
                      for s in profile.sigma_grid.sigmas])
 
@@ -244,7 +223,7 @@ def _psi_matrix(profile, plan, sigma, x_pts, y_pts):
     """Psi[x, y] = sum_u w_u m(u) K(u, y/sigma) K(u, -x/sigma) with K the
     analysis kernel; the dilation lives in the kernel arguments, so the
     symbol itself is never interpolated."""
-    grid_f = profile.symbol.grid
+    grid_f = profile.grid
     u_pts = grid_f.points
     n_u = u_pts.shape[0]
     if n_u * max(x_pts.shape[0], y_pts.shape[0]) > DIRECT_PAIR_GUARD:
@@ -432,13 +411,5 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
             f"sigma range [{s_min:g}, {s_max:g}] too narrow: achieved "
             f"admissibility defect {worst:.3e} > tolerance {tolerance:g}"
         )
-    symbol = field_from_function(
-        grid_f, lambda pts: profile_fn(np.sqrt(np.sum(pts ** 2, axis=1)))
-    )
-    return MultiplierProfile(
-        symbol=symbol,
-        sigma_grid=sg,
-        admissibility_variant="modulus_squared",
-        radial_profile=profile_fn,
-        tail_mass=tail_fn,
-    )
+    return MultiplierProfile(grid=grid_f, radial_profile=profile_fn,
+                             sigma_grid=sg, tail_mass=tail_fn)

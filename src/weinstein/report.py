@@ -149,10 +149,11 @@ class ExperimentConfig:
                 "(0, 1]", lambda q: 0 < q <= 1),
             "sigma_floors": real_list(
                 ds.get("sigma_floors", [1.0, 2.0]),
-                "donoho_stark.sigma_floors must be a list of numbers"),
+                "donoho_stark.sigma_floors must be a list of positive "
+                "numbers", lambda s: s > 0),
         }
-        tol = dict(DEFAULT_TOLERANCES)
-        tol.update(optional_section("tolerances"))
+        tol_doc = optional_section("tolerances")
+        tol = {k: tol_doc.get(k, v) for k, v in DEFAULT_TOLERANCES.items()}
         mult = optional_section("multiplier")
         mult_tol = mult.get("tolerance", 1e-6)
         if not all(_real(v) and v > 0 for v in [*tol.values(), mult_tol]):
@@ -179,7 +180,7 @@ class ExperimentConfig:
         seed = doc.get("seed", 0)
         if not _whole(seed) or seed < 0:
             raise ConfigError("seed must be a whole number >= 0")
-        return ExperimentConfig(
+        config = ExperimentConfig(
             d=int(d), alphas=tuple(float(a) for a in alphas),
             extents=tuple(float(e) for e in extents),
             counts=tuple(int(n) for n in counts),
@@ -195,6 +196,18 @@ class ExperimentConfig:
             certificates=tuple(certs), general_exponents=exponents,
             donoho_stark=ds_conf, tolerances=tol, seed=int(seed),
         )
+        _reject_unknown_keys(doc, _config_echo(config))
+        return config
+
+
+def _reject_unknown_keys(doc, echo, prefix=""):
+    """Raise ConfigError naming the first key of ``doc``, at any depth, that
+    the parsed config's echo lacks: a key that no setting reads."""
+    for key, value in doc.items():
+        if key not in echo:
+            raise ConfigError(f"unknown config key: {prefix}{key}")
+        if isinstance(value, dict):
+            _reject_unknown_keys(value, echo[key], f"{prefix}{key}.")
 
 
 def _real(v):
@@ -436,7 +449,8 @@ def report_json_bytes(report, strip_timings=False):
     doc = dict(report)
     if strip_timings:
         doc.pop("timings", None)
-    return (json.dumps(doc, sort_keys=True, indent=2) + "\n").encode()
+    return (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
+            + "\n").encode()
 
 
 def report_csv(report):

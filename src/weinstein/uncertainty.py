@@ -19,9 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from .core import norm_p, theta_integral
+from .core import norm_p
 from .errors import IntegrabilityGuardError
-from .multiplier import multiplier_densities, multiplier_sweep
+from .multiplier import multiplier_sweep
 from .transform import forward
 
 DEFAULT_SLACK = 1e-3
@@ -65,25 +65,12 @@ def ball_region_for_mass(f, w, fraction):
 
 @dataclass(frozen=True)
 class SigmaRegion:
-    """Measurable subset of (0, inf) x spatial box.
-
-    A half-line region {sigma >= floor} x box is its ``floor``; the
-    Donoho-Stark certificate integrates over the half-line itself.  A
-    general region is an (n_sigma, size) ``mask`` over the sampled scales,
-    read only against the dense densities (``sigma_concentration_defect``).
+    """The half-line region {sigma >= floor} x box in (0, inf) x spatial
+    box; the Donoho-Stark certificate integrates over the half-line itself.
     """
 
     theta_measure: float
-    floor: float = None
-    mask: np.ndarray = None
-
-
-def sigma_region_from_mask(sg, grid, w, mask):
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (len(sg), grid.size):
-        raise ValueError(f"mask must be shaped ({len(sg)}, {grid.size})")
-    measure = theta_integral(mask.astype(float), sg, w)
-    return SigmaRegion(theta_measure=measure, mask=mask)
+    floor: float
 
 
 def sigma_halfline_region(sg, w, sigma_floor):
@@ -179,7 +166,12 @@ def heisenberg_certificate(plan, f, slack=DEFAULT_SLACK, digest="",
 
 
 def _hypothesis_flags(stats, admissibility_tol):
-    """Flags of a certificate whose admissibility gate fails, else {}."""
+    """Flags of a certificate whose hypotheses fail, else {}: the
+    certificates admit only "modulus_squared" profiles that pass the
+    admissibility gate."""
+    variant = stats.profile.admissibility_variant
+    if variant != "modulus_squared":
+        return {"hypothesis_violated": True, "admissibility_variant": variant}
     defect = stats.admissibility_defect
     if defect > admissibility_tol:
         return {"hypothesis_violated": True, "admissibility_defect": defect}
@@ -259,22 +251,6 @@ def concentration_defect(f, w, region):
     return math.sqrt(min(max(outside / total, 0.0), 1.0))
 
 
-def sigma_concentration_defect(plan, profile, f, sigma_region):
-    """Concentration defect of the multiplier family output on a mask-built
-    (sigma, x) region, in the product-measure norm, over the dense
-    ``multiplier_densities`` (the oracle for the half-line defect)."""
-    if sigma_region.mask is None:
-        raise ValueError("sigma-region has no mask (sigma_region_from_mask)")
-    dens = multiplier_densities(plan, profile, f)
-    sg = profile.sigma_grid
-    total = theta_integral(dens, sg, plan.weights_in)
-    if total == 0:
-        raise ValueError("zero multiplier output has no concentration defect")
-    outside = theta_integral(np.where(sigma_region.mask, 0.0, dens), sg,
-                             plan.weights_in)
-    return math.sqrt(min(max(outside / total, 0.0), 1.0))
-
-
 def _halfline_concentration_defect(per_sigma, sg, floor):
     """Concentration defect on {sigma >= floor} x box.
 
@@ -308,7 +284,7 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
     as lhs, so ratio = lhs/rhs keeps the satisfied convention.  Vacuous
     instances (eps + nu >= 1) are flagged and never count as evidence.
 
-    The sigma-region must be a half-line {sigma >= floor} x box (from
+    The sigma-region is a half-line {sigma >= floor} x box (from
     ``sigma_halfline_region``).  Its decay integral has the closed form
     mu(box) * floor^{-2 deg} / (2 deg), evaluated in log space, so it does
     not depend on the sigma grid; nu is integrated exactly up to the floor
@@ -321,9 +297,6 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
     params = plan.grid_in.params
     sg = profile.sigma_grid
     floor = sigma_region.floor
-    if floor is None:
-        raise ValueError("the Donoho-Stark certificate needs a half-line "
-                         "sigma-region (sigma_halfline_region)")
     if floor <= sg.sigma_min:
         raise IntegrabilityGuardError(
             "sigma-region reaches the integrability boundary (floor <= the "

@@ -240,7 +240,7 @@ def test_criterion_07_kernel_representation():
 
     # pointwise bound with the sigma^{-deg} prefactor on random regions
     rng = np.random.default_rng(7)
-    m1 = norm_p(prof16.symbol, prof16.weights, 1)
+    m1 = norm_p(prof16.symbol, plan16.weights_out, 1)
     deg = params.homogeneity_degree
     bound_ok = True
     n2 = norm_p(f16, w16, 2)

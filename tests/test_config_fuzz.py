@@ -4,6 +4,8 @@ One field of configs/default.json (a section, a leaf or a list entry) is
 replaced by a value of the wrong kind on a 16x16 grid; whatever the
 mutation, ``weinstein run`` must return 0, 1, 2 or 3 without an escaping
 exception, and exit 1 must come with a report whose ``ok`` is false.
+Renaming one dict key (appending ``_x``) must exit 2: a required key goes
+missing or an unknown one appears.
 """
 
 import copy
@@ -36,22 +38,37 @@ def _paths(node, prefix=()):
 
 
 PATHS = sorted(_paths(_base()), key=repr)
+KEY_PATHS = [p for p in PATHS if isinstance(p[-1], str)]
+
+
+def _parent(doc, path):
+    for key in path[:-1]:
+        doc = doc[key]
+    return doc
+
+
+def _run(doc, tmp):
+    cfg = pathlib.Path(tmp) / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = pathlib.Path(tmp) / "out"
+    code = main(["run", "--config", str(cfg), "--out", str(out),
+                 "--format", "json"])
+    return code, out
 
 
 @settings(derandomize=True, deadline=None, max_examples=40)
-@given(path=st.sampled_from(PATHS), value=st.sampled_from(BAD_VALUES))
-def test_mutated_config_exit_contract(path, value):
+@given(path=st.sampled_from(PATHS), value=st.sampled_from(BAD_VALUES),
+       renamed=st.sampled_from(KEY_PATHS))
+def test_mutated_config_exit_contract(path, value, renamed):
     doc = _base()
-    node = doc
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = copy.deepcopy(value)
+    _parent(doc, path)[path[-1]] = copy.deepcopy(value)
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = pathlib.Path(tmp) / "cfg.json"
-        cfg.write_text(json.dumps(doc))
-        out = pathlib.Path(tmp) / "out"
-        code = main(["run", "--config", str(cfg), "--out", str(out),
-                     "--format", "json"])
+        code, out = _run(doc, tmp)
         assert code in (0, 1, 2, 3)
         if code == 1:
             assert json.loads((out / "report.json").read_text())["ok"] is False
+    doc = _base()
+    node = _parent(doc, renamed)
+    node[renamed[-1] + "_x"] = node.pop(renamed[-1])
+    with tempfile.TemporaryDirectory() as tmp:
+        assert _run(doc, tmp)[0] == 2

@@ -6,7 +6,7 @@ import pytest
 from weinstein import (Field, MultiplierProfile, SigmaRangeError,
                        WeinsteinParams, admissibility_defect, apply_multiplier,
                        apply_multiplier_kernel, build_grid, build_sigma_grid,
-                       dilate_symbol, field_from_function, forward,
+                       dilate_symbol, forward,
                        gaussian_field, kernel_psi, make_admissible_radial,
                        make_plan, multiplier_densities,
                        multiplier_plancherel_defect, multiplier_sweep, norm_p)
@@ -15,11 +15,6 @@ from weinstein.multiplier import (gaussian_bump_profile,
                                   quadratic_bump_profile,
                                   quadratic_bump_tail_mass,
                                   radial_admissibility_quadrature)
-
-
-def radial_profile_field(grid, fn):
-    return field_from_function(
-        grid, lambda pts: fn(np.sqrt(np.sum(pts ** 2, axis=1))))
 
 
 # ---------------------------------------------------------------------------
@@ -58,28 +53,15 @@ def test_dilate_matches_analytic_profile(bump_profile):
         assert np.array_equal(dil.values, gaussian_bump_profile(s * r))
 
 
-def test_dilate_norm_homogeneity(bump_profile):
+def test_dilate_norm_homogeneity(plan_mult, bump_profile):
     # ||m_s||^2 = s^{-deg} ||m||^2 for resolved dilations
     grid = bump_profile.symbol.grid
-    w = bump_profile.weights
+    w = plan_mult.weights_out
     deg = grid.params.homogeneity_degree
     base = norm_p(bump_profile.symbol, w, 2) ** 2
     for s in (0.8, 1.25):
         n2 = norm_p(dilate_symbol(bump_profile, s), w, 2) ** 2
         assert n2 == pytest.approx(s ** (-deg) * base, rel=1e-3)
-
-
-def test_dilate_separable_route(plan_mult):
-    # generic symbols (no radius profile) use per-axis interpolation, whose
-    # error is set by the coarse Euclidean frequency spacing (h^2/8 * m''
-    # for the linear rule along the Euclidean axes)
-    grid = plan_mult.grid_out
-    smooth = radial_profile_field(grid, quadratic_bump_profile)
-    prof = MultiplierProfile(symbol=smooth,
-                             sigma_grid=build_sigma_grid(0.5, 2.0, 16))
-    dil = dilate_symbol(prof, 1.3)
-    exact = quadratic_bump_profile(1.3 * np.sqrt(grid.radius_sq))
-    assert np.max(np.abs(dil.values - exact)) < 2e-2
 
 
 # ---------------------------------------------------------------------------
@@ -109,9 +91,8 @@ def test_admissibility_defect_sampled(bump_profile):
 
 
 def test_admissibility_zero_symbol(plan_mult):
-    grid = plan_mult.grid_out
-    zero = Field(grid=grid, values=np.zeros(grid.shape))
-    prof = MultiplierProfile(symbol=zero, sigma_grid=build_sigma_grid(1e-2, 1e2, 64))
+    prof = MultiplierProfile(grid=plan_mult.grid_out, radial_profile=np.zeros_like,
+                             sigma_grid=build_sigma_grid(1e-2, 1e2, 64))
     rep = admissibility_defect(prof)
     assert np.all(np.abs(rep.defect.values - 1.0) < 1e-15)
 
@@ -123,9 +104,9 @@ def test_admissibility_scaling_invariance(bump_profile):
     grid = bump_profile.symbol.grid
     base = bump_profile
     scaled = MultiplierProfile(
-        symbol=radial_profile_field(grid, lambda u: gaussian_bump_profile(c * u)),
-        sigma_grid=base.sigma_grid,
+        grid=grid,
         radial_profile=lambda u: gaussian_bump_profile(c * u),
+        sigma_grid=base.sigma_grid,
         tail_mass=base.tail_mass,
     )
     r_interior = (np.sqrt(grid.radius_sq) > 0.5) & (np.sqrt(grid.radius_sq) < 5.0)
@@ -137,10 +118,10 @@ def test_admissibility_scaling_invariance(bump_profile):
 def test_modulus_variant_bump_not_admissible(plan_mult, bump_profile):
     # the first-power dilation average of the bump is sqrt(pi), not 1
     prof = MultiplierProfile(
-        symbol=bump_profile.symbol,
+        grid=bump_profile.grid,
+        radial_profile=bump_profile.radial_profile,
         sigma_grid=bump_profile.sigma_grid,
         admissibility_variant="modulus",
-        radial_profile=bump_profile.radial_profile,
     )
     rep = admissibility_defect(prof)
     interior = (np.sqrt(prof.symbol.grid.radius_sq) > 0.5) \
@@ -148,6 +129,22 @@ def test_modulus_variant_bump_not_admissible(plan_mult, bump_profile):
     vals = rep.defect.values[interior]
     assert np.min(vals) > 0.5  # defect ~ sqrt(pi) - 1 ~ 0.77
     assert np.max(np.abs(vals - (math.sqrt(math.pi) - 1.0))) < 1e-2
+
+
+@pytest.mark.parametrize("variant", ["modulus_squared", "modulus"])
+def test_sampled_defect_matches_radial_oracle(plan_mult, bump_profile, variant):
+    # the sampled defect is the 1-D quadrature's |sum - 1| at every
+    # frequency point; both sums round off at rel 1e-12 of the dilation
+    # average, which the defect (down to ~1e-12) inherits absolutely
+    prof = MultiplierProfile(grid=bump_profile.grid,
+                             radial_profile=bump_profile.radial_profile,
+                             sigma_grid=bump_profile.sigma_grid,
+                             admissibility_variant=variant)
+    quad = radial_admissibility_quadrature(
+        prof.radial_profile, prof.sigma_grid,
+        np.sqrt(plan_mult.grid_out.radius_sq), prof.power)
+    defect = admissibility_defect(prof).defect.values.real
+    assert np.all(np.abs(defect - np.abs(quad - 1.0)) <= 1e-12 * quad)
 
 
 def test_make_admissible_families(plan_mult):
@@ -207,18 +204,16 @@ def test_make_admissible_narrow_range_errors(plan_mult):
 # ---------------------------------------------------------------------------
 
 def test_apply_constant_symbol_is_identity(plan_mult):
-    grid = plan_mult.grid_out
-    ones = Field(grid=grid, values=np.ones(grid.shape))
-    prof = MultiplierProfile(symbol=ones, sigma_grid=build_sigma_grid(0.5, 2, 16))
+    prof = MultiplierProfile(grid=plan_mult.grid_out, radial_profile=np.ones_like,
+                             sigma_grid=build_sigma_grid(0.5, 2, 16))
     f = gaussian_field(plan_mult.grid_in)
     out = apply_multiplier(plan_mult, prof, 1.0, f)
     assert np.max(np.abs(out.values - f.values)) < 1e-10
 
 
 def test_apply_zero_symbol(plan_mult):
-    grid = plan_mult.grid_out
-    zero = Field(grid=grid, values=np.zeros(grid.shape))
-    prof = MultiplierProfile(symbol=zero, sigma_grid=build_sigma_grid(0.5, 2, 16))
+    prof = MultiplierProfile(grid=plan_mult.grid_out, radial_profile=np.zeros_like,
+                             sigma_grid=build_sigma_grid(0.5, 2, 16))
     f = gaussian_field(plan_mult.grid_in)
     out = apply_multiplier(plan_mult, prof, 1.0, f)
     assert np.max(np.abs(out.values)) == 0.0
@@ -289,9 +284,9 @@ def test_plancherel_defect_tracks_admissibility_defect(plan_mult, bump_profile):
     # 1 + delta, and the norm identity defect follows linearly
     delta = 0.05
     scaled = MultiplierProfile(
-        symbol=math.sqrt(1 + delta) * bump_profile.symbol,
-        sigma_grid=bump_profile.sigma_grid,
+        grid=bump_profile.grid,
         radial_profile=lambda u: math.sqrt(1 + delta) * gaussian_bump_profile(u),
+        sigma_grid=bump_profile.sigma_grid,
         tail_mass=bump_profile.tail_mass,
     )
     f = gaussian_field(plan_mult.grid_in)
@@ -338,9 +333,8 @@ def test_kernel_route_sigma_sweep_smooth_family():
 
 def test_kernel_psi_zero_symbol(small_setup):
     plan, _ = small_setup
-    grid = plan.grid_out
     zero_prof = MultiplierProfile(
-        symbol=Field(grid=grid, values=np.zeros(grid.shape)),
+        grid=plan.grid_out, radial_profile=np.zeros_like,
         sigma_grid=build_sigma_grid(0.5, 2, 16))
     v = kernel_psi(zero_prof, plan, 1.0, np.array([0.3, 0.4]), np.array([0.1, 0.2]))
     assert v == 0
@@ -349,7 +343,7 @@ def test_kernel_psi_zero_symbol(small_setup):
 def test_kernel_psi_modulus_bound(small_setup):
     # |Psi(x, y)| <= ||m||_1 since the kernel factors have modulus <= 1
     plan, prof = small_setup
-    m1 = norm_p(prof.symbol, prof.weights, 1)
+    m1 = norm_p(prof.symbol, plan.weights_out, 1)
     rng = np.random.default_rng(3)
     for _ in range(10):
         x = np.array([rng.uniform(-4, 4), rng.uniform(0.1, 4)])
@@ -362,7 +356,7 @@ def test_kernel_route_pointwise_bound(small_setup, rng):
     plan, prof = small_setup
     grid = plan.grid_in
     w = plan.weights_in
-    m1 = norm_p(prof.symbol, prof.weights, 1)
+    m1 = norm_p(prof.symbol, plan.weights_out, 1)
     deg = grid.params.homogeneity_degree
     f = gaussian_field(grid)
     n2 = norm_p(f, w, 2)

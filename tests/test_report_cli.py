@@ -87,7 +87,19 @@ def test_config_validation_errors():
             ({"test_functions": {"random_bumps": "x"}}, "random_bumps"),
             ({"donoho_stark": {"mass_fractions": ["x"]}}, "mass_fractions"),
             ({"donoho_stark": {"sigma_floors": [None]}}, "sigma_floors"),
-            ({"certificates": 1}, "certificates")):
+            ({"donoho_stark": {"sigma_floors": [-1]}}, "sigma_floors"),
+            ({"donoho_stark": {"sigma_floors": [1.0, 0]}}, "sigma_floors"),
+            ({"certificates": 1}, "certificates"),
+            # unknown keys, named, at the top level and in every section
+            ({"certificate": ["heisenberg"]}, "unknown config key: certificate"),
+            ({"params": {"d": 1, "alpha_": 0.5}}, "params.alpha_"),
+            ({"grid": {**base["grid"], "count": [16, 16]}}, "grid.count"),
+            ({"multiplier": {"famly": "gaussian_bump"}}, "multiplier.famly"),
+            ({"test_functions": {"random_bump": 1}},
+             "test_functions.random_bump"),
+            ({"donoho_stark": {"sigma_floor": [1.0]}},
+             "donoho_stark.sigma_floor"),
+            ({"tolerances": {"plancherell": 1e-6}}, "tolerances.plancherell")):
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict({**base, **bad})
 
@@ -330,7 +342,12 @@ def test_cli_modulus_variant_reported_and_fails(tmp_path):
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path),
                  "--out", str(tmp_path / "mod")]) == 1
-    report = json.loads((tmp_path / "mod" / "report.json").read_text())
+
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    report = json.loads((tmp_path / "mod" / "report.json").read_text(),
+                        parse_constant=reject)
     st = report["runs"][0]["self_tests"]
     assert st["sampled_admissibility_mean_defect"] > 0.1
     assert not report["self_tests_ok"]
@@ -338,6 +355,7 @@ def test_cli_modulus_variant_reported_and_fails(tmp_path):
                   if c["name"] == "multiplier_heisenberg"]
     assert mult_certs
     assert all(c.get("flags", {}).get("hypothesis_violated")
+               and c["flags"]["admissibility_variant"] == "modulus"
                for c in mult_certs)
     assert report["certificates_ok"]  # flagged certs are not failures
 
@@ -355,8 +373,7 @@ def test_modulus_variant_flags_certificates(tmp_path):
     plan = make_plan(g)
     base = make_admissible_radial(plan)
     modulus = MultiplierProfile(
-        symbol=base.symbol, sigma_grid=base.sigma_grid,
-        admissibility_variant="modulus",
-        radial_profile=base.radial_profile)
+        grid=base.grid, radial_profile=base.radial_profile,
+        sigma_grid=base.sigma_grid, admissibility_variant="modulus")
     cert = multiplier_heisenberg_certificate(plan, modulus, gaussian_field(g))
     assert cert.hypothesis_violated

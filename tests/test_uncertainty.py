@@ -9,10 +9,9 @@ from weinstein import (Field, IntegrabilityGuardError, WeinsteinParams,
                        donoho_stark_certificate, forward, gaussian_field,
                        general_heisenberg_certificate, heisenberg_certificate,
                        make_admissible_radial, make_plan, measure_weights,
-                       multiplier_densities,
                        multiplier_heisenberg_certificate, multiplier_sweep,
-                       norm_p, region_from_mask, sigma_concentration_defect,
-                       sigma_halfline_region, sigma_region_from_mask)
+                       norm_p, region_from_mask, sigma_halfline_region,
+                       theta_integral)
 from weinstein.multiplier import MultiplierProfile
 from weinstein.report import report_csv
 
@@ -98,9 +97,8 @@ def test_multiplier_heisenberg(plan_mult, bump_profile):
 
 
 def test_multiplier_heisenberg_zero_symbol_flagged(plan_mult, bump_profile):
-    grid = plan_mult.grid_out
     zero_prof = MultiplierProfile(
-        symbol=Field(grid=grid, values=np.zeros(grid.shape)),
+        grid=plan_mult.grid_out, radial_profile=np.zeros_like,
         sigma_grid=bump_profile.sigma_grid)
     f = gaussian_field(plan_mult.grid_in)
     cert = multiplier_heisenberg_certificate(plan_mult, zero_prof, f)
@@ -181,42 +179,6 @@ def test_ball_region_for_mass(plan_half):
         assert eps <= math.sqrt(1 - q) + 1e-6
 
 
-def test_sigma_concentration_limits(plan_mult, bump_profile):
-    g = plan_mult.grid_in
-    w = plan_mult.weights_in
-    f = gaussian_field(g)
-    sg = bump_profile.sigma_grid
-    full = sigma_region_from_mask(sg, g, w,
-                                  np.ones((len(sg), g.size), dtype=bool))
-    empty = sigma_region_from_mask(sg, g, w,
-                                   np.zeros((len(sg), g.size), dtype=bool))
-    assert sigma_concentration_defect(plan_mult, bump_profile, f, full) < 1e-12
-    assert sigma_concentration_defect(plan_mult, bump_profile, f, empty) == 1.0
-    with pytest.raises(ValueError, match="mask"):
-        sigma_concentration_defect(plan_mult, bump_profile, f,
-                                   sigma_halfline_region(sg, w, 1.0))
-
-
-def test_sigma_concentration_top_mass(plan_mult, bump_profile):
-    # keeping the top-q fraction of the output's product-measure mass gives
-    # defect sqrt(1-q) up to the mass captured at the threshold cell
-    g = plan_mult.grid_in
-    w = plan_mult.weights_in
-    f = gaussian_field(g)
-    sg = bump_profile.sigma_grid
-    dens = multiplier_densities(plan_mult, bump_profile, f) \
-        * np.outer(sg.log_weights, w.flat)
-    order = np.argsort(dens.ravel())[::-1]
-    csum = np.cumsum(dens.ravel()[order])
-    q = 0.9
-    k = int(np.searchsorted(csum, q * csum[-1]))
-    mask = np.zeros(dens.size, dtype=bool)
-    mask[order[:k + 1]] = True
-    region = sigma_region_from_mask(sg, g, w, mask.reshape(dens.shape))
-    nu = sigma_concentration_defect(plan_mult, bump_profile, f, region)
-    assert nu == pytest.approx(math.sqrt(1 - q), abs=5e-3)
-
-
 def test_donoho_stark_designed_family(plan_mult, bump_profile):
     g = plan_mult.grid_in
     w = plan_mult.weights_in
@@ -270,20 +232,6 @@ def test_donoho_stark_halfline_matches_fine_grid(plan_mult, bump_profile):
         assert cert.flags["nu"] == pytest.approx(exact, abs=2e-4)
 
 
-def test_donoho_stark_needs_halfline(plan_mult, bump_profile):
-    # a mask-built region has no floor to integrate to
-    g = plan_mult.grid_in
-    w = plan_mult.weights_in
-    f = gaussian_field(g)
-    sg = bump_profile.sigma_grid
-    mask = np.zeros((len(sg), g.size), dtype=bool)
-    mask[len(sg) // 2:] = True
-    region = sigma_region_from_mask(sg, g, w, mask)
-    omega = ball_region_for_mass(f, w, 0.9)
-    with pytest.raises(ValueError, match="half-line"):
-        donoho_stark_certificate(plan_mult, bump_profile, f, omega, region)
-
-
 def test_donoho_stark_integrability_guard(plan_mult, bump_profile):
     # a half-line reaching the smallest sampled scale is refused; one just
     # above it is certified
@@ -302,7 +250,7 @@ def test_donoho_stark_integrability_guard(plan_mult, bump_profile):
 
 
 def test_halfline_measure_matches_mask(plan_mult, bump_profile):
-    # the mask-free half-line measure equals the one integrated over the
+    # the mask-free half-line measure equals theta_integral over the
     # materialized mask of the same scales
     g = plan_mult.grid_in
     w = plan_mult.weights_in
@@ -310,10 +258,9 @@ def test_halfline_measure_matches_mask(plan_mult, bump_profile):
     for floor in (sg.sigma_min, 0.5, 1.0, 2.0, float(sg.sigmas[7]) * 1.01):
         half = sigma_halfline_region(sg, w, floor)
         mask = np.outer(sg.sigmas >= floor, np.ones(g.size, dtype=bool))
-        ref = sigma_region_from_mask(sg, g, w, mask)
-        assert half.floor == floor and half.mask is None
-        assert half.theta_measure == pytest.approx(ref.theta_measure,
-                                                   rel=1e-13)
+        ref = theta_integral(mask.astype(float), sg, w)
+        assert half.floor == floor
+        assert half.theta_measure == pytest.approx(ref, rel=1e-13)
 
 
 def test_certificate_csv_shape(plan_half):
