@@ -12,12 +12,15 @@ selectable for fidelity experiments but fails for the standard bump).
 
 Every symbol is radial and owned by its radius profile u -> m(u): the
 spectral route evaluates that profile at the dilated radii sigma*|x|, so
-no symbol is ever interpolated.  The kernel route (``kernel_psi`` /
+no symbol is ever interpolated.  A sweep over the sigma grid runs each
+scale on the transform's FFT and radial-product core and keeps only the
+moments of |T_sigma phi|^2.  The kernel route (``kernel_psi`` /
 ``apply_multiplier_kernel``) realizes the same operator through an
 explicit integral kernel with the dilation moved into analytically
-evaluated kernel arguments; it cross-validates the spectral route and
-exhibits the sigma^{-(2*alpha+d+2)} prefactor bound used by the
-concentration certificates.
+evaluated kernel arguments, applied as two matrix-vector products with one
+kernel matrix; it cross-validates the spectral route and exhibits the
+sigma^{-(2*alpha+d+2)} prefactor bound used by the concentration
+certificates.
 """
 
 import math
@@ -29,7 +32,8 @@ import numpy as np
 from . import _accel
 from .core import Field, Grid, SigmaGrid, build_sigma_grid, norm_p
 from .errors import SizeGuardError, SigmaRangeError
-from .transform import DIRECT_PAIR_GUARD, forward, inverse
+from .transform import (DIRECT_PAIR_GUARD, _fft_gemm, _radial_first,
+                        _synthesis_source, forward, inverse)
 
 ADMISSIBILITY_VARIANTS = ("modulus", "modulus_squared")
 
@@ -176,18 +180,31 @@ class SweepStats:
 
 
 def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
-    """Sweep the family over the profile's sigma grid.  Each output is
-    reduced against the (size, len(betas)) matrix of w |x|^{2 beta} as
-    soon as it is computed, so no (n_sigma, size) array is formed."""
+    """Sweep the family over the profile's sigma grid, reducing each output
+    |T_sigma phi|^2 against the matrix of w |x|^{2 beta} as soon as it is
+    computed, so no (n_sigma, size) array is formed.
+
+    phi is transformed once, and the radial-first synthesis block of its
+    transform, the dilated radii and the weights are laid out once.  Per
+    scale, the real profile values m(sigma r) scale that block and the
+    transform's FFT and radial product run on it (``_fft_gemm``); the
+    per-Euclidean-index phase that would follow is unimodular and cannot
+    change |T|^2, so it is skipped, and so is the move back to grid layout.
+    """
     betas = tuple(float(b) for b in betas)
     F = forward(plan, phi)
-    rsq = plan.grid_in.radius_sq.reshape(-1)
-    wb = np.stack([plan.weights_in.flat * rsq ** b for b in betas], axis=1)
+    src = _synthesis_source(plan, F)
+    radius = _radial_first(profile.radius, dtype=np.float64)
+    rsq = _radial_first(plan.grid_in.radius_sq, dtype=np.float64).reshape(-1)
+    w = _radial_first(plan.weights_in.weights, dtype=np.float64).reshape(-1)
+    # one row per real and imaginary part of each output value
+    wb = np.repeat(np.stack([w * rsq ** b for b in betas], axis=1), 2, axis=0)
     moments = np.empty((len(profile.sigma_grid), len(betas)))
     for j, sigma in enumerate(profile.sigma_grid.sigmas):
-        dil = dilate_symbol(profile, float(sigma))
-        T = inverse(plan, Field(grid=plan.grid_out, values=dil.values * F.values))
-        moments[j] = np.abs(T.flat) ** 2 @ wb
+        out = _fft_gemm(plan, profile.radial_profile(sigma * radius) * src, +1)
+        moments[j] = (out * out).reshape(-1) @ wb
+    if not np.all(np.isfinite(moments)):
+        raise ValueError("multiplier sweep produced non-finite moments")
     return SweepStats(profile=profile, weights_out=plan.weights_out,
                       betas=betas, moments=moments, transform=F)
 
@@ -219,34 +236,24 @@ def multiplier_plancherel_defect(plan, profile, phi, stats=None):
 # kernel route
 # ---------------------------------------------------------------------------
 
-def _psi_matrix(profile, plan, sigma, x_pts, y_pts):
-    """Psi[x, y] = sum_u w_u m(u) K(u, y/sigma) K(u, -x/sigma) with K the
-    analysis kernel; the dilation lives in the kernel arguments, so the
-    symbol itself is never interpolated."""
-    grid_f = profile.grid
-    u_pts = grid_f.points
-    n_u = u_pts.shape[0]
-    if n_u * max(x_pts.shape[0], y_pts.shape[0]) > DIRECT_PAIR_GUARD:
-        raise SizeGuardError("kernel route exceeds the dense-size guard")
-    alpha = grid_f.params.alpha
-    d = grid_f.params.d
-    y_scaled = y_pts / sigma
-    x_scaled = x_pts / sigma
-    x_reflected = np.concatenate([-x_scaled[:, :d], x_scaled[:, d:]], axis=1)
-    a = _accel.kernel_matrix(u_pts, y_scaled, alpha, sign=-1.0)
-    b = _accel.kernel_matrix(u_pts, x_reflected, alpha, sign=-1.0)
-    # frequency-side quadrature weights under the plan's normalization
-    wm = plan.weights_out.flat * profile.symbol.flat
-    return b.T @ (wm[:, None] * a)
-
-
 def kernel_psi(profile, plan, sigma, x, y):
-    """The integral kernel value Psi(x, y) at a single point pair."""
+    """The integral kernel value at a single point pair
+
+        Psi(x, y) = sum_u w_u m(u) K(u, y/sigma) K(u, (-x', x_r)/sigma)
+
+    with K the analysis kernel; the dilation lives in the kernel arguments,
+    so the symbol itself is never interpolated."""
     if sigma <= 0:
         raise ValueError(f"dilation scale must be positive, got {sigma}")
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.atleast_2d(np.asarray(y, dtype=np.float64))
-    return complex(_psi_matrix(profile, plan, float(sigma), x, y)[0, 0])
+    x = np.asarray(x, dtype=np.float64).reshape(-1) / sigma
+    y = np.asarray(y, dtype=np.float64).reshape(-1) / sigma
+    d = profile.grid.params.d
+    x_reflected = np.concatenate([-x[:d], x[d:]])
+    k = _accel.kernel_matrix(profile.grid.points, np.stack([y, x_reflected]),
+                             profile.grid.params.alpha, sign=-1.0)
+    # frequency-side quadrature weights under the plan's normalization
+    wm = plan.weights_out.flat * profile.symbol.flat
+    return complex(k[:, 1] @ (wm * k[:, 0]))
 
 
 def apply_multiplier_kernel(plan, profile, sigma, phi, region_mask=None):
@@ -254,20 +261,31 @@ def apply_multiplier_kernel(plan, profile, sigma, phi, region_mask=None):
 
         (T phi)(x) = sigma^{-(2 alpha + d + 2)} * sum_y w_y Psi(x, y) phi(y),
 
-    optionally restricted to chi_Omega * phi via ``region_mask``.  Dense in
-    (x, y, u); guarded to small grids.  The modulus of the result obeys
+    optionally restricted to chi_Omega * phi via ``region_mask``.  On the
+    grid the reflected kernel is the conjugate one, K(u, (-x', x_r)/sigma)
+    = conj K(u, x/sigma), so with A = K(u, x/sigma) the sum is
+
+        sigma^{-deg} * A^H ((w_out m) * (A (w_in * phi))):
+
+    one (n_u, n_x) kernel matrix and two matrix-vector products; Psi is
+    never formed.  Guarded to small grids.  The modulus of the result obeys
     |T(chi phi)(x)| <= sigma^{-deg} ||m||_1 ||phi||_2 sqrt(mu(Omega)).
     """
     if sigma <= 0:
         raise ValueError(f"dilation scale must be positive, got {sigma}")
     grid = phi.grid
-    pts = grid.points
-    psi = _psi_matrix(profile, plan, float(sigma), pts, pts)
-    w = plan.weights_in.flat
+    u_pts = profile.grid.points
+    if u_pts.shape[0] * grid.size > DIRECT_PAIR_GUARD:
+        raise SizeGuardError("kernel route exceeds the dense-size guard")
+    a = _accel.kernel_matrix(u_pts, grid.points / sigma,
+                             profile.grid.params.alpha, sign=-1.0)
     vals = phi.flat if region_mask is None else phi.flat * region_mask.ravel()
+    wm = plan.weights_out.flat * profile.symbol.flat
+    inner = wm * (a @ (plan.weights_in.flat * vals))
+    # A^H v = conj(conj(v) A), with no conjugated copy of A
+    out = np.conj(np.conj(inner) @ a)
     deg = grid.params.homogeneity_degree
-    out = sigma ** (-deg) * (psi @ (w * vals))
-    return Field(grid=grid, values=out.reshape(grid.shape))
+    return Field(grid=grid, values=(sigma ** (-deg) * out).reshape(grid.shape))
 
 
 # ---------------------------------------------------------------------------

@@ -239,14 +239,11 @@ def _random_bump(grid, rng):
     return Field(grid=grid, values=vals.reshape(grid.shape))
 
 
-def _self_tests(plan, profile, cfg, timings, stats_of):
-    """Oracle-consistency block: transform Plancherel/round-trip, fast vs
-    dense quadrature on a small instance, multiplier Plancherel, 1-D
-    admissibility oracle.  ``stats_of(f)`` is f's multiplier sweep, which
-    also holds f's transform."""
-    t0 = time.perf_counter()
-    f = gaussian_field(plan.grid_in)
-    stats = stats_of(f)
+def _self_tests(plan, profile, cfg, f, stats):
+    """Oracle-consistency block on the Gaussian ``f``: transform
+    Plancherel/round-trip, fast vs dense quadrature on a small instance,
+    multiplier Plancherel, 1-D admissibility oracle.  ``stats`` is f's
+    multiplier sweep, which also holds f's transform."""
     F = stats.transform
     n_in = norm_p(f, plan.weights_in, 2)
     n_out = norm_p(F, plan.weights_out, 2)
@@ -284,7 +281,6 @@ def _self_tests(plan, profile, cfg, timings, stats_of):
         oracle_defect = abs(quad + tail - 1.0)
     else:
         oracle_defect = abs(quad - 1.0)
-    timings["self_tests"] = time.perf_counter() - t0
     return {
         "plancherel_defect": plancherel,
         "roundtrip_max_abs": roundtrip,
@@ -324,8 +320,12 @@ def self_tests_pass(self_tests, config):
 def run(config):
     """Execute the configured suites; returns the report dictionary.
 
-    Order: grid, transform self-tests, multiplier admissibility, then
-    certificates, per alpha value.
+    Order, per alpha value: grid and multiplier profile, the self-test
+    Gaussian's sweep, the self-tests, the other fields' sweeps, then the
+    certificates.  ``timings`` keys each stage by alpha
+    (``setup_alpha_<a>``, ``sweeps_alpha_<a>``, ``self_tests_alpha_<a>``,
+    ``certificates_alpha_<a>``); every sweep counts under ``sweeps`` only,
+    so the stages are disjoint.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
@@ -354,20 +354,33 @@ def run(config):
         timings[f"setup_alpha_{alpha:g}"] = time.perf_counter() - t0
         sweeps = {}
         betas = sorted({0.0, 1.0, *(b for b, _ in config.general_exponents)})
+        sweep_key = f"sweeps_alpha_{alpha:g}"
+        timings[sweep_key] = 0.0
 
         def stats_of(f):
             # one sweep per distinct field, keyed by a digest of its values
             key = hashlib.blake2b(f.values).digest()
             if key not in sweeps:
+                t = time.perf_counter()
                 sweeps[key] = multiplier_sweep(plan, profile, f, betas)
+                timings[sweep_key] += time.perf_counter() - t
             return sweeps[key]
 
-        self_tests = _self_tests(plan, profile, config, timings, stats_of)
+        gauss = gaussian_field(grid)
+        gauss_stats = stats_of(gauss)
+        t0 = time.perf_counter()
+        self_tests = _self_tests(plan, profile, config, gauss, gauss_stats)
+        timings[f"self_tests_alpha_{alpha:g}"] = time.perf_counter() - t0
 
         fields = [("gaussian_s%g" % s, gaussian_field(grid, scale=s))
                   for s in config.gaussian_scales]
         fields += [("bump_%d" % i, _random_bump(grid, rng))
                    for i in range(config.random_bumps)]
+        needs_sweep = any(c in config.certificates for c in
+                          ("multiplier_heisenberg", "general_heisenberg",
+                           "donoho_stark"))
+        field_stats = [stats_of(f) if needs_sweep else None
+                       for _, f in fields]
 
         slack = config.tolerances["certificate_slack"]
         adm_tol = config.tolerances["admissibility"]
@@ -376,11 +389,7 @@ def run(config):
         halflines = [sigma_halfline_region(profile.sigma_grid,
                                            plan.weights_in, floor)
                      for floor in config.donoho_stark["sigma_floors"]]
-        needs_sweep = any(c in config.certificates for c in
-                          ("multiplier_heisenberg", "general_heisenberg",
-                           "donoho_stark"))
-        for name, f in fields:
-            stats = stats_of(f) if needs_sweep else None
+        for (name, f), stats in zip(fields, field_stats):
             if "heisenberg" in config.certificates:
                 certs.append(heisenberg_certificate(
                     plan, f, slack=slack, digest=name, stats=stats))

@@ -80,12 +80,13 @@ class TransformPlan:
 
     @cached_property
     def _euclid_factors(self):
-        """Per-direction tuples of per-axis (pre, post) factors around the
-        plain FFT (analysis, index 0) or the unscaled inverse FFT
+        """Per-direction tuples of per-axis (pre, post, modulus) factors
+        around the plain FFT (analysis, index 0) or the unscaled inverse FFT
         (synthesis, index 1) giving the midpoint-symmetric-grid Fourier sum
         sum_k f_k exp(-+1j x_k lam_m).  The source grid's spacing is folded
         into each post factor and the source measure's 1/C into the first
-        axis' one, so the separable route returns the normalized transform.
+        axis' one, so the separable route returns the normalized transform;
+        ``modulus`` is that constant |post|.
         """
         directions = []
         for grid_src, weights, synthesis in (
@@ -101,7 +102,7 @@ class TransformPlan:
                 scale = step / weights.normalization_constant if ax == 0 else step
                 if synthesis:
                     pre, post = np.conj(post), np.conj(pre)
-                factors.append((pre, post * scale))
+                factors.append((pre, post * scale, scale))
             directions.append(tuple(factors))
         return tuple(directions)
 
@@ -119,31 +120,69 @@ def _axis_view(vec, axis, ndim):
     return vec.reshape(sh)
 
 
-def _separable_apply(plan, values, sign):
-    """Normalized transform (analysis sign=-1 / synthesis sign=+1) as
-    Euclidean FFTs followed by one real matrix product over the radial axis.
+def _radial_first(values, dtype=np.complex128):
+    """C-order copy of grid-shaped ``values`` with the radial axis moved
+    first: the layout the separable core works in."""
+    return np.array(np.moveaxis(values, -1, 0), dtype=dtype, order="C")
 
-    The radial axis is moved first (one C-order copy), each Euclidean axis
-    gets its phase-corrected FFT, and the (n_r, rest) complex block, viewed
-    as an (n_r, 2 * rest) real block, is multiplied by the real
-    ``kernel_cache``: a real GEMM instead of a complex one against an
-    upcast kernel.  The radial axis then moves back last; the result is
-    C-contiguous.
+
+def _fft_gemm(plan, v, sign, factors=None):
+    """The separable core on a radial-first complex block ``v`` (consumed):
+    each Euclidean axis' FFT (analysis sign=-1, unscaled synthesis
+    sign=+1), between that axis' (pre, post) factors when ``factors`` is
+    given, then one real matrix product over the radial axis.
+
+    The (n_r, rest) complex block, viewed as an (n_r, 2 * rest) real
+    block, is multiplied by the real ``kernel_cache``: a real GEMM instead
+    of a complex one against an upcast kernel.  Returns the real
+    (n_r, 2 * rest) product, the radial-first complex result viewed as
+    real.
     """
-    factors = plan._euclid_factors[0 if sign < 0 else 1]
-    v = np.array(np.moveaxis(values, -1, 0), dtype=np.complex128, order="C")
     nd = v.ndim
-    for ax, (pre, post) in enumerate(factors, start=1):
-        v *= _axis_view(pre, ax, nd)
+    for ax in range(1, nd):
+        if factors is not None:
+            v *= _axis_view(factors[ax - 1][0], ax, nd)
         if sign < 0:
             v = np.fft.fft(v, axis=ax)
         else:
             v = np.fft.ifft(v, axis=ax, norm="forward")
-        v *= _axis_view(post, ax, nd)
-    n_r = v.shape[0]
-    out = plan.kernel_cache @ v.reshape(n_r, -1).view(np.float64)
-    out = out.view(np.complex128).reshape(v.shape)
+        if factors is not None:
+            v *= _axis_view(factors[ax - 1][1], ax, nd)
+    return plan.kernel_cache @ v.reshape(v.shape[0], -1).view(np.float64)
+
+
+def _separable_apply(plan, values, sign):
+    """Normalized transform (analysis sign=-1 / synthesis sign=+1): the
+    radial axis moved first (one C-order copy), ``_fft_gemm`` with the
+    direction's phase factors, and the radial axis moved back last; the
+    result is C-contiguous."""
+    shape = values.shape[-1:] + values.shape[:-1]
+    # no reference to the copy is kept here: it is freed after the first FFT
+    out = _fft_gemm(plan, _radial_first(values), sign,
+                    plan._euclid_factors[0 if sign < 0 else 1])
+    out = out.view(np.complex128).reshape(shape)
     return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+
+
+def _synthesis_source(plan, F):
+    """``F`` (on plan.grid_out) as the radial-first block the synthesis
+    FFTs start from: every axis' pre-phase applied and the constant modulus
+    of the post factors (spacings, 1/C) folded in.
+
+    For a real radial-first gain g, ``_fft_gemm(plan, g * block, +1)`` is
+    inverse(g * F) in radial-first layout times a unimodular factor per
+    Euclidean index, so its squared modulus is that of the inverse.  The
+    modulus goes into F, not into the squares: at large alpha 1/C is far
+    below 1 and the unscaled outputs would overflow when squared.
+    """
+    v = _radial_first(F.values)
+    nd = v.ndim
+    modulus = 1.0
+    for ax, (pre, _, scale) in enumerate(plan._euclid_factors[1], start=1):
+        v *= _axis_view(pre, ax, nd)
+        modulus *= scale
+    v *= modulus
+    return v
 
 
 def forward(plan, f):

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import weinstein.multiplier
+
 from weinstein import (Field, MultiplierProfile, SigmaRangeError,
                        WeinsteinParams, admissibility_defect, apply_multiplier,
                        apply_multiplier_kernel, build_grid, build_sigma_grid,
@@ -369,6 +371,51 @@ def test_kernel_route_pointwise_bound(small_setup, rng):
             assert np.max(np.abs(out.values)) <= bound * (1 + 1e-10)
 
 
+@pytest.mark.parametrize("d, counts", [(1, (8, 8)), (2, (8, 8, 8))])
+def test_kernel_route_matches_assembled_psi(d, counts, monkeypatch):
+    # the two matrix-vector products equal the kernel sum assembled from
+    # kernel_psi, whose reflected point is built explicitly: this checks
+    # K(u, (-x', x_r)/sigma) = conj K(u, x/sigma) on the grid
+    params = WeinsteinParams(d=d, alpha=0.5)
+    grid = build_grid(params, (4.0,) * (d + 1), counts,
+                      radial_scheme="collocation")
+    plan = make_plan(grid)
+    prof = make_admissible_radial(plan)
+    # a field with no symmetry, so a reflection error cannot cancel
+    gen = np.random.default_rng(5)
+    f = Field(grid=grid, values=gen.normal(size=grid.shape)
+              + 1j * gen.normal(size=grid.shape))
+    w = plan.weights_in.flat
+    pts = grid.points
+    deg = params.homogeneity_degree
+    mask = (np.arange(grid.size) % 3 != 0).reshape(grid.shape)
+    # a few x spread over the grid; each row sums over every y
+    rows = np.linspace(0, grid.size - 1, 8 if d == 1 else 2).astype(int)
+    kernel_matrix = weinstein.multiplier._accel.kernel_matrix
+    shapes = []
+
+    def counted(lam, x, alpha, sign=-1.0):
+        out = kernel_matrix(lam, x, alpha, sign)
+        shapes.append(out.shape)
+        return out
+
+    for s in (0.8, 1.0, 1.5):
+        psi = np.array([[kernel_psi(prof, plan, s, pts[i], pts[k])
+                         for k in range(grid.size)] for i in rows])
+        for region in (None, mask):
+            vals = f.flat if region is None else f.flat * region.ravel()
+            assembled = s ** (-deg) * (psi @ (w * vals))
+            shapes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(weinstein.multiplier._accel, "kernel_matrix", counted)
+                out = apply_multiplier_kernel(plan, prof, s, f,
+                                              region_mask=region)
+            assert shapes == [(prof.grid.size, grid.size)]
+            got = out.flat[rows]
+            assert np.linalg.norm(got - assembled) \
+                <= 1e-12 * np.linalg.norm(assembled)
+
+
 def test_multiplier_sweep_shape(plan_mult, bump_profile):
     f = gaussian_field(plan_mult.grid_in)
     stats = multiplier_sweep(plan_mult, bump_profile, f, (0, 1, 2))
@@ -391,10 +438,22 @@ def test_multiplier_sweep_shape(plan_mult, bump_profile):
         stats.column(1.5)
 
 
-@pytest.mark.parametrize("plan_name", ["plan_mult", "plan_2d_small"])
+@pytest.fixture(scope="module")
+def plan_alpha_100():
+    """alpha = 100 on a 16^2 collocation grid: the measure's 1/C is ~1e-188
+    and the radial weights ~r^201, so unscaled outputs overflow when
+    squared."""
+    params = WeinsteinParams(d=1, alpha=100.0)
+    grid = build_grid(params, (15.0, 15.0), (16, 16),
+                      radial_scheme="collocation")
+    return make_plan(grid)
+
+
+@pytest.mark.parametrize("plan_name",
+                         ["plan_mult", "plan_2d_small", "plan_alpha_100"])
 def test_sweep_stats_match_density_oracle(plan_name, request):
     # the streamed moments equal the materialized densities reduced
-    # afterwards, on a d=1 and a d=2 grid
+    # afterwards, on a d=1 and a d=2 grid and at alpha = 100
     plan = request.getfixturevalue(plan_name)
     profile = make_admissible_radial(plan)
     f = gaussian_field(plan.grid_in, scale=0.9)
@@ -407,3 +466,32 @@ def test_sweep_stats_match_density_oracle(plan_name, request):
         oracle = dens @ (plan.weights_in.flat * rsq ** beta)
         np.testing.assert_allclose(stats.moments[:, i], oracle, rtol=1e-12)
         np.testing.assert_allclose(stats.column(beta), oracle, rtol=1e-12)
+
+
+def test_sweep_rejects_non_finite_profile(plan_mult, bump_profile):
+    # a profile that is NaN at one radius (the largest dilated one) makes
+    # non-finite moments, which the sweep refuses
+    def broken(u):
+        out = gaussian_bump_profile(u)
+        out[u == u.max()] = np.nan
+        return out
+
+    prof = MultiplierProfile(grid=bump_profile.grid, radial_profile=broken,
+                             sigma_grid=bump_profile.sigma_grid)
+    with pytest.raises(ValueError, match="non-finite"):
+        multiplier_sweep(plan_mult, prof, gaussian_field(plan_mult.grid_in))
+
+
+def test_sweep_builds_no_per_scale_field(plan_mult, bump_profile,
+                                         monkeypatch):
+    # the sweep runs on the transform's FFT and GEMM core: no dilated
+    # symbol, inverse transform or Field per scale
+    def refuse(*args, **kwargs):
+        raise AssertionError("called per scale")
+
+    f = gaussian_field(plan_mult.grid_in)
+    expected = multiplier_sweep(plan_mult, bump_profile, f).moments
+    for name in ("dilate_symbol", "inverse", "Field"):
+        monkeypatch.setattr(f"weinstein.multiplier.{name}", refuse)
+    stats = multiplier_sweep(plan_mult, bump_profile, f)
+    assert np.array_equal(stats.moments, expected)

@@ -180,6 +180,42 @@ def test_report_determinism():
         != report_json_bytes(r3, strip_timings=True)
 
 
+D2_CONFIG = {
+    "params": {"d": 2, "alpha": [0.5]},
+    "grid": {"extents": [8.0, 8.0, 8.0], "counts": [24, 24, 24],
+             "radial_scheme": "collocation"},
+    "test_functions": {"gaussian_scales": [1.0], "random_bumps": 1},
+    "certificates": ["heisenberg", "multiplier_heisenberg",
+                     "general_heisenberg", "donoho_stark"],
+    "seed": 7,
+}
+
+
+def test_d2_run_oracles_and_determinism():
+    # a d=2 run end to end: both oracle cross-checks within tolerance, every
+    # certificate present, and the report reproducible.  The 24^3 box is
+    # too coarse for the round-trip tolerance, so `ok` is not asserted.
+    r1 = run(dict(D2_CONFIG))
+    st = r1["runs"][0]["self_tests"]
+    tol = r1["config"]["tolerances"]["fast_vs_direct"]
+    assert st["fast_vs_direct_rel_l2"] <= tol
+    assert st["kernel_vs_spectral_rel_l2"] <= tol
+    # 2 fields x (1 + 1 + 4 exponent pairs + 2 mass fractions x 2 floors)
+    assert len(r1["runs"][0]["certificates"]) == 20
+    r2 = run(dict(D2_CONFIG))
+    assert report_json_bytes(r1, strip_timings=True) \
+        == report_json_bytes(r2, strip_timings=True)
+
+
+def test_timings_keyed_per_alpha():
+    # every stage keeps one time per alpha; no alpha overwrites another
+    report = run({**SMALL_CONFIG, "params": {"d": 1, "alpha": [0.5, 1.5]}})
+    stages = ("setup", "sweeps", "self_tests", "certificates")
+    assert set(report["timings"]) == {"total"} | {
+        f"{stage}_alpha_{a}" for stage in stages for a in ("0.5", "1.5")}
+    assert all(t >= 0 for t in report["timings"].values())
+
+
 def test_report_csv_columns(small_report):
     csv = report_csv(small_report)
     lines = csv.strip().split("\n")
