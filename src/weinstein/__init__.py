@@ -7,8 +7,7 @@ grids carrying the weighted measure x_{d+1}^{2*alpha+1} dx / C.
 
 from .bessel import bessel_j_normalized, weinstein_kernel
 from .core import (Field, Grid, SigmaGrid, WeightField, WeinsteinParams,
-                   build_grid, build_sigma_grid, field_from_function,
-                   gaussian_field, grid_from_json, grid_to_json,
+                   build_grid, build_sigma_grid, gaussian_field,
                    inner_product, measure_weights, norm_p,
                    normalization_constant, theta_integral)
 from .errors import (ConfigError, GridMismatchError, IntegrabilityGuardError,
@@ -36,9 +35,8 @@ __version__ = "0.1.0"
 __all__ = [
     "bessel_j_normalized", "weinstein_kernel",
     "Field", "Grid", "SigmaGrid", "WeightField", "WeinsteinParams",
-    "build_grid", "build_sigma_grid", "field_from_function", "gaussian_field",
-    "grid_from_json", "grid_to_json", "inner_product", "measure_weights",
-    "norm_p", "normalization_constant", "theta_integral",
+    "build_grid", "build_sigma_grid", "gaussian_field", "inner_product",
+    "measure_weights", "norm_p", "normalization_constant", "theta_integral",
     "ConfigError", "GridMismatchError", "IntegrabilityGuardError",
     "MeasureRangeError", "SigmaRangeError", "SizeGuardError",
     "MultiplierProfile", "SweepStats", "admissibility_defect",

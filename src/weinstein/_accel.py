@@ -3,11 +3,10 @@
 Kernels
 -------
 j_alpha            normalized Bessel function of index alpha, array-valued
-kernel_matrix      matrix of plane-wave x Bessel kernel values
-direct_transform   dense weighted kernel sum (the quadrature transform)
+kernel_matrix      matrix of plane-wave x Bessel kernel values at point pairs
 
-The public functions share private helpers instead of calling one another,
-so a tracer wrapping public names (perfbench/tracer.py) counts each once.
+``kernel_matrix`` calls the private ``_j_alpha``, not ``j_alpha``, so a
+tracer wrapping public names (perfbench/tracer.py) counts each once.
 """
 
 import math
@@ -20,8 +19,6 @@ from scipy import special
 # more than 5 of the 16 digits and scipy's J_alpha takes over.
 SERIES_MAX_TERMS = 200
 SWITCHOVER = 12.0
-# The dense sum builds its kernel matrix this many output rows at a time.
-BLOCK_ROWS = 256
 
 
 def _j_alpha(alpha, x):
@@ -51,18 +48,6 @@ def _j_alpha(alpha, x):
     return out
 
 
-def _kernel_matrix(lam, x, alpha, sign):
-    d = lam.shape[1] - 1
-    phase = lam[:, :d] @ x[:, :d].T
-    # a tensor grid repeats each radial coordinate across the Euclidean
-    # axes: evaluate j on the distinct radial products and gather
-    lam_r, lam_idx = np.unique(lam[:, d], return_inverse=True)
-    x_r, x_idx = np.unique(x[:, d], return_inverse=True)
-    radial = _j_alpha(alpha, np.outer(lam_r, x_r).ravel())
-    radial = radial.reshape(len(lam_r), len(x_r))[np.ix_(lam_idx, x_idx)]
-    return radial * np.exp(1j * sign * phase)
-
-
 def j_alpha(alpha, x):
     """Normalized Bessel function of index ``alpha`` on a float array."""
     x = np.asarray(x, dtype=np.float64)
@@ -76,20 +61,14 @@ def kernel_matrix(lam_pts, x_pts, alpha, sign=-1.0):
     the first d columns carry the plane-wave phase, the last the Bessel
     argument.  sign=-1 gives the analysis kernel, sign=+1 the synthesis one.
     """
-    return _kernel_matrix(np.ascontiguousarray(lam_pts, dtype=np.float64),
-                          np.ascontiguousarray(x_pts, dtype=np.float64),
-                          float(alpha), float(sign))
-
-
-def direct_transform(values, weights, pts_in, pts_out, alpha, sign=-1.0):
-    """Dense quadrature sum out[i] = sum_k w_k f_k K[i, k] without caching K."""
-    wf = np.ascontiguousarray(weights, dtype=np.float64) \
-        * np.ascontiguousarray(values, dtype=np.complex128)
-    pts_in = np.ascontiguousarray(pts_in, dtype=np.float64)
-    pts_out = np.ascontiguousarray(pts_out, dtype=np.float64)
-    out = np.empty(pts_out.shape[0], dtype=np.complex128)
-    for lo in range(0, pts_out.shape[0], BLOCK_ROWS):
-        kmat = _kernel_matrix(pts_out[lo:lo + BLOCK_ROWS], pts_in,
-                              float(alpha), float(sign))
-        out[lo:lo + BLOCK_ROWS] = kmat @ wf
-    return out
+    lam = np.ascontiguousarray(lam_pts, dtype=np.float64)
+    x = np.ascontiguousarray(x_pts, dtype=np.float64)
+    d = lam.shape[1] - 1
+    phase = lam[:, :d] @ x[:, :d].T
+    # a tensor grid repeats each radial coordinate across the Euclidean
+    # axes: evaluate j on the distinct radial products and gather
+    lam_r, lam_idx = np.unique(lam[:, d], return_inverse=True)
+    x_r, x_idx = np.unique(x[:, d], return_inverse=True)
+    radial = _j_alpha(float(alpha), np.outer(lam_r, x_r).ravel())
+    radial = radial.reshape(len(lam_r), len(x_r))[np.ix_(lam_idx, x_idx)]
+    return radial * np.exp(1j * float(sign) * phase)

@@ -269,9 +269,12 @@ class Field:
             raise GridMismatchError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(v.view(np.float64) if v.dtype == np.complex128 else v)):
+        # one C-ordered complex copy, whose float view checks every part
+        v = np.array(v, dtype=np.complex128, order="C")
+        if not np.all(np.isfinite(v.view(np.float64))):
             raise ValueError("field values must be finite")
-        object.__setattr__(self, "values", _readonly(v.astype(np.complex128)))
+        v.flags.writeable = False
+        object.__setattr__(self, "values", v)
 
     @cached_property
     def flat(self):
@@ -293,12 +296,6 @@ class Field:
     def _check(self, other):
         if other.grid is not self.grid and not self.grid.same_geometry(other.grid):
             raise GridMismatchError("fields live on different grids")
-
-
-def field_from_function(grid, fn):
-    """Sample ``fn`` (taking an (n, d+1) point array) on the grid."""
-    vals = np.asarray(fn(grid.points)).reshape(grid.shape)
-    return Field(grid=grid, values=vals)
 
 
 def gaussian_field(grid, scale=1.0):
@@ -391,38 +388,3 @@ def theta_integral(values, sg, w):
         )
     return float(sg.log_weights @ (flat @ w.flat))
 
-
-# ---------------------------------------------------------------------------
-# JSON document for grid + weights (the only wire format)
-# ---------------------------------------------------------------------------
-
-def grid_to_json(grid, wfield):
-    """Serialize a grid and its normalization to the JSON wire document."""
-    axes = []
-    for L, n in zip(grid.euclid_halfwidths, grid.shape[:-1]):
-        axes.append({"min": -L, "max": L, "count": n, "scheme": "uniform"})
-    axes.append({
-        "min": 0.0,
-        "max": grid.radial_extent,
-        "count": grid.shape[-1],
-        "scheme": grid.radial_scheme,
-    })
-    return {
-        "d": grid.params.d,
-        "alpha": grid.params.alpha,
-        "axes": axes,
-        "normalization_constant": wfield.normalization_constant,
-    }
-
-
-def grid_from_json(doc):
-    """Rebuild (grid, weights) from the JSON wire document."""
-    params = WeinsteinParams(d=int(doc["d"]), alpha=float(doc["alpha"]))
-    axes = doc["axes"]
-    if len(axes) != params.d + 1:
-        raise ValueError("axis list does not match dimension")
-    extents = [float(a["max"]) for a in axes]
-    counts = [int(a["count"]) for a in axes]
-    grid = build_grid(params, extents, counts, radial_scheme=axes[-1]["scheme"])
-    wfield = measure_weights(grid, normalization=float(doc["normalization_constant"]))
-    return grid, wfield

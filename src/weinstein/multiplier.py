@@ -17,8 +17,8 @@ scale on the transform's FFT and radial-product core and keeps only the
 moments of |T_sigma phi|^2.  The kernel route (``kernel_psi`` /
 ``apply_multiplier_kernel``) realizes the same operator through an
 explicit integral kernel with the dilation moved into analytically
-evaluated kernel arguments, applied as two matrix-vector products with one
-kernel matrix; it cross-validates the spectral route and exhibits the
+evaluated kernel arguments, applied through the kernel's per-axis factors
+on the tensor grid; it cross-validates the spectral route and exhibits the
 sigma^{-(2*alpha+d+2)} prefactor bound used by the concentration
 certificates.
 """
@@ -31,9 +31,9 @@ import numpy as np
 
 from . import _accel
 from .core import Field, Grid, SigmaGrid, build_sigma_grid, norm_p
-from .errors import SizeGuardError, SigmaRangeError
-from .transform import (DIRECT_PAIR_GUARD, _fft_gemm, _radial_first,
-                        _synthesis_source, forward, inverse)
+from .errors import SigmaRangeError
+from .transform import (_apply_factors, _fft_gemm, _kernel_factors,
+                        _radial_first, _synthesis_source, forward, inverse)
 
 ADMISSIBILITY_VARIANTS = ("modulus", "modulus_squared")
 
@@ -265,27 +265,24 @@ def apply_multiplier_kernel(plan, profile, sigma, phi, region_mask=None):
     grid the reflected kernel is the conjugate one, K(u, (-x', x_r)/sigma)
     = conj K(u, x/sigma), so with A = K(u, x/sigma) the sum is
 
-        sigma^{-deg} * A^H ((w_out m) * (A (w_in * phi))):
+        sigma^{-deg} * A^H ((w_out m) * (A (w_in * phi))),
 
-    one (n_u, n_x) kernel matrix and two matrix-vector products; Psi is
-    never formed.  Guarded to small grids.  The modulus of the result obeys
+    with A applied through its per-axis factors on the tensor grids (and
+    A^H through their conjugate transposes): neither Psi nor A is formed.
+    The modulus of the result obeys
     |T(chi phi)(x)| <= sigma^{-deg} ||m||_1 ||phi||_2 sqrt(mu(Omega)).
     """
     if sigma <= 0:
         raise ValueError(f"dilation scale must be positive, got {sigma}")
     grid = phi.grid
-    u_pts = profile.grid.points
-    if u_pts.shape[0] * grid.size > DIRECT_PAIR_GUARD:
-        raise SizeGuardError("kernel route exceeds the dense-size guard")
-    a = _accel.kernel_matrix(u_pts, grid.points / sigma,
-                             profile.grid.params.alpha, sign=-1.0)
-    vals = phi.flat if region_mask is None else phi.flat * region_mask.ravel()
-    wm = plan.weights_out.flat * profile.symbol.flat
-    inner = wm * (a @ (plan.weights_in.flat * vals))
-    # A^H v = conj(conj(v) A), with no conjugated copy of A
-    out = np.conj(np.conj(inner) @ a)
+    factors = _kernel_factors(plan, -1.0, sigma)
+    vals = phi.values if region_mask is None \
+        else phi.values * np.reshape(region_mask, grid.shape)
+    wm = plan.weights_out.weights * profile.symbol.values
+    inner = wm * _apply_factors(factors, plan.weights_in.weights * vals)
+    out = _apply_factors([m.conj().T for m in factors], inner)
     deg = grid.params.homogeneity_degree
-    return Field(grid=grid, values=(sigma ** (-deg) * out).reshape(grid.shape))
+    return Field(grid=grid, values=sigma ** (-deg) * out)
 
 
 # ---------------------------------------------------------------------------

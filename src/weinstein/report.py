@@ -23,7 +23,7 @@ from .multiplier import (ADMISSIBILITY_VARIANTS, PROFILE_FAMILIES,
                          make_admissible_radial,
                          multiplier_plancherel_defect, multiplier_sweep,
                          radial_admissibility_quadrature)
-from .transform import direct_quadrature, forward, inverse, make_plan
+from .transform import direct_quadrature, inverse, make_plan
 from .uncertainty import (ball_region_for_mass, donoho_stark_certificate,
                           general_heisenberg_certificate,
                           heisenberg_certificate,
@@ -239,11 +239,13 @@ def _random_bump(grid, rng):
     return Field(grid=grid, values=vals.reshape(grid.shape))
 
 
-def _self_tests(plan, profile, cfg, f, stats):
-    """Oracle-consistency block on the Gaussian ``f``: transform
-    Plancherel/round-trip, fast vs dense quadrature on a small instance,
-    multiplier Plancherel, 1-D admissibility oracle.  ``stats`` is f's
-    multiplier sweep, which also holds f's transform."""
+def _self_tests(plan, profile, f, stats):
+    """Oracle-consistency block on the Gaussian ``f``, on the run's own
+    grid, plan and profile: transform Plancherel/round-trip, the fast
+    transform against the per-axis quadrature sum, the kernel route against
+    the spectral one at sigma = 1, multiplier Plancherel, 1-D admissibility
+    oracle.  ``stats`` is f's multiplier sweep, which also holds f's
+    transform."""
     F = stats.transform
     n_in = norm_p(f, plan.weights_in, 2)
     n_out = norm_p(F, plan.weights_out, 2)
@@ -251,24 +253,13 @@ def _self_tests(plan, profile, cfg, f, stats):
     back = inverse(plan, F)
     roundtrip = float(np.max(np.abs(back.values - f.values)))
 
-    params = plan.grid_in.params
-    small_counts = tuple(min(n, 12 if params.d >= 2 else 16) for n in plan.grid_in.shape)
-    small_grid = build_grid(params, plan.grid_in.euclid_halfwidths
-                            + (plan.grid_in.radial_extent,), small_counts,
-                            radial_scheme=plan.grid_in.radial_scheme)
-    small_plan = make_plan(small_grid, normalization=plan.normalization)
-    sf = gaussian_field(small_grid)
-    fast = forward(small_plan, sf)
-    dense = direct_quadrature(small_plan, sf)
-    wsm = small_plan.weights_out
-    fast_vs_direct = norm_p(fast - dense, wsm, 2) / norm_p(fast, wsm, 2)
+    dense = direct_quadrature(plan, f)
+    fast_vs_direct = norm_p(F - dense, plan.weights_out, 2) / n_out
 
-    small_profile = make_admissible_radial(small_plan,
-                                           family=cfg.multiplier["family"])
-    kern = apply_multiplier_kernel(small_plan, small_profile, 1.0, sf)
-    spec = apply_multiplier(small_plan, small_profile, 1.0, sf)
-    kernel_vs_spectral = norm_p(kern - spec, small_plan.weights_in, 2) \
-        / norm_p(spec, small_plan.weights_in, 2)
+    kern = apply_multiplier_kernel(plan, profile, 1.0, f)
+    spec = apply_multiplier(plan, profile, 1.0, f)
+    kernel_vs_spectral = norm_p(kern - spec, plan.weights_in, 2) \
+        / norm_p(spec, plan.weights_in, 2)
 
     mp_defect = multiplier_plancherel_defect(plan, profile, f, stats)
     quad = radial_admissibility_quadrature(profile.radial_profile,
@@ -369,7 +360,7 @@ def run(config):
         gauss = gaussian_field(grid)
         gauss_stats = stats_of(gauss)
         t0 = time.perf_counter()
-        self_tests = _self_tests(plan, profile, config, gauss, gauss_stats)
+        self_tests = _self_tests(plan, profile, gauss, gauss_stats)
         timings[f"self_tests_alpha_{alpha:g}"] = time.perf_counter() - t0
 
         fields = [("gaussian_s%g" % s, gaussian_field(grid, scale=s))

@@ -9,9 +9,12 @@ against the weighted measure:
 * ``fast_separable``: an FFT over each Euclidean axis (with phase
   corrections for the midpoint-symmetric grids) and a dense cached
   Bessel-kernel matrix over the radial axis.
-* ``direct_quadrature``: the dense weighted sum over all point pairs,
-  evaluated on the fly.  O(N_in * N_out), guarded, and the oracle the
-  fast route is validated against.
+* ``direct_quadrature``: the weighted quadrature sum itself, with the
+  kernel factored over the tensor grid into one explicit matrix per axis,
+  exp(-+1j*x_a*lam_a) on each Euclidean axis and j_alpha(r*rho) on the
+  radial one, applied one axis at a time.  No FFT, phase correction or
+  folded constant enters, so it is the oracle the fast route is validated
+  against.
 
 The inverse is the forward composed with the Euclidean reflection
 lam -> (-lam', lam_r), i.e. the conjugate-phase Fourier factor; the radial
@@ -25,12 +28,9 @@ import numpy as np
 
 from . import _accel
 from .core import Field, Grid, build_grid, measure_weights
-from .errors import GridMismatchError, SizeGuardError
+from .errors import GridMismatchError
 
 METHODS = ("fast_separable", "direct_quadrature")
-
-# Largest n_in * n_out the dense route will accept.
-DIRECT_PAIR_GUARD = 10 ** 8
 
 
 def frequency_grid(grid):
@@ -69,14 +69,19 @@ class TransformPlan:
         return measure_weights(self.grid_out, self.normalization)
 
     @cached_property
-    def kernel_cache(self):
-        """Radial kernel matrix j_alpha(rho_m r_k) with the radial quadrature
-        weights of the input axis folded in (the mirrored output axis carries
-        identical weights, so one cache serves both directions)."""
+    def radial_table(self):
+        """Radial kernel matrix j_alpha(rho_m r_k), unweighted: the only
+        evaluation of j_alpha on the plan's radial axes."""
         r = self.grid_in.radial_nodes
         rho = self.grid_out.radial_nodes
-        j = _accel.j_alpha(self.grid_in.params.alpha, np.outer(rho, r))
-        return j * self.grid_in.radial_weights()[None, :]
+        return _accel.j_alpha(self.grid_in.params.alpha, np.outer(rho, r))
+
+    @cached_property
+    def kernel_cache(self):
+        """``radial_table`` with the radial quadrature weights of the input
+        axis folded in (the mirrored output axis carries identical weights,
+        so one cache serves both directions)."""
+        return self.radial_table * self.grid_in.radial_weights()[None, :]
 
     @cached_property
     def _euclid_factors(self):
@@ -209,27 +214,47 @@ def inverse(plan, F):
     return Field(grid=plan.grid_in, values=_separable_apply(plan, F.values, +1))
 
 
-def direct_quadrature(plan, f, inverse=False):
-    """Dense-sum oracle realizing the transform (or its inverse) without the
-    separable factorization; bitwise-deterministic given the summation order.
-    """
-    n_pairs = plan.grid_in.size * plan.grid_out.size
-    if n_pairs > DIRECT_PAIR_GUARD:
-        raise SizeGuardError(
-            f"direct quadrature over {n_pairs} point pairs exceeds the guard "
-            f"({DIRECT_PAIR_GUARD}); use the fast_separable method"
-        )
-    if inverse:
-        src_grid, dst_grid = plan.grid_out, plan.grid_in
-        w = plan.weights_out
-        sign = +1.0
+def _kernel_factors(plan, sign, sigma=1.0):
+    """Per-axis factors of the kernel from plan.grid_in, its coordinates
+    divided by ``sigma``, to plan.grid_out: exp(1j*sign*lam_a*x_a/sigma) on
+    each Euclidean axis, then j_alpha(rho*r/sigma) on the radial axis (the
+    plan's ``radial_table`` at sigma = 1).  Their tensor product is the
+    (n_out, n_in) kernel matrix; ``_apply_factors`` applies it."""
+    src, dst = plan.grid_in, plan.grid_out
+    factors = [np.exp(1j * sign * np.outer(lam, x / sigma))
+               for lam, x in zip(dst.euclid_axes, src.euclid_axes)]
+    if sigma == 1.0:
+        factors.append(plan.radial_table)
     else:
-        src_grid, dst_grid = plan.grid_in, plan.grid_out
-        w = plan.weights_in
-        sign = -1.0
+        factors.append(_accel.j_alpha(
+            src.params.alpha,
+            np.outer(dst.radial_nodes, src.radial_nodes / sigma)))
+    return factors
+
+
+def _apply_factors(factors, values):
+    """sum_k K[i, k] values[k] for the tensor-product matrix K of
+    ``factors`` (one per axis, row index on the output grid), applied one
+    axis at a time.  Each step contracts the leading axis and appends the
+    new one last, so after all axes the order and C layout are restored."""
+    for m in factors:
+        values = np.tensordot(values, m, axes=(0, 1))
+    return values
+
+
+def direct_quadrature(plan, f, inverse=False):
+    """Quadrature-sum oracle realizing the transform (or its inverse) with
+    no FFT, phase correction or folded constant: the weights times ``f``,
+    then the kernel's per-axis factors.  The inverse applies the transposed
+    synthesis factors with the frequency-side weights.
+    """
+    if inverse:
+        src_grid, dst_grid, w = plan.grid_out, plan.grid_in, plan.weights_out
+        factors = [m.T for m in _kernel_factors(plan, +1.0)]
+    else:
+        src_grid, dst_grid, w = plan.grid_in, plan.grid_out, plan.weights_in
+        factors = _kernel_factors(plan, -1.0)
     if not f.grid.same_geometry(src_grid):
         raise GridMismatchError("field does not live on the expected grid")
-    out = _accel.direct_transform(f.flat, w.flat, src_grid.points,
-                                  dst_grid.points, src_grid.params.alpha,
-                                  sign=sign)
-    return Field(grid=dst_grid, values=out.reshape(dst_grid.shape))
+    return Field(grid=dst_grid,
+                 values=_apply_factors(factors, w.weights * f.values))

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -6,8 +5,7 @@ import pytest
 
 from weinstein import (Field, GridMismatchError, MeasureRangeError,
                        WeinsteinParams, build_grid, build_sigma_grid,
-                       gaussian_field, grid_from_json, grid_to_json,
-                       inner_product, measure_weights, norm_p,
+                       gaussian_field, inner_product, measure_weights, norm_p,
                        normalization_constant, theta_integral)
 
 
@@ -198,6 +196,23 @@ def test_field_validation():
         norm_p(f2, w, 2)
 
 
+def test_field_accepts_noncontiguous_complex_views(rng):
+    # transposed and strided complex views (tensordot outputs, slices) are
+    # valid values; the finiteness check must not need a contiguous last axis
+    p = WeinsteinParams(d=1, alpha=0.5)
+    g = build_grid(p, (8.0, 8.0), (32, 32))
+    base = rng.normal(size=(64, 96)) + 1j * rng.normal(size=(64, 96))
+    for view in (base[:32, :32].T, base[::2, ::3]):
+        assert not view.flags.c_contiguous
+        f = Field(grid=g, values=view)
+        assert f.values.flags.c_contiguous
+        assert not f.values.flags.writeable
+        assert np.array_equal(f.values, view)
+    base[0, 0] = complex(1.0, np.nan)
+    with pytest.raises(ValueError, match="finite"):
+        Field(grid=g, values=base[::2, ::3])
+
+
 def test_sigma_grid_weights():
     sg = build_sigma_grid(1e-2, 1e2, 128)
     assert sg.log_weights.sum() == pytest.approx(math.log(1e4), rel=1e-14)
@@ -246,18 +261,6 @@ def test_measure_scaling_homogeneity():
         errs.append(abs(measure_weights(g2).total / ref - exact) / exact)
     assert errs[-1] < 2e-4
     assert errs[0] > errs[-1]
-
-
-def test_grid_json_roundtrip():
-    p = WeinsteinParams(d=2, alpha=1.0)
-    g = build_grid(p, (6.0, 5.0, 4.0), (16, 24, 32))
-    w = measure_weights(g)
-    doc = grid_to_json(g, w)
-    assert json.loads(json.dumps(doc)) == doc
-    g2, w2 = grid_from_json(doc)
-    assert g.same_geometry(g2)
-    assert np.allclose(w.weights, w2.weights)
-    assert w2.normalization_constant == w.normalization_constant
 
 
 def test_collocation_scheme_weights_exact():

@@ -161,13 +161,14 @@ def test_default_run_sweeps_each_distinct_field_once(monkeypatch):
     for module in ("report", "uncertainty", "multiplier"):
         monkeypatch.setattr(f"weinstein.{module}.multiplier_sweep",
                             counted_sweep)
-    for module in ("report", "uncertainty", "multiplier", "transform"):
+    for module in ("uncertainty", "multiplier", "transform"):
         monkeypatch.setattr(f"weinstein.{module}.forward", counted_forward)
     report = run(json.loads(DEFAULT_CONFIG.read_text()))
     assert report["ok"] is True
     assert calls["sweep"] == [(0.0, 1.0, 2.0)] * 2
-    # 2 sweeps + the small-grid fast-vs-dense and kernel-vs-spectral checks
-    assert calls["forward"] == 4
+    # 2 sweeps + the spectral route of the kernel-vs-spectral check; the
+    # fast-vs-direct check reads the sweep's transform
+    assert calls["forward"] == 3
 
 
 def test_report_determinism():
@@ -205,6 +206,29 @@ def test_d2_run_oracles_and_determinism():
     r2 = run(dict(D2_CONFIG))
     assert report_json_bytes(r1, strip_timings=True) \
         == report_json_bytes(r2, strip_timings=True)
+
+
+@pytest.mark.parametrize("doc", [json.loads(DEFAULT_CONFIG.read_text()),
+                                 D2_CONFIG], ids=["default", "d2"])
+def test_run_builds_no_point_pair_kernel_matrix(doc, monkeypatch):
+    # both oracles run on the run's grid through per-axis factors, so no
+    # kernel matrix over point pairs (grid size squared entries) is built
+    import weinstein._accel
+
+    calls = []
+
+    def counted(lam_pts, x_pts, alpha, sign=-1.0):
+        calls.append((len(lam_pts), len(x_pts)))
+        return kernel_matrix(lam_pts, x_pts, alpha, sign)
+
+    kernel_matrix = weinstein._accel.kernel_matrix
+    monkeypatch.setattr(weinstein._accel, "kernel_matrix", counted)
+    report = run(dict(doc))
+    tol = report["config"]["tolerances"]["fast_vs_direct"]
+    st = report["runs"][0]["self_tests"]
+    assert st["fast_vs_direct_rel_l2"] <= tol
+    assert st["kernel_vs_spectral_rel_l2"] <= tol
+    assert calls == []
 
 
 def test_timings_keyed_per_alpha():

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from weinstein import (Field, SizeGuardError, WeinsteinParams, build_grid,
+from weinstein import (Field, WeinsteinParams, build_grid,
                        direct_quadrature, forward, frequency_grid,
                        gaussian_field, inner_product, inverse, make_plan,
                        norm_p, weinstein_kernel)
+from weinstein._accel import kernel_matrix
 
 
 def resolved_field(grid, rng, n_terms=3):
@@ -170,13 +171,25 @@ def test_direct_quadrature_linearity(rng):
     assert np.max(np.abs(lhs.values - rhs)) < 1e-12 * scale
 
 
-def test_direct_quadrature_size_guard():
-    p = WeinsteinParams(d=2, alpha=0.5)
-    g = build_grid(p, (5.0, 5.0, 5.0), (48, 48, 48))
+@pytest.mark.parametrize("scheme", ["uniform-offset", "collocation"])
+@pytest.mark.parametrize("alpha", [-0.45, 0.5, 100.0])
+@pytest.mark.parametrize("d, counts", [(1, (9, 11)), (2, (8, 9, 10))])
+def test_direct_quadrature_equals_dense_kernel_sum(d, counts, alpha, scheme,
+                                                   rng):
+    # the per-axis quadrature is the dense weighted sum over all point
+    # pairs, K(dst, src) @ (w * f), in both directions
+    p = WeinsteinParams(d=d, alpha=alpha)
+    g = build_grid(p, (4.0,) * (d + 1), counts, radial_scheme=scheme)
     plan = make_plan(g)
-    f = gaussian_field(g)
-    with pytest.raises(SizeGuardError):
-        direct_quadrature(plan, f)
+    for inv, src, dst, w, sign in (
+            (False, plan.grid_in, plan.grid_out, plan.weights_in, -1.0),
+            (True, plan.grid_out, plan.grid_in, plan.weights_out, +1.0)):
+        f = Field(grid=src, values=rng.normal(size=src.shape)
+                  + 1j * rng.normal(size=src.shape))
+        dense = kernel_matrix(dst.points, src.points, alpha, sign) \
+            @ (w.flat * f.flat)
+        got = direct_quadrature(plan, f, inverse=inv).flat
+        assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
 
 
 def test_reflection_identity(plan_half, rng):
