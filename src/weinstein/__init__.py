@@ -21,14 +21,13 @@ from .transform import (TransformPlan, direct_quadrature, forward,
                         frequency_grid, inverse, make_plan)
 from .translation import (TranslationRule, convolve, convolve_direct,
                           translate_direct, translate_spectral)
-from .uncertainty import (InequalityCertificate, Region, SigmaRegion,
-                          ball_region, ball_region_for_mass,
-                          concentration_defect, dispersion,
-                          donoho_stark_certificate,
+from .uncertainty import (InequalityCertificate, Region, ball_region,
+                          ball_region_for_mass, concentration_defect,
+                          dispersion, donoho_stark_certificate,
                           general_heisenberg_certificate,
                           heisenberg_certificate,
                           multiplier_heisenberg_certificate,
-                          region_from_mask, sigma_halfline_region)
+                          region_from_mask)
 
 __version__ = "0.1.0"
 
@@ -47,9 +46,9 @@ __all__ = [
     "inverse", "make_plan",
     "TranslationRule", "convolve", "convolve_direct", "translate_direct",
     "translate_spectral",
-    "InequalityCertificate", "Region", "SigmaRegion", "ball_region",
+    "InequalityCertificate", "Region", "ball_region",
     "ball_region_for_mass", "concentration_defect", "dispersion",
     "donoho_stark_certificate", "general_heisenberg_certificate",
     "heisenberg_certificate", "multiplier_heisenberg_certificate",
-    "region_from_mask", "sigma_halfline_region",
+    "region_from_mask",
 ]

@@ -69,6 +69,13 @@ def normalization_constant(params, kind="self-reciprocal"):
     return base if kind == "self-reciprocal" else base * base
 
 
+def _axis_view(vec, axis, ndim):
+    """``vec`` reshaped to broadcast along ``axis`` of an ``ndim``-d array."""
+    sh = [1] * ndim
+    sh[axis] = len(vec)
+    return vec.reshape(sh)
+
+
 def _readonly(a):
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -157,9 +164,7 @@ class Grid:
         out = np.zeros(self.shape)
         nd = len(self.shape)
         for j, nodes in enumerate(self.axes):
-            sh = [1] * nd
-            sh[j] = len(nodes)
-            out = out + (nodes ** 2).reshape(sh)
+            out = out + _axis_view(nodes ** 2, j, nd)
         return _readonly(out)
 
     def same_geometry(self, other):
@@ -240,12 +245,8 @@ def measure_weights(grid, normalization="self-reciprocal"):
     nd = grid.params.d + 1
     w = np.ones(grid.shape)
     for j, step in enumerate(grid.euclid_spacings()):
-        sh = [1] * nd
-        sh[j] = grid.shape[j]
-        w = w * np.full(grid.shape[j], step).reshape(sh)
-    sh = [1] * nd
-    sh[-1] = grid.shape[-1]
-    w = w * grid.radial_weights().reshape(sh)
+        w = w * _axis_view(np.full(grid.shape[j], step), j, nd)
+    w = w * _axis_view(grid.radial_weights(), nd - 1, nd)
     with np.errstate(over="ignore"):
         w = w / const
     if not (math.isfinite(const) and np.all(np.isfinite(w)) and w.any()):

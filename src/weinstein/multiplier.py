@@ -32,8 +32,9 @@ import numpy as np
 from . import _accel
 from .core import Field, Grid, SigmaGrid, build_sigma_grid, norm_p
 from .errors import SigmaRangeError
-from .transform import (_apply_factors, _fft_gemm, _kernel_factors,
-                        _radial_first, _synthesis_source, forward, inverse)
+from .transform import (TransformPlan, _apply_factors, _fft_gemm,
+                        _kernel_factors, _radial_first, _synthesis_source,
+                        forward, inverse)
 
 ADMISSIBILITY_VARIANTS = ("modulus", "modulus_squared")
 
@@ -85,9 +86,9 @@ class MultiplierProfile:
         return 1.0 if self.admissibility_variant == "modulus" else 2.0
 
     @cached_property
-    def defect_report(self):
-        """Admissibility defect report, cached (the sigma sweep over all
-        dilations is the expensive part)."""
+    def defect(self):
+        """Per-frequency-point admissibility defect, cached (the sigma sweep
+        over all dilations is the expensive part)."""
         return admissibility_defect(self)
 
 
@@ -102,18 +103,9 @@ def dilate_symbol(profile, sigma):
                  values=profile.radial_profile(sigma * profile.radius))
 
 
-@dataclass(frozen=True)
-class AdmissibilityReport:
-    """Per-frequency-point defect of the dilation average against 1."""
-
-    defect: Field
-    max_defect: float
-    mean_defect: float
-    variant: str
-
-
 def admissibility_defect(profile):
-    """|sum_j w_j |m(sigma_j x)|^q - 1| per frequency point.
+    """|sum_j w_j |m(sigma_j x)|^q - 1| per frequency point, as a real
+    array of the frequency grid's shape.
 
     The integral runs over the configured sigma range only; mass of the
     dilation profile outside it shows up as defect (use a wide range, or
@@ -125,13 +117,7 @@ def admissibility_defect(profile):
     acc = np.zeros(profile.grid.shape)
     for sigma, lw in zip(profile.sigma_grid.sigmas, profile.sigma_grid.log_weights):
         acc += lw * np.abs(profile.radial_profile(sigma * profile.radius)) ** q
-    defect = np.abs(acc - 1.0)
-    return AdmissibilityReport(
-        defect=Field(grid=profile.grid, values=defect),
-        max_defect=float(defect.max()),
-        mean_defect=float(defect.mean()),
-        variant=profile.admissibility_variant,
-    )
+    return np.abs(acc - 1.0)
 
 
 def apply_multiplier(plan, profile, sigma, phi):
@@ -148,13 +134,17 @@ class SweepStats:
     """One multiplier sweep of a field phi, reduced as it ran.
 
     ``moments[j, i]`` = sum_x w |x|^{2 betas[i]} |T_{sigma_j} phi|^2 is all
-    that the norm identity and the certificates read of the sweep.  phi's
-    ``transform`` is kept, so a field is transformed once for all of its
-    certificates, and so is its energy-weighted admissibility defect.
+    that the norm identity and the certificates read of the sweep.  The
+    sweep owns the plan, profile and field it was made from, so every
+    sigma-side quantity takes the sweep alone and cannot be handed a plan,
+    profile or field it does not belong to.  phi's ``transform`` is kept,
+    so a field is transformed once for all of its certificates, and so is
+    its energy-weighted admissibility defect.
     """
 
+    plan: TransformPlan
     profile: MultiplierProfile
-    weights_out: object              # WeightField of the plan's frequency grid
+    phi: Field
     betas: tuple
     moments: np.ndarray              # (n_sigma, len(betas))
     transform: Field
@@ -171,12 +161,12 @@ class SweepStats:
         the energy density |F|^2 of phi's transform: the aggregate that
         controls the dilation-averaged norm identity, and that the
         hypothesis certificates gate on."""
-        dens = self.weights_out.weights * np.abs(self.transform.values) ** 2
+        dens = self.plan.weights_out.weights \
+            * np.abs(self.transform.values) ** 2
         total = dens.sum()
         if total == 0:
             raise ValueError("zero field has no energy distribution")
-        defect = self.profile.defect_report.defect.values.real
-        return float((dens * defect).sum() / total)
+        return float((dens * self.profile.defect).sum() / total)
 
 
 def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
@@ -205,8 +195,8 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
         moments[j] = (out * out).reshape(-1) @ wb
     if not np.all(np.isfinite(moments)):
         raise ValueError("multiplier sweep produced non-finite moments")
-    return SweepStats(profile=profile, weights_out=plan.weights_out,
-                      betas=betas, moments=moments, transform=F)
+    return SweepStats(plan=plan, profile=profile, phi=phi, betas=betas,
+                      moments=moments, transform=F)
 
 
 def multiplier_densities(plan, profile, phi):
@@ -217,18 +207,17 @@ def multiplier_densities(plan, profile, phi):
                      for s in profile.sigma_grid.sigmas])
 
 
-def multiplier_plancherel_defect(plan, profile, phi, stats=None):
+def multiplier_plancherel_defect(stats):
     """Relative defect of the dilation-averaged norm identity
 
         sum_j w_j ||T_{sigma_j} phi||^2  =  ||phi||^2,
 
-    read from ``stats`` (phi's ``multiplier_sweep``; swept when omitted).
+    read from ``stats``, phi's ``multiplier_sweep``.
     """
-    n2 = norm_p(phi, plan.weights_in, 2) ** 2
+    n2 = norm_p(stats.phi, stats.plan.weights_in, 2) ** 2
     if n2 == 0:
         raise ValueError("phi must be nonzero")
-    stats = stats or multiplier_sweep(plan, profile, phi)
-    total = float(profile.sigma_grid.log_weights @ stats.column(0.0))
+    total = float(stats.profile.sigma_grid.log_weights @ stats.column(0.0))
     return abs(total - n2) / n2
 
 

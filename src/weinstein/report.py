@@ -19,7 +19,7 @@ from .core import (MIN_AXIS_POINTS, NORMALIZATION_KINDS, RADIAL_SCHEMES, Field,
                    WeinsteinParams, build_grid, gaussian_field, norm_p)
 from .errors import ConfigError
 from .multiplier import (ADMISSIBILITY_VARIANTS, PROFILE_FAMILIES,
-                         apply_multiplier, apply_multiplier_kernel,
+                         apply_multiplier_kernel, dilate_symbol,
                          make_admissible_radial,
                          multiplier_plancherel_defect, multiplier_sweep,
                          radial_admissibility_quadrature)
@@ -27,8 +27,7 @@ from .transform import direct_quadrature, inverse, make_plan
 from .uncertainty import (ball_region_for_mass, donoho_stark_certificate,
                           general_heisenberg_certificate,
                           heisenberg_certificate,
-                          multiplier_heisenberg_certificate,
-                          sigma_halfline_region)
+                          multiplier_heisenberg_certificate)
 
 KNOWN_CERTIFICATES = (
     "heisenberg",
@@ -239,14 +238,14 @@ def _random_bump(grid, rng):
     return Field(grid=grid, values=vals.reshape(grid.shape))
 
 
-def _self_tests(plan, profile, f, stats):
-    """Oracle-consistency block on the Gaussian ``f``, on the run's own
-    grid, plan and profile: transform Plancherel/round-trip, the fast
-    transform against the per-axis quadrature sum, the kernel route against
-    the spectral one at sigma = 1, multiplier Plancherel, 1-D admissibility
-    oracle.  ``stats`` is f's multiplier sweep, which also holds f's
-    transform."""
-    F = stats.transform
+def _self_tests(stats):
+    """Oracle-consistency block on the self-test Gaussian's sweep
+    ``stats``, on the run's own grid, plan and profile: transform
+    Plancherel/round-trip, the fast transform against the per-axis
+    quadrature sum, the kernel route against the spectral one at sigma = 1,
+    multiplier Plancherel, 1-D admissibility oracle.  The Gaussian, its
+    transform, the plan and the profile are all read from the sweep."""
+    plan, profile, f, F = stats.plan, stats.profile, stats.phi, stats.transform
     n_in = norm_p(f, plan.weights_in, 2)
     n_out = norm_p(F, plan.weights_out, 2)
     plancherel = abs(n_out ** 2 - n_in ** 2) / n_in ** 2
@@ -257,11 +256,12 @@ def _self_tests(plan, profile, f, stats):
     fast_vs_direct = norm_p(F - dense, plan.weights_out, 2) / n_out
 
     kern = apply_multiplier_kernel(plan, profile, 1.0, f)
-    spec = apply_multiplier(plan, profile, 1.0, f)
+    m = dilate_symbol(profile, 1.0).values
+    spec = inverse(plan, Field(grid=plan.grid_out, values=m * F.values))
     kernel_vs_spectral = norm_p(kern - spec, plan.weights_in, 2) \
         / norm_p(spec, plan.weights_in, 2)
 
-    mp_defect = multiplier_plancherel_defect(plan, profile, f, stats)
+    mp_defect = multiplier_plancherel_defect(stats)
     quad = radial_admissibility_quadrature(profile.radial_profile,
                                            profile.sigma_grid, 1.0,
                                            q=profile.power)
@@ -279,8 +279,8 @@ def _self_tests(plan, profile, f, stats):
         "kernel_vs_spectral_rel_l2": float(kernel_vs_spectral),
         "multiplier_plancherel_defect": float(mp_defect),
         "admissibility_oracle_defect": float(oracle_defect),
-        "sampled_admissibility_max_defect": profile.defect_report.max_defect,
-        "sampled_admissibility_mean_defect": profile.defect_report.mean_defect,
+        "sampled_admissibility_max_defect": float(profile.defect.max()),
+        "sampled_admissibility_mean_defect": float(profile.defect.mean()),
     }
 
 
@@ -357,10 +357,9 @@ def run(config):
                 timings[sweep_key] += time.perf_counter() - t
             return sweeps[key]
 
-        gauss = gaussian_field(grid)
-        gauss_stats = stats_of(gauss)
+        gauss_stats = stats_of(gaussian_field(grid))
         t0 = time.perf_counter()
-        self_tests = _self_tests(plan, profile, gauss, gauss_stats)
+        self_tests = _self_tests(gauss_stats)
         timings[f"self_tests_alpha_{alpha:g}"] = time.perf_counter() - t0
 
         fields = [("gaussian_s%g" % s, gaussian_field(grid, scale=s))
@@ -377,33 +376,28 @@ def run(config):
         adm_tol = config.tolerances["admissibility"]
         certs = []
         t0 = time.perf_counter()
-        halflines = [sigma_halfline_region(profile.sigma_grid,
-                                           plan.weights_in, floor)
-                     for floor in config.donoho_stark["sigma_floors"]]
         for (name, f), stats in zip(fields, field_stats):
             if "heisenberg" in config.certificates:
                 certs.append(heisenberg_certificate(
                     plan, f, slack=slack, digest=name, stats=stats))
             if "multiplier_heisenberg" in config.certificates:
                 certs.append(multiplier_heisenberg_certificate(
-                    plan, profile, f, slack=slack, admissibility_tol=adm_tol,
-                    digest=name, stats=stats))
+                    stats, slack=slack, admissibility_tol=adm_tol,
+                    digest=name))
             if "general_heisenberg" in config.certificates:
                 for beta, delta in config.general_exponents:
                     certs.append(general_heisenberg_certificate(
-                        plan, profile, f, beta, delta, slack=slack,
+                        stats, beta, delta, slack=slack,
                         admissibility_tol=adm_tol,
-                        digest=f"{name};beta={beta:g};delta={delta:g}",
-                        stats=stats))
+                        digest=f"{name};beta={beta:g};delta={delta:g}"))
             if "donoho_stark" in config.certificates:
                 for q in config.donoho_stark["mass_fractions"]:
                     omega = ball_region_for_mass(f, plan.weights_in, q)
-                    for sig_reg in halflines:
+                    for floor in config.donoho_stark["sigma_floors"]:
                         certs.append(donoho_stark_certificate(
-                            plan, profile, f, omega, sig_reg, slack=slack,
+                            stats, omega, floor, slack=slack,
                             admissibility_tol=adm_tol,
-                            digest=f"{name};q={q:g};floor={sig_reg.floor:g}",
-                            stats=stats))
+                            digest=f"{name};q={q:g};floor={floor:g}"))
         timings[f"certificates_alpha_{alpha:g}"] = time.perf_counter() - t0
         per_alpha.append({
             "alpha": alpha,

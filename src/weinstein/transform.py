@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _accel
-from .core import Field, Grid, build_grid, measure_weights
+from .core import Field, Grid, _axis_view, build_grid, measure_weights
 from .errors import GridMismatchError
 
 METHODS = ("fast_separable", "direct_quadrature")
@@ -117,12 +117,6 @@ def make_plan(grid, method="fast_separable", normalization="self-reciprocal"):
     Bessel index is the grid's alpha."""
     return TransformPlan(grid_in=grid, grid_out=frequency_grid(grid),
                          method=method, normalization=normalization)
-
-
-def _axis_view(vec, axis, ndim):
-    sh = [1] * ndim
-    sh[axis] = len(vec)
-    return vec.reshape(sh)
 
 
 def _radial_first(values, dtype=np.complex128):

@@ -21,11 +21,11 @@ from scipy import special
 
 from .core import norm_p
 from .errors import IntegrabilityGuardError
-from .multiplier import multiplier_sweep
 from .transform import forward
 
 DEFAULT_SLACK = 1e-3
 LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
+LOG_FLOAT_TINY = math.log(np.finfo(np.float64).tiny)
 
 
 @dataclass(frozen=True)
@@ -61,24 +61,6 @@ def ball_region_for_mass(f, w, fraction):
     idx = min(idx, len(rsq) - 1)
     threshold = float(rsq[order][idx])
     return region_from_mask(f.grid, w, f.grid.radius_sq <= threshold)
-
-
-@dataclass(frozen=True)
-class SigmaRegion:
-    """The half-line region {sigma >= floor} x box in (0, inf) x spatial
-    box; the Donoho-Stark certificate integrates over the half-line itself.
-    """
-
-    theta_measure: float
-    floor: float
-
-
-def sigma_halfline_region(sg, w, sigma_floor):
-    """The product region {sigma >= sigma_floor} x (full box); its measure
-    is the log-weight of the sampled scales >= sigma_floor times mu(box)."""
-    lw = float(sg.log_weights[sg.sigmas >= sigma_floor].sum())
-    return SigmaRegion(theta_measure=lw * w.total,
-                       floor=float(sigma_floor))
 
 
 @dataclass(frozen=True)
@@ -178,20 +160,19 @@ def _hypothesis_flags(stats, admissibility_tol):
     return {}
 
 
-def aggregated_dispersion(plan, profile, f, beta=1.0, stats=None):
+def aggregated_dispersion(stats, beta=1.0):
     """Dilation-averaged spread of the multiplier family output:
 
         ( sum_j w_j * || |x|^beta T_{sigma_j} f ||^2 )^{1/2},
 
-    read from ``stats`` (f's ``multiplier_sweep``, swept when omitted).
+    read from ``stats``, f's ``multiplier_sweep``.
     """
-    stats = stats or multiplier_sweep(plan, profile, f, (beta,))
-    return math.sqrt(float(profile.sigma_grid.log_weights @ stats.column(beta)))
+    lw = stats.profile.sigma_grid.log_weights
+    return math.sqrt(float(lw @ stats.column(beta)))
 
 
-def multiplier_heisenberg_certificate(plan, profile, f, slack=DEFAULT_SLACK,
-                                      admissibility_tol=1e-3, digest="",
-                                      stats=None):
+def multiplier_heisenberg_certificate(stats, slack=DEFAULT_SLACK,
+                                      admissibility_tol=1e-3, digest=""):
     """Product uncertainty bound with the multiplier family on the spatial
     side:
 
@@ -199,14 +180,14 @@ def multiplier_heisenberg_certificate(plan, profile, f, slack=DEFAULT_SLACK,
 
     where A aggregates ||x| T_sigma f|| over the dilation scales.  A
     profile failing the squared-modulus admissibility gate yields a
-    hypothesis_violated certificate (numbers still reported).  ``stats``
-    is f's ``multiplier_sweep`` (swept when omitted); the certificate reads
-    f's transform and admissibility defect from it too.
+    hypothesis_violated certificate (numbers still reported).  Everything
+    is read from ``stats``, f's ``multiplier_sweep``: its plan, profile,
+    field, transform and admissibility defect.
     """
+    plan = stats.plan
     params = plan.grid_in.params
-    n2 = _norm2(plan, f)
-    stats = stats or multiplier_sweep(plan, profile, f, (1.0,))
-    a = aggregated_dispersion(plan, profile, f, 1.0, stats=stats)
+    n2 = _norm2(plan, stats.phi)
+    a = aggregated_dispersion(stats, 1.0)
     b = dispersion(stats.transform, plan.weights_out, 1.0)
     rhs = (2.0 / params.homogeneity_degree) * b * a
     flags = _hypothesis_flags(stats, admissibility_tol)
@@ -214,25 +195,25 @@ def multiplier_heisenberg_certificate(plan, profile, f, slack=DEFAULT_SLACK,
                         digest or f"norm2={n2:.6e}", flags)
 
 
-def general_heisenberg_certificate(plan, profile, f, beta, delta,
-                                   slack=DEFAULT_SLACK, admissibility_tol=1e-3,
-                                   digest="", stats=None):
+def general_heisenberg_certificate(stats, beta, delta, slack=DEFAULT_SLACK,
+                                   admissibility_tol=1e-3, digest=""):
     """General-exponent product bound.  With eps = delta/(beta+delta) (the
     unique solution of beta*eps = (1-eps)*delta),
 
         ||f|| <= (2/(2a+d+2))^{beta*eps} * A_beta^eps * B_delta^{1-eps},
 
     where A_beta aggregates ||x|^beta T_sigma f|| over scales and B_delta
-    = ||y|^delta F f||.  Reported in squared form so beta = delta = 1
-    reproduces the plain multiplier certificate identically.
+    = ||y|^delta F f||, all read from ``stats`` (f's ``multiplier_sweep``,
+    which must have swept ``beta``).  Reported in squared form so beta =
+    delta = 1 reproduces the plain multiplier certificate identically.
     """
     if beta < 1.0 or delta < 1.0:
         raise ValueError("exponents must satisfy beta, delta >= 1")
+    plan = stats.plan
     params = plan.grid_in.params
-    n2 = _norm2(plan, f)
+    n2 = _norm2(plan, stats.phi)
     eps = delta / (beta + delta)
-    stats = stats or multiplier_sweep(plan, profile, f, (beta,))
-    a = aggregated_dispersion(plan, profile, f, beta, stats=stats)
+    a = aggregated_dispersion(stats, beta)
     b = dispersion(stats.transform, plan.weights_out, float(delta))
     const = 2.0 / params.homogeneity_degree
     rhs = const ** (2.0 * beta * eps) * a ** (2.0 * eps) * b ** (2.0 * (1.0 - eps))
@@ -271,9 +252,14 @@ def _halfline_concentration_defect(per_sigma, sg, floor):
     return math.sqrt(min(max(outside / total, 0.0), 1.0))
 
 
-def donoho_stark_certificate(plan, profile, f, region, sigma_region,
-                             slack=DEFAULT_SLACK, admissibility_tol=1e-3,
-                             digest="", stats=None):
+def _halfline_measure(sg, w, floor):
+    """Measure of {sigma >= floor} x (full box): the log-weight of the
+    sampled scales >= floor times mu(box)."""
+    return float(sg.log_weights[sg.sigmas >= floor].sum()) * w.total
+
+
+def donoho_stark_certificate(stats, region, floor, slack=DEFAULT_SLACK,
+                             admissibility_tol=1e-3, digest=""):
     """Concentration bound: if f is eps-concentrated on the spatial region
     and the multiplier output nu-concentrated on the (sigma, x) region,
 
@@ -284,19 +270,19 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
     as lhs, so ratio = lhs/rhs keeps the satisfied convention.  Vacuous
     instances (eps + nu >= 1) are flagged and never count as evidence.
 
-    The sigma-region is a half-line {sigma >= floor} x box (from
-    ``sigma_halfline_region``).  Its decay integral has the closed form
-    mu(box) * floor^{-2 deg} / (2 deg), evaluated in log space, so it does
-    not depend on the sigma grid; nu is integrated exactly up to the floor
-    from the per-scale totals in ``stats`` (f's ``multiplier_sweep``, swept
-    when omitted).  The sigma^{-2 deg} integrand explodes toward
-    sigma -> 0: half-lines reaching the smallest sampled scale (floor <=
-    sigma_min), or whose decay integral leaves the float range, raise
-    IntegrabilityGuardError.
+    The sigma-region is the half-line {sigma >= floor} x box, given by its
+    ``floor``.  Its decay integral has the closed form mu(box) *
+    floor^{-2 deg} / (2 deg), evaluated in log space, so it does not depend
+    on the sigma grid; nu is integrated exactly up to the floor from the
+    per-scale totals in ``stats`` (f's ``multiplier_sweep``, which also
+    gives the plan, profile and f).  The sigma^{-2 deg} integrand explodes
+    toward sigma -> 0: half-lines reaching the smallest sampled scale
+    (floor <= sigma_min), or whose decay integral overflows or underflows
+    the float range, raise IntegrabilityGuardError.
     """
+    plan, profile = stats.plan, stats.profile
     params = plan.grid_in.params
     sg = profile.sigma_grid
-    floor = sigma_region.floor
     if floor <= sg.sigma_min:
         raise IntegrabilityGuardError(
             "sigma-region reaches the integrability boundary (floor <= the "
@@ -307,9 +293,12 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
         + 2.0 * deg * log_rho - math.log(2.0 * deg)
     if max(log_decay, deg * log_rho) > LOG_FLOAT_MAX:
         raise IntegrabilityGuardError("sigma-region integral is not finite")
+    if log_decay < LOG_FLOAT_TINY:
+        # the bound would read 0 and the ratio inf
+        raise IntegrabilityGuardError(
+            "sigma-region decay integral underflows (floor too large)")
     theta_decay = math.exp(log_decay)
-    stats = stats or multiplier_sweep(plan, profile, f)
-    eps = concentration_defect(f, plan.weights_in, region)
+    eps = concentration_defect(stats.phi, plan.weights_in, region)
     nu = _halfline_concentration_defect(stats.column(0.0), sg, floor)
     m_norm1 = norm_p(profile.symbol, plan.weights_out, 1)
     bound = m_norm1 * math.sqrt(region.measure) * math.sqrt(theta_decay)
@@ -322,7 +311,8 @@ def donoho_stark_certificate(plan, profile, f, region, sigma_region,
     # corollary form: with rho = 1/floor, rho^{2 deg} * Theta(Sigma)
     # dominates the decay integral, so its bound is implied by the main one
     corollary_bound = math.exp(deg * log_rho) * m_norm1 \
-        * math.sqrt(region.measure) * math.sqrt(sigma_region.theta_measure)
+        * math.sqrt(region.measure) \
+        * math.sqrt(_halfline_measure(sg, plan.weights_in, floor))
     flags["corollary_bound"] = corollary_bound
     flags["corollary_satisfied"] = bool(
         corollary_bound >= constrained - slack * abs(constrained)

@@ -25,7 +25,7 @@ from weinstein import (Field, TranslationRule, WeinsteinParams, build_grid,
                        multiplier_heisenberg_certificate,
                        multiplier_plancherel_defect, multiplier_sweep,
                        apply_multiplier, apply_multiplier_kernel,
-                       sigma_halfline_region, bessel_j_normalized,
+                       bessel_j_normalized,
                        weinstein_kernel)
 from weinstein.multiplier import (gaussian_bump_profile,
                                   gaussian_bump_tail_mass,
@@ -175,7 +175,8 @@ def test_criterion_05_multiplier_plancherel():
     grid = build_grid(params, (15.0, 15.0), (256, 256))
     plan = make_plan(grid)
     profile = make_admissible_radial(plan)
-    defect = multiplier_plancherel_defect(plan, profile, gaussian_field(grid))
+    defect = multiplier_plancherel_defect(
+        multiplier_sweep(plan, profile, gaussian_field(grid)))
     ok = defect <= 1e-4
     report_line(5, ok, f"dilation-averaged norm identity defect "
                        f"{defect:.2e} (<=1e-4)")
@@ -195,11 +196,10 @@ def test_criterion_06_certificate_sweep():
     worst_collapse = 0.0
     for f in fields:
         stats = multiplier_sweep(plan, profile, f, (1.0, 2.0))
-        c31 = multiplier_heisenberg_certificate(plan, profile, f, stats=stats)
+        c31 = multiplier_heisenberg_certificate(stats)
         assert not c31.hypothesis_violated
         for beta, delta in exponents:
-            cert = general_heisenberg_certificate(plan, profile, f, beta,
-                                                  delta, stats=stats)
+            cert = general_heisenberg_certificate(stats, beta, delta)
             n_instances += 1
             worst_ratio = max(worst_ratio, cert.ratio)
             if (beta, delta) == (1.0, 1.0):
@@ -272,9 +272,7 @@ def test_criterion_08_concentration_certificates():
     for q in (0.5, 0.9, 0.99):
         omega = ball_region_for_mass(f, w, q)
         for floor in (0.5, 1.0, 2.0):
-            sig = sigma_halfline_region(profile.sigma_grid, w, floor)
-            cert = donoho_stark_certificate(plan, profile, f, omega, sig,
-                                            stats=stats)
+            cert = donoho_stark_certificate(stats, omega, floor)
             n_total += 1
             n_vacuous += int(cert.vacuous)
             all_ok &= cert.satisfied and not cert.hypothesis_violated

@@ -86,17 +86,17 @@ def test_admissibility_oracle_closed_form():
 
 
 def test_admissibility_defect_sampled(bump_profile):
-    rep = admissibility_defect(bump_profile)
-    assert rep.max_defect < 1e-5
-    assert rep.mean_defect <= rep.max_defect
-    assert rep.variant == "modulus_squared"
+    defect = admissibility_defect(bump_profile)
+    assert defect.max() < 1e-5
+    assert defect.mean() <= defect.max()
+    assert bump_profile.admissibility_variant == "modulus_squared"
 
 
 def test_admissibility_zero_symbol(plan_mult):
     prof = MultiplierProfile(grid=plan_mult.grid_out, radial_profile=np.zeros_like,
                              sigma_grid=build_sigma_grid(1e-2, 1e2, 64))
-    rep = admissibility_defect(prof)
-    assert np.all(np.abs(rep.defect.values - 1.0) < 1e-15)
+    defect = admissibility_defect(prof)
+    assert np.all(np.abs(defect - 1.0) < 1e-15)
 
 
 def test_admissibility_scaling_invariance(bump_profile):
@@ -112,8 +112,8 @@ def test_admissibility_scaling_invariance(bump_profile):
         tail_mass=base.tail_mass,
     )
     r_interior = (np.sqrt(grid.radius_sq) > 0.5) & (np.sqrt(grid.radius_sq) < 5.0)
-    d1 = admissibility_defect(base).defect.values[r_interior]
-    d2 = admissibility_defect(scaled).defect.values[r_interior]
+    d1 = admissibility_defect(base)[r_interior]
+    d2 = admissibility_defect(scaled)[r_interior]
     assert np.max(np.abs(d1 - d2)) < 1e-6
 
 
@@ -125,10 +125,10 @@ def test_modulus_variant_bump_not_admissible(plan_mult, bump_profile):
         sigma_grid=bump_profile.sigma_grid,
         admissibility_variant="modulus",
     )
-    rep = admissibility_defect(prof)
+    defect = admissibility_defect(prof)
     interior = (np.sqrt(prof.symbol.grid.radius_sq) > 0.5) \
         & (np.sqrt(prof.symbol.grid.radius_sq) < 5.0)
-    vals = rep.defect.values[interior]
+    vals = defect[interior]
     assert np.min(vals) > 0.5  # defect ~ sqrt(pi) - 1 ~ 0.77
     assert np.max(np.abs(vals - (math.sqrt(math.pi) - 1.0))) < 1e-2
 
@@ -145,7 +145,7 @@ def test_sampled_defect_matches_radial_oracle(plan_mult, bump_profile, variant):
     quad = radial_admissibility_quadrature(
         prof.radial_profile, prof.sigma_grid,
         np.sqrt(plan_mult.grid_out.radius_sq), prof.power)
-    defect = admissibility_defect(prof).defect.values.real
+    defect = admissibility_defect(prof)
     assert np.all(np.abs(defect - np.abs(quad - 1.0)) <= 1e-12 * quad)
 
 
@@ -153,7 +153,7 @@ def test_make_admissible_families(plan_mult):
     for family in ("gaussian_bump", "quadratic_bump"):
         prof = make_admissible_radial(plan_mult, family=family)
         assert prof.admissibility_variant == "modulus_squared"
-        assert prof.defect_report.max_defect < 1e-5
+        assert prof.defect.max() < 1e-5
     with pytest.raises(ValueError):
         make_admissible_radial(plan_mult, family="bogus")
 
@@ -266,19 +266,22 @@ def test_plancherel_defect_small_for_admissible(plan_mult, bump_profile):
     # this moderate grid leaves ~1e-4 of box truncation; the acceptance
     # suite pins 1e-4 on the larger production grid
     f = gaussian_field(plan_mult.grid_in)
-    assert multiplier_plancherel_defect(plan_mult, bump_profile, f) < 2e-4
+    stats = multiplier_sweep(plan_mult, bump_profile, f)
+    assert multiplier_plancherel_defect(stats) < 2e-4
 
 
 def test_plancherel_defect_scale_invariant(plan_mult, bump_profile):
     f = gaussian_field(plan_mult.grid_in)
-    d1 = multiplier_plancherel_defect(plan_mult, bump_profile, f)
-    d2 = multiplier_plancherel_defect(plan_mult, bump_profile, 3.7 * f)
+    d1 = multiplier_plancherel_defect(
+        multiplier_sweep(plan_mult, bump_profile, f))
+    d2 = multiplier_plancherel_defect(
+        multiplier_sweep(plan_mult, bump_profile, 3.7 * f))
     assert d1 == pytest.approx(d2, rel=1e-10)
+    zero = Field(grid=plan_mult.grid_in,
+                 values=np.zeros(plan_mult.grid_in.shape))
     with pytest.raises(ValueError):
         multiplier_plancherel_defect(
-            plan_mult, bump_profile,
-            Field(grid=plan_mult.grid_in,
-                  values=np.zeros(plan_mult.grid_in.shape)))
+            multiplier_sweep(plan_mult, bump_profile, zero))
 
 
 def test_plancherel_defect_tracks_admissibility_defect(plan_mult, bump_profile):
@@ -292,7 +295,8 @@ def test_plancherel_defect_tracks_admissibility_defect(plan_mult, bump_profile):
         tail_mass=bump_profile.tail_mass,
     )
     f = gaussian_field(plan_mult.grid_in)
-    defect = multiplier_plancherel_defect(plan_mult, scaled, f)
+    defect = multiplier_plancherel_defect(
+        multiplier_sweep(plan_mult, scaled, f))
     assert defect == pytest.approx(delta, rel=1e-2)
 
 

@@ -141,7 +141,7 @@ def test_self_tests_pass_gates_every_oracle():
 def test_default_run_sweeps_each_distinct_field_once(monkeypatch):
     # the self-test Gaussian and gaussian_s1 are one field, so the default
     # run sweeps twice (with bump_0); each field is transformed once for
-    # all of its certificates
+    # all of its certificates and self-tests
     import weinstein.multiplier
     import weinstein.transform
     import weinstein.uncertainty
@@ -158,7 +158,7 @@ def test_default_run_sweeps_each_distinct_field_once(monkeypatch):
         calls["forward"] += 1
         return forward(plan, f)
 
-    for module in ("report", "uncertainty", "multiplier"):
+    for module in ("report", "multiplier"):
         monkeypatch.setattr(f"weinstein.{module}.multiplier_sweep",
                             counted_sweep)
     for module in ("uncertainty", "multiplier", "transform"):
@@ -166,9 +166,9 @@ def test_default_run_sweeps_each_distinct_field_once(monkeypatch):
     report = run(json.loads(DEFAULT_CONFIG.read_text()))
     assert report["ok"] is True
     assert calls["sweep"] == [(0.0, 1.0, 2.0)] * 2
-    # 2 sweeps + the spectral route of the kernel-vs-spectral check; the
-    # fast-vs-direct check reads the sweep's transform
-    assert calls["forward"] == 3
+    # one per sweep: the fast-vs-direct and kernel-vs-spectral checks read
+    # the sweep's transform
+    assert calls["forward"] == 2
 
 
 def test_report_determinism():
@@ -350,6 +350,23 @@ def test_cli_alpha_100_floor_guard_no_warnings(tmp_path):
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
+@pytest.mark.parametrize("alpha,counts,floor", [(0.5, 32, 1e45),
+                                                (100, 16, 1e3)])
+def test_cli_donoho_stark_decay_underflow_guard(tmp_path, capsys, alpha,
+                                                counts, floor):
+    # floor^{-2 deg} underflows: the decay integral would read 0 and the
+    # ratio inf, which no JSON report can hold; the guard says so (exit 3)
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    cfg["params"]["alpha"] = [alpha]
+    cfg["grid"]["counts"] = [counts, counts]
+    cfg["donoho_stark"] = {"mass_fractions": [1.0], "sigma_floors": [floor]}
+    path = tmp_path / "floor.json"
+    path.write_text(json.dumps(cfg))
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 3
+    assert "underflows" in capsys.readouterr().err
+
+
 def test_cli_internal_error_exit(tmp_path, monkeypatch, capsys):
     # an unexpected exception is neither a certificate failure (1) nor a
     # config or guard error: exit 4 with the traceback on stderr
@@ -427,7 +444,7 @@ def test_modulus_variant_flags_certificates(tmp_path):
     from weinstein import (MultiplierProfile, build_grid, gaussian_field,
                            make_plan, WeinsteinParams,
                            multiplier_heisenberg_certificate,
-                           make_admissible_radial)
+                           multiplier_sweep, make_admissible_radial)
     p = WeinsteinParams(d=1, alpha=0.5)
     g = build_grid(p, (7.0, 7.0), (48, 48), radial_scheme="collocation")
     plan = make_plan(g)
@@ -435,5 +452,6 @@ def test_modulus_variant_flags_certificates(tmp_path):
     modulus = MultiplierProfile(
         grid=base.grid, radial_profile=base.radial_profile,
         sigma_grid=base.sigma_grid, admissibility_variant="modulus")
-    cert = multiplier_heisenberg_certificate(plan, modulus, gaussian_field(g))
+    cert = multiplier_heisenberg_certificate(
+        multiplier_sweep(plan, modulus, gaussian_field(g), (1.0,)))
     assert cert.hypothesis_violated

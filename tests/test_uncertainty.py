@@ -10,9 +10,9 @@ from weinstein import (Field, IntegrabilityGuardError, WeinsteinParams,
                        general_heisenberg_certificate, heisenberg_certificate,
                        make_admissible_radial, make_plan, measure_weights,
                        multiplier_heisenberg_certificate, multiplier_sweep,
-                       norm_p, region_from_mask, sigma_halfline_region,
-                       theta_integral)
+                       norm_p, region_from_mask, theta_integral)
 from weinstein.multiplier import MultiplierProfile
+from weinstein.uncertainty import _halfline_measure
 from weinstein.report import report_csv
 
 
@@ -91,7 +91,8 @@ def test_heisenberg_scale_invariance(plan_half):
 
 def test_multiplier_heisenberg(plan_mult, bump_profile):
     f = gaussian_field(plan_mult.grid_in)
-    cert = multiplier_heisenberg_certificate(plan_mult, bump_profile, f)
+    cert = multiplier_heisenberg_certificate(
+        multiplier_sweep(plan_mult, bump_profile, f, (1.0,)))
     assert cert.satisfied and not cert.hypothesis_violated
     assert cert.ratio <= 1.0
 
@@ -101,7 +102,8 @@ def test_multiplier_heisenberg_zero_symbol_flagged(plan_mult, bump_profile):
         grid=plan_mult.grid_out, radial_profile=np.zeros_like,
         sigma_grid=bump_profile.sigma_grid)
     f = gaussian_field(plan_mult.grid_in)
-    cert = multiplier_heisenberg_certificate(plan_mult, zero_prof, f)
+    cert = multiplier_heisenberg_certificate(
+        multiplier_sweep(plan_mult, zero_prof, f, (1.0,)))
     assert cert.hypothesis_violated
     assert cert.flags["admissibility_defect"] == pytest.approx(1.0, abs=1e-12)
 
@@ -109,20 +111,20 @@ def test_multiplier_heisenberg_zero_symbol_flagged(plan_mult, bump_profile):
 def test_general_heisenberg_collapses_at_unit_exponents(plan_mult, bump_profile):
     f = gaussian_field(plan_mult.grid_in)
     stats = multiplier_sweep(plan_mult, bump_profile, f, (1.0,))
-    c31 = multiplier_heisenberg_certificate(plan_mult, bump_profile, f, stats=stats)
-    c32 = general_heisenberg_certificate(plan_mult, bump_profile, f, 1.0, 1.0,
-                                         stats=stats)
+    c31 = multiplier_heisenberg_certificate(stats)
+    c32 = general_heisenberg_certificate(stats, 1.0, 1.0)
     assert abs(c32.ratio - c31.ratio) < 1e-12 * c31.ratio
 
 
 @pytest.mark.parametrize("beta,delta", [(2.0, 1.0), (1.0, 2.0), (2.0, 2.0)])
 def test_general_heisenberg_exponents(plan_mult, bump_profile, beta, delta):
     f = gaussian_field(plan_mult.grid_in)
-    cert = general_heisenberg_certificate(plan_mult, bump_profile, f, beta, delta)
+    stats = multiplier_sweep(plan_mult, bump_profile, f, (beta,))
+    cert = general_heisenberg_certificate(stats, beta, delta)
     assert cert.satisfied and not cert.hypothesis_violated
     assert cert.flags["eps"] == pytest.approx(delta / (beta + delta))
     with pytest.raises(ValueError):
-        general_heisenberg_certificate(plan_mult, bump_profile, f, 0.5, 1.0)
+        general_heisenberg_certificate(stats, 0.5, 1.0)
 
 
 def test_holder_step_on_frequency_side(plan_mult):
@@ -188,9 +190,7 @@ def test_donoho_stark_designed_family(plan_mult, bump_profile):
     for q in (0.9, 0.99):
         omega = ball_region_for_mass(f, w, q)
         for floor in (0.5, 1.0, 2.0):
-            sig = sigma_halfline_region(bump_profile.sigma_grid, w, floor)
-            cert = donoho_stark_certificate(plan_mult, bump_profile, f,
-                                            omega, sig, stats=stats)
+            cert = donoho_stark_certificate(stats, omega, floor)
             assert cert.satisfied
             assert cert.flags["corollary_dominates"]
             if not cert.vacuous:
@@ -216,14 +216,8 @@ def test_donoho_stark_halfline_matches_fine_grid(plan_mult, bump_profile):
     stats = multiplier_sweep(plan_mult, bump_profile, f)
     stats_fine = multiplier_sweep(plan_mult, fine, f)
     for floor in (0.5, 1.0, 2.0):
-        cert = donoho_stark_certificate(
-            plan_mult, bump_profile, f, omega,
-            sigma_halfline_region(bump_profile.sigma_grid, w, floor),
-            stats=stats)
-        ref = donoho_stark_certificate(
-            plan_mult, fine, f, omega,
-            sigma_halfline_region(fine.sigma_grid, w, floor),
-            stats=stats_fine)
+        cert = donoho_stark_certificate(stats, omega, floor)
+        ref = donoho_stark_certificate(stats_fine, omega, floor)
         closed = box * floor ** (-2.0 * deg) / (2.0 * deg)
         assert cert.flags["theta_decay_integral"] == pytest.approx(
             closed, rel=1e-12)
@@ -240,12 +234,11 @@ def test_donoho_stark_integrability_guard(plan_mult, bump_profile):
     f = gaussian_field(g)
     sg = bump_profile.sigma_grid
     omega = ball_region_for_mass(f, w, 0.9)
+    stats = multiplier_sweep(plan_mult, bump_profile, f)
     for floor in (sg.sigma_min, 0.5 * sg.sigma_min):
         with pytest.raises(IntegrabilityGuardError):
-            donoho_stark_certificate(plan_mult, bump_profile, f, omega,
-                                     sigma_halfline_region(sg, w, floor))
-    above = sigma_halfline_region(sg, w, float(sg.sigmas[1]))
-    cert = donoho_stark_certificate(plan_mult, bump_profile, f, omega, above)
+            donoho_stark_certificate(stats, omega, floor)
+    cert = donoho_stark_certificate(stats, omega, float(sg.sigmas[1]))
     assert math.isfinite(cert.flags["theta_decay_integral"])
 
 
@@ -256,11 +249,9 @@ def test_halfline_measure_matches_mask(plan_mult, bump_profile):
     w = plan_mult.weights_in
     sg = bump_profile.sigma_grid
     for floor in (sg.sigma_min, 0.5, 1.0, 2.0, float(sg.sigmas[7]) * 1.01):
-        half = sigma_halfline_region(sg, w, floor)
         mask = np.outer(sg.sigmas >= floor, np.ones(g.size, dtype=bool))
         ref = theta_integral(mask.astype(float), sg, w)
-        assert half.floor == floor
-        assert half.theta_measure == pytest.approx(ref, rel=1e-13)
+        assert _halfline_measure(sg, w, floor) == pytest.approx(ref, rel=1e-13)
 
 
 def test_certificate_csv_shape(plan_half):
