@@ -1,50 +1,187 @@
-"""Hot numerical kernels of the transform, in numpy/scipy.
+"""Hot numerical kernels of the transform, in numpy alone.
 
 Kernels
 -------
+roots_jacobi       Gauss-Jacobi nodes and weights, memoized per rule
 j_alpha            normalized Bessel function of index alpha, array-valued
+si                 sine integral Si(z), array-valued
 kernel_matrix      matrix of plane-wave x Bessel kernel values at point pairs
+
+Gauss-Jacobi rules follow Golub & Welsch (Math. Comp. 1969): the nodes are
+the eigenvalues of the Jacobi matrix, polished by one Newton step on the
+orthonormal three-term recurrence, and the weights are Christoffel numbers
+from the same recurrence pass.  j_alpha is Poisson's integral
+
+    j_alpha(x) = c_alpha * int_{-1}^{1} (1 - t^2)^{alpha - 1/2} cos(x t) dt
+
+on the Gauss-Gegenbauer rule of that weight, tabulated as Chebyshev series
+on fixed-width panels of x; Si is Gauss-Legendre applied to the sinc.
 
 ``kernel_matrix`` calls the private ``_j_alpha``, not ``j_alpha``, so a
 tracer wrapping public names (perfbench/tracer.py) counts each once.
 """
 
+import functools
 import math
 
 import numpy as np
-from scipy import special
 
-# The power series for the normalized Bessel function alternates; in float64
-# its partial sums reach ~e^x/(pi*x), so beyond |x| ~ 12 cancellation eats
-# more than 5 of the 16 digits and scipy's J_alpha takes over.
-SERIES_MAX_TERMS = 200
-SWITCHOVER = 12.0
+from .errors import SizeGuardError
+
+# Chebyshev panels for j_alpha: on a panel of half-width 2 the series
+# coefficients of cos(x t), |t| <= 1, are bounded by 2|J_k(2)| < 1e-18
+# from k = PANEL_DEGREE on, so PANEL_DEGREE terms reach round-off.
+PANEL_WIDTH = 4.0
+PANEL_DEGREE = 20
+# j_alpha arguments stay below this bound.  The Gauss rule behind the
+# panels has about x/2 nodes and a dense eigenvalue solve (2168 nodes and
+# ~40 MB here), so the cost grows with the cube of the largest argument.
+J_ALPHA_MAX_ARG = 4096.0
+# Rescaling step of the recurrence, so that p_k^2 and the Christoffel sums
+# stay in the float range for large rules and parameters.
+_RESCALE_LOG2 = 400
+
+
+def _gauss_size(x_max):
+    """Nodes of a Gauss rule (positive weights summing to 1) that integrates
+    cos(x t) on [-1, 1] to round-off for |x| <= x_max: the rule is exact
+    for degree 2n - 1, and the Chebyshev coefficients 2 J_k(x) of cos(x t)
+    drop below 1e-17 once k exceeds x by ~13 x^(1/3) (measured n - x/2 is
+    at most 6.5 x^(1/3) up to x = 1024)."""
+    return int(x_max / 2.0 + 7.0 * x_max ** (1.0 / 3.0)) + 8
+
+
+def _jacobi_recurrence(n, a, b):
+    """Diagonal alpha_0..alpha_{n-1} and off-diagonal beta_1..beta_n of the
+    Jacobi matrix for the weight (1-t)^a (1+t)^b, written without the 0/0
+    that the textbook forms hit at a + b = 0 (alpha_0) and a + b = -1
+    (beta_1)."""
+    s = a + b
+    k = np.arange(1.0, n)
+    diag = np.empty(n)
+    diag[0] = (b - a) / (s + 2.0)
+    diag[1:] = (b - a) * s / ((2.0 * k + s) * (2.0 * k + s + 2.0))
+    off = np.empty(n)
+    off[0] = math.sqrt(4.0 * (1.0 + a) * (1.0 + b)
+                       / ((2.0 + s) ** 2 * (3.0 + s)))
+    k = np.arange(2.0, n + 1)
+    off[1:] = np.sqrt(4.0 * k * (k + a) * (k + b) * (k + s)
+                      / ((2.0 * k + s) ** 2 * (2.0 * k + s + 1.0)
+                         * (2.0 * k + s - 1.0)))
+    return diag, off
+
+
+@functools.cache
+def _gauss_jacobi(n, a, b):
+    """Nodes and log2 Christoffel numbers of the n-point rule for the
+    probability measure proportional to (1-t)^a (1+t)^b on [-1, 1]
+    (read-only arrays, shared by every caller).
+
+    The recurrence runs once at the eigenvalues t of the Jacobi matrix and
+    gives p_n, p_n' and S = sum_{k<n} p_k^2 with its derivative S'.  The
+    Newton step delta = -p_n/p_n' polishes the nodes and S + delta S'
+    (error O(delta^2)) is S at the polished nodes; the weight is 1/S.
+    """
+    diag, off = _jacobi_recurrence(n, a, b)
+    jacobi = np.diag(diag)
+    i = np.arange(n - 1)
+    jacobi[i, i + 1] = jacobi[i + 1, i] = off[:-1]
+    t = np.linalg.eigvalsh(jacobi)
+    p_prev, p = np.zeros(n), np.ones(n)
+    dp_prev, dp = np.zeros(n), np.zeros(n)
+    s, ds = np.zeros(n), np.zeros(n)
+    log2_scale = np.zeros(n)
+    big = 2.0 ** _RESCALE_LOG2
+    b_prev = 0.0
+    for k in range(n):
+        s += p * p
+        ds += p * dp
+        p_next = ((t - diag[k]) * p - b_prev * p_prev) / off[k]
+        dp_next = ((t - diag[k]) * dp + p - b_prev * dp_prev) / off[k]
+        p_prev, p, dp_prev, dp, b_prev = p, p_next, dp, dp_next, off[k]
+        over = np.abs(p) > big
+        if over.any():
+            f = np.where(over, 1.0 / big, 1.0)
+            p_prev *= f
+            p *= f
+            dp_prev *= f
+            dp *= f
+            s *= f * f
+            ds *= f * f
+            log2_scale += np.where(over, 2.0 * _RESCALE_LOG2, 0.0)
+    delta = -p / dp
+    nodes = t + delta
+    log2_weights = -np.log2(s + 2.0 * delta * ds) - log2_scale
+    nodes.flags.writeable = False
+    log2_weights.flags.writeable = False
+    return nodes, log2_weights
+
+
+def roots_jacobi(n, a, b):
+    """Nodes (ascending) and weights of the n-point Gauss-Jacobi rule for
+    the weight (1-t)^a (1+t)^b on [-1, 1]; needs a, b > -1.  The rule is
+    computed once per (n, a, b) and the nodes are shared and read-only.
+    Weights beyond the float range come out inf (or 0), never nan."""
+    a, b = float(a), float(b)
+    nodes, log2_weights = _gauss_jacobi(int(n), a, b)
+    log2_mass = a + b + 1.0 + (math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
+                               - math.lgamma(a + b + 2.0)) / math.log(2.0)
+    return nodes, np.exp2(log2_mass + log2_weights)
+
+
+@functools.cache
+def _chebyshev_panel():
+    """First-kind Chebyshev nodes u_j on [-1, 1] and the matrix taking
+    values at them to the coefficients of the interpolating series."""
+    theta = np.pi * (np.arange(PANEL_DEGREE) + 0.5) / PANEL_DEGREE
+    to_coef = (2.0 / PANEL_DEGREE) * np.cos(
+        np.outer(np.arange(PANEL_DEGREE), theta))
+    to_coef[0] *= 0.5
+    return np.cos(theta), to_coef
+
+
+@functools.cache
+def _j_table(alpha, panels):
+    """Chebyshev coefficients of j_alpha on the panels
+    [k*PANEL_WIDTH, (k+1)*PANEL_WIDTH], k < ``panels``, as a read-only
+    (PANEL_DEGREE, panels) array: Poisson's integral at each panel's
+    Chebyshev nodes on the Gauss-Gegenbauer rule, then the coefficients."""
+    u, to_coef = _chebyshev_panel()
+    x = (np.arange(panels)[:, None] + 0.5 + 0.5 * u) * PANEL_WIDTH
+    t, log2_w = _gauss_jacobi(_gauss_size(panels * PANEL_WIDTH),
+                              alpha - 0.5, alpha - 0.5)
+    values = np.zeros_like(x)
+    for tk, wk in zip(t, np.exp2(log2_w)):
+        values += wk * np.cos(tk * x)
+    coef = to_coef @ values.T
+    coef.flags.writeable = False
+    return coef
 
 
 def _j_alpha(alpha, x):
     ax = np.abs(x)
-    out = np.empty_like(ax)
-    small = ax <= SWITCHOVER
-    if small.any():
-        xs = ax[small]
-        q = 0.25 * xs * xs
-        s = np.ones_like(xs)
-        t = np.ones_like(xs)
-        active = np.ones(xs.shape, dtype=bool)
-        for k in range(SERIES_MAX_TERMS):
-            t = np.where(active, -t * q / ((k + 1.0) * (alpha + k + 1.0)), 0.0)
-            s = s + t
-            active = np.abs(t) >= 1e-17 * np.abs(s)
-            if not active.any():
-                break
-        out[small] = s
-    big = ~small
-    if big.any():
-        xb = ax[big]
-        scale = np.exp(
-            alpha * np.log(2.0) + math.lgamma(alpha + 1.0) - alpha * np.log(xb)
-        )
-        out[big] = scale * special.jv(alpha, xb)
+    if ax.size == 0:
+        return ax
+    x_max = float(ax.max())
+    if not math.isfinite(x_max):
+        raise ValueError("j_alpha needs finite arguments")
+    if x_max >= J_ALPHA_MAX_ARG:
+        raise SizeGuardError(
+            f"j_alpha argument {x_max:g} reaches {J_ALPHA_MAX_ARG:g}: its "
+            f"Gauss rule would need over {_gauss_size(x_max)} nodes")
+    # a power-of-two panel count, so calls over similar ranges share tables
+    coef = _j_table(alpha, 1 << int(x_max // PANEL_WIDTH).bit_length())
+    panel = (ax // PANEL_WIDTH).astype(np.intp)
+    u = (2.0 / PANEL_WIDTH) * ax - (2.0 * panel + 1.0)
+    # Clenshaw's recurrence on each point's own panel series
+    b1 = np.zeros_like(ax)
+    b2 = np.zeros_like(ax)
+    two_u = 2.0 * u
+    for row in coef[:0:-1]:
+        b1, b2 = row[panel] + two_u * b1 - b2, b1
+    out = coef[0][panel] + u * b1 - b2
+    # j_alpha(0) = 1 exactly, not to the series' round-off
+    out[ax == 0.0] = 1.0
     return out
 
 
@@ -52,6 +189,17 @@ def j_alpha(alpha, x):
     """Normalized Bessel function of index ``alpha`` on a float array."""
     x = np.asarray(x, dtype=np.float64)
     return _j_alpha(float(alpha), x.ravel()).reshape(x.shape)
+
+
+def si(z):
+    """Sine integral Si(z) = int_0^z sin(s)/s ds on a float array: with
+    s = z (1+t)/2 it is (z/2) int_{-1}^{1} sinc, whose t-frequency is at
+    most |z|/2, on the Gauss-Legendre rule."""
+    z = np.asarray(z, dtype=np.float64)
+    t, log2_w = _gauss_jacobi(_gauss_size(float(np.abs(z).max()) / 2.0),
+                              0.0, 0.0)
+    arg = np.multiply.outer(z / (2.0 * np.pi), 1.0 + t)
+    return z * (np.sinc(arg) @ np.exp2(log2_w))
 
 
 def kernel_matrix(lam_pts, x_pts, alpha, sign=-1.0):

@@ -2,9 +2,10 @@
 
 j_alpha is the entire even function with j_alpha(0) = 1 solving the radial
 eigen-equation u'' + ((2*alpha+1)/r) u' = -u; it equals
-2^alpha * Gamma(alpha+1) * J_alpha(x) / x^alpha.  Evaluation uses the power
-series for |x| <= 12 and that identity with scipy's J_alpha beyond (the
-alternating series loses too many digits in float64 there).
+2^alpha * Gamma(alpha+1) * J_alpha(x) / x^alpha and Poisson's integral
+c_alpha * int_{-1}^{1} (1-t^2)^{alpha-1/2} cos(x t) dt, which ``_accel``
+evaluates on a Gauss-Gegenbauer rule for every x (tabulated as Chebyshev
+series on panels of x).
 """
 
 import numpy as np

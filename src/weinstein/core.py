@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import roots_jacobi
 
+from ._accel import roots_jacobi
 from .errors import GridMismatchError, MeasureRangeError
 
 RADIAL_SCHEMES = ("uniform-offset", "collocation")

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import roots_jacobi
 
+from ._accel import roots_jacobi
 from .bessel import weinstein_kernel
 from .core import Field
 from .errors import GridMismatchError, SizeGuardError

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
+from ._accel import si
 from .core import norm_p
 from .errors import IntegrabilityGuardError
 from .transform import forward
@@ -240,14 +240,18 @@ def _halfline_concentration_defect(per_sigma, sg, floor):
     interpolant on the uniform t grid (step h) is integrated exactly up to
     ln(floor) itself, not to a grid node: node j contributes
     h * (1/2 + Si(pi * (ln(floor) - t_j) / h) / pi), and over the whole
-    line each contributes h, the trapezoid sum.
+    line each contributes h, the trapezoid sum.  A floor at or above
+    sigma_max has every sampled scale below it, so nu = 1: the interpolant
+    is not carried past the last node.
     """
     t = np.log(sg.sigmas)
     h = (t[-1] - t[0]) / (len(t) - 1)
     total = float(per_sigma.sum())
     if total == 0:
         raise ValueError("zero multiplier output has no concentration defect")
-    below = 0.5 + special.sici(math.pi * (math.log(floor) - t) / h)[0] / math.pi
+    if floor >= sg.sigma_max:
+        return 1.0
+    below = 0.5 + si(math.pi * (math.log(floor) - t) / h) / math.pi
     outside = float(per_sigma @ below)
     return math.sqrt(min(max(outside / total, 0.0), 1.0))
 
@@ -275,10 +279,12 @@ def donoho_stark_certificate(stats, region, floor, slack=DEFAULT_SLACK,
     floor^{-2 deg} / (2 deg), evaluated in log space, so it does not depend
     on the sigma grid; nu is integrated exactly up to the floor from the
     per-scale totals in ``stats`` (f's ``multiplier_sweep``, which also
-    gives the plan, profile and f).  The sigma^{-2 deg} integrand explodes
-    toward sigma -> 0: half-lines reaching the smallest sampled scale
-    (floor <= sigma_min), or whose decay integral overflows or underflows
-    the float range, raise IntegrabilityGuardError.
+    gives the plan, profile and f); a floor at or above the largest
+    sampled scale leaves every sampled scale outside the region, so nu = 1.
+    The sigma^{-2 deg} integrand explodes toward sigma -> 0: half-lines
+    reaching the smallest sampled scale (floor <= sigma_min), or whose
+    decay integral overflows or underflows the float range, raise
+    IntegrabilityGuardError.
     """
     plan, profile = stats.plan, stats.profile
     params = plan.grid_in.params

@@ -1,11 +1,14 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from weinstein import WeinsteinParams, bessel_j_normalized, weinstein_kernel
+from weinstein import WeinsteinParams, _accel, bessel_j_normalized, \
+    weinstein_kernel
+from weinstein.errors import SizeGuardError
 
 mp.mp.dps = 80
 
@@ -130,3 +133,105 @@ def test_radial_eigen_equation_residual():
     r1, r2 = residual(2e-3), residual(1e-3)
     assert r1 / r2 == pytest.approx(4.0, rel=0.15)
     assert r2 < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# numpy kernels against mpmath: j_alpha, Gauss-Jacobi rules, Si
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha", [-0.45, 0.0, 0.5, 2.0, 20.0, 100.0])
+def test_j_alpha_against_mpmath_besselj(alpha):
+    # the 80-digit series of j_reference cancels past x ~ 150, so the
+    # reference is 2^a Gamma(a+1) J_a(x) / x^a from mpmath's besselj
+    xs = np.concatenate([np.linspace(0.0, 250.0, 301),
+                         [1e-9, 3.999999, 4.0, 127.999999, 128.0, 249.9]])
+    vals = _accel.j_alpha(alpha, xs)
+    with mp.workdps(30):
+        a = mp.mpf(alpha)
+        ref = [1.0 if x == 0 else
+               float(mp.besselj(a, x) * mp.gamma(a + 1) * (2 / mp.mpf(x)) ** a)
+               for x in xs]
+    assert np.max(np.abs(vals - np.array(ref))) <= 1e-10
+    assert bessel_j_normalized(alpha, 0.0) == 1.0
+    assert np.array_equal(_accel.j_alpha(alpha, -xs), vals)
+
+
+def test_j_alpha_argument_guard():
+    # the Gauss rule grows with the largest argument: refuse, don't allocate
+    with pytest.raises(SizeGuardError, match="j_alpha argument"):
+        bessel_j_normalized(0.5, np.array([1.0, 2.0 * _accel.J_ALPHA_MAX_ARG]))
+    with pytest.raises(ValueError, match="finite"):
+        bessel_j_normalized(0.5, np.array([1.0, np.nan]))
+
+
+def _gauss_jacobi_reference(n, a, b):
+    """Node and weight of the n-point Gauss-Jacobi rule in the working
+    precision, as a function of a float starting node: Newton on the
+    orthonormal recurrence, then the Christoffel number
+    mass / sum_{k<n} p_k(t)^2."""
+    a, b = mp.mpf(a), mp.mpf(b)
+    s = a + b
+    diag = [(b - a) / (s + 2)] + [(b - a) * s / ((2 * k + s) * (2 * k + s + 2))
+                                  for k in range(1, n)]
+    off = [mp.sqrt(4 * (1 + a) * (1 + b) / ((2 + s) ** 2 * (3 + s)))] + [
+        mp.sqrt(4 * k * (k + a) * (k + b) * (k + s)
+                / ((2 * k + s) ** 2 * (2 * k + s + 1) * (2 * k + s - 1)))
+        for k in range(2, n + 1)]
+    mass = 2 ** (s + 1) * mp.gamma(a + 1) * mp.gamma(b + 1) / mp.gamma(s + 2)
+
+    def recurrence(t):
+        p_prev, p, dp_prev, dp = mp.mpf(0), mp.mpf(1), mp.mpf(0), mp.mpf(0)
+        total, b_prev = mp.mpf(0), mp.mpf(0)
+        for dk, ok in zip(diag, off):
+            total += p * p
+            p_prev, p, dp_prev, dp, b_prev = (
+                p, ((t - dk) * p - b_prev * p_prev) / ok,
+                dp, ((t - dk) * dp + p - b_prev * dp_prev) / ok, ok)
+        return p, dp, total
+
+    def rule_at(t0):
+        t = mp.mpf(t0)
+        for _ in range(2):  # a float start has ~16 digits; two steps give 40
+            p, dp, _total = recurrence(t)
+            t -= p / dp
+        return t, mass / recurrence(t)[2]
+
+    return rule_at
+
+
+@pytest.mark.parametrize("n", [16, 64, 256])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 100.0])
+def test_gauss_jacobi_against_mpmath(n, alpha):
+    for a, b in ((0.0, 2.0 * alpha + 1.0), (alpha - 0.5, alpha - 0.5)):
+        t, w = _accel.roots_jacobi(n, a, b)
+        assert t.shape == w.shape == (n,)
+        assert np.all(np.diff(t) > 0) and np.all(w > 0)
+        # both ends of the rule and n/16 nodes between them
+        idx = sorted(set(range(0, n, n // 16)) | {1, 2, n - 3, n - 2, n - 1})
+        with mp.workdps(40):
+            rule_at = _gauss_jacobi_reference(n, a, b)
+            for i in idx:
+                t_ref, w_ref = rule_at(t[i])
+                assert abs(t[i] - float(t_ref)) <= 1e-15
+                assert abs((w[i] - w_ref) / w_ref) <= 1e-11
+        # memoized: the same rule is not computed twice
+        assert _accel.roots_jacobi(n, a, b)[0] is t
+
+
+def test_gauss_jacobi_large_rule_stays_finite():
+    # at n = 1024, alpha = 100, p_k^2 overflows without rescaling
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for a, b in ((0.0, 201.0), (99.5, 99.5)):
+            t, w = _accel.roots_jacobi(1024, a, b)
+            assert np.all(np.isfinite(w)) and np.all(np.isfinite(t))
+            assert np.all(np.diff(t) > 0)
+
+
+def test_si_against_mpmath():
+    z = np.concatenate([np.linspace(-300.0, 300.0, 1201), [0.0, 1e-9, -1e-9]])
+    vals = _accel.si(z)
+    with mp.workdps(30):
+        ref = np.array([float(mp.si(x)) for x in z])
+    assert np.max(np.abs(vals - ref)) <= 1e-13
+    assert np.array_equal(_accel.si(-z), -vals)

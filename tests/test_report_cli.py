@@ -1,5 +1,8 @@
 import json
+import os
 import pathlib
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -365,6 +368,53 @@ def test_cli_donoho_stark_decay_underflow_guard(tmp_path, capsys, alpha,
     code = main(["run", "--config", str(path), "--out", str(tmp_path / "out")])
     assert code == 3
     assert "underflows" in capsys.readouterr().err
+
+
+def test_cli_donoho_stark_floor_above_sampled_scales_is_vacuous(tmp_path):
+    # sigma_max is ~81 on this 32^2 grid: a floor of 1000 leaves every
+    # sampled scale below it, so nu = 1 and each certificate is vacuous
+    # (integrating the sinc interpolant past the last node gave the
+    # Gaussian nu = 0.99999973 and a violated certificate, ratio 181)
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    cfg["grid"]["counts"] = [32, 32]
+    cfg["donoho_stark"] = {"mass_fractions": [1.0], "sigma_floors": [1000.0]}
+    path = tmp_path / "ds.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    main(["run", "--config", str(path), "--out", str(out)])
+    report = json.loads((out / "report.json").read_text())
+    ds = [c for c in report["runs"][0]["certificates"]
+          if c["name"] == "donoho_stark"]
+    assert {c["input_digest"].split(";")[0] for c in ds} == \
+        {"gaussian_s1", "bump_0"}
+    for c in ds:
+        assert c["flags"]["nu"] == 1.0
+        assert c["flags"]["vacuous"] is True
+        assert c["satisfied"] is True
+    assert report["certificates_ok"] is True
+
+
+def test_cli_run_imports_no_scipy(tmp_path):
+    # the runtime is numpy alone: with scipy unimportable a run still
+    # succeeds, and no scipy module (not even a lazy import) gets loaded
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(SMALL_CONFIG))
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from weinstein.cli import main\n"
+        f"code = main(['run', '--config', {str(path)!r}, '--out', "
+        f"{str(tmp_path / 'out')!r}, '--format', 'json'])\n"
+        "loaded = [m for m, v in sys.modules.items()\n"
+        "          if m.startswith('scipy') and v is not None]\n"
+        "print(code, loaded)\n"
+    )
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=300, cwd=tmp_path,
+                          env=dict(os.environ, PYTHONPATH=str(src)))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[-2] == "0 []"
 
 
 def test_cli_internal_error_exit(tmp_path, monkeypatch, capsys):
