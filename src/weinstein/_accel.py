@@ -10,15 +10,17 @@ kernel_matrix      matrix of plane-wave x Bessel kernel values at point pairs
 Gauss-Jacobi rules follow Golub & Welsch (Math. Comp. 1969): the nodes are
 the eigenvalues of the Jacobi matrix, polished by one Newton step on the
 orthonormal three-term recurrence, and the weights are Christoffel numbers
-from the same recurrence pass.  j_alpha is Poisson's integral
+from the same recurrence pass.  j_alpha is tabulated as Chebyshev series on
+fixed-width panels of x.  Up to POISSON_PANELS panels the table holds
+Poisson's integral
 
     j_alpha(x) = c_alpha * int_{-1}^{1} (1 - t^2)^{alpha - 1/2} cos(x t) dt
 
-on the Gauss-Gegenbauer rule of that weight, tabulated as Chebyshev series
-on fixed-width panels of x; Si is Gauss-Legendre applied to the sinc.
+on the Gauss-Gegenbauer rule of that weight; beyond, Bessel's equation
+x j'' + (2 alpha + 1) j' + x j = 0 carries j and j' from panel to panel by
+Taylor series, so the table costs O(x) for any x.  Si is Gauss-Legendre on
+the sinc over the same panels.
 
-``kernel_matrix`` calls the private ``_j_alpha``, not ``j_alpha``, so a
-tracer wrapping public names (perfbench/tracer.py) counts each once.
 """
 
 import functools
@@ -26,17 +28,18 @@ import math
 
 import numpy as np
 
-from .errors import SizeGuardError
-
 # Chebyshev panels for j_alpha: on a panel of half-width 2 the series
 # coefficients of cos(x t), |t| <= 1, are bounded by 2|J_k(2)| < 1e-18
 # from k = PANEL_DEGREE on, so PANEL_DEGREE terms reach round-off.
 PANEL_WIDTH = 4.0
 PANEL_DEGREE = 20
-# j_alpha arguments stay below this bound.  The Gauss rule behind the
-# panels has about x/2 nodes and a dense eigenvalue solve (2168 nodes and
-# ~40 MB here), so the cost grows with the cube of the largest argument.
-J_ALPHA_MAX_ARG = 4096.0
+# Panels whose values come from Poisson's integral (x < 256, a Gauss rule
+# of 180 nodes); the table continues from there by Bessel's equation.
+POISSON_PANELS = 64
+# Largest m h / x0 of a Taylor step of Bessel's equation (m = 2 alpha + 1,
+# step h from x0): the series' terms then stay below e^8 ~ 3000 times the
+# solution, so round-off keeps ~12 digits of it.
+MARCH_REACH = 8.0
 # Rescaling step of the recurrence, so that p_k^2 and the Christoffel sums
 # stay in the float range for large rules and parameters.
 _RESCALE_LOG2 = 400
@@ -140,19 +143,94 @@ def _chebyshev_panel():
     return np.cos(theta), to_coef
 
 
+def _bessel_taylor(m, x0, h, value, slope):
+    """Scaled Taylor coefficients b_k = a_k h^k about x0, one row per k and
+    one column per x0, of the solution of Bessel's equation
+    x j'' + m j' + x j = 0 with j = value and j' = slope at x0 (x0, the
+    step h, value and slope are arrays of one shape):
+
+        x0 (k+1)(k+2) b_{k+2} = -(k+1)(k+m) h b_{k+1} - x0 h^2 b_k - h^3 b_{k-1}.
+
+    The terms peak near exp(m h / x0) times the solution, so steps keep
+    m h / x0 <= MARCH_REACH; from k = 2 MARCH_REACH on the recurrence
+    contracts, and the series is cut once three successive b_k fall below
+    round-off."""
+    b_prev, b, b_next = np.zeros_like(x0), value, slope * h
+    terms = [b, b_next]
+    peak = np.maximum(np.abs(b), np.abs(b_next))
+    small, k = 0, 0
+    while small < 3 or k < 2 * MARCH_REACH:
+        b_prev, b, b_next = b, b_next, -(
+            (k + 1) * (k + m) * h * b_next + x0 * h * h * b
+            + h ** 3 * b_prev) / (x0 * (k + 1) * (k + 2))
+        terms.append(b_next)
+        size = np.abs(b_next)
+        peak = np.maximum(peak, size)
+        small = small + 1 if np.all(size <= 2.0 ** -60 * peak) else 0
+        k += 1
+    return np.array(terms)
+
+
+def _bessel_march(alpha, first, panels, t, w):
+    """j_alpha at the Chebyshev nodes of the panels first..panels-1, as a
+    (panels - first, PANEL_DEGREE) array.
+
+    j and j' at x = first * W come from Poisson's integral on the rule
+    (t, w).  Each panel is cut into the fewest equal steps h with
+    m h / x0 <= MARCH_REACH (one step once x0 >= m W / MARCH_REACH); the
+    steps' transfer matrices (both fundamental solutions one step on)
+    carry j and j' from step to step, and each node sums the Taylor
+    series of the step it lies in."""
+    m = 2.0 * alpha + 1.0
+    left = np.arange(first, panels) * PANEL_WIDTH
+    cuts = np.ceil(m * PANEL_WIDTH / (MARCH_REACH * left)).astype(np.intp)
+    start = np.cumsum(cuts) - cuts              # each panel's first step
+    panel = np.repeat(np.arange(len(left)), cuts)
+    h = PANEL_WIDTH / cuts[panel]
+    x0 = left[panel] + (np.arange(len(panel)) - start[panel]) * h
+    ones, zeros = np.ones_like(x0), np.zeros_like(x0)
+    transfer = []
+    for b in (_bessel_taylor(m, x0, h, ones, zeros),
+              _bessel_taylor(m, x0, h, zeros, ones)):
+        transfer += [b.sum(axis=0), np.arange(len(b)) @ b / h]
+    j = float(w @ np.cos(left[0] * t))
+    dj = float(-(w * t) @ np.sin(left[0] * t))
+    steps = []
+    for a, c, b, d in np.stack(transfer, axis=1).tolist():
+        steps.append((j, dj))
+        j, dj = a * j + b * dj, c * j + d * dj
+    value, slope = np.array(steps).T
+    # each node's step, and its offset there in units of the step
+    u, _ = _chebyshev_panel()
+    offset = np.multiply.outer(cuts, 0.5 * (1.0 + u))
+    within = offset.astype(np.intp)
+    index = start[:, None] + within
+    sigma = offset - within
+    nodes = np.zeros_like(sigma)
+    for row in _bessel_taylor(m, x0, h, value, slope)[::-1]:
+        nodes = nodes * sigma + row[index]
+    return nodes
+
+
 @functools.cache
 def _j_table(alpha, panels):
     """Chebyshev coefficients of j_alpha on the panels
     [k*PANEL_WIDTH, (k+1)*PANEL_WIDTH], k < ``panels``, as a read-only
-    (PANEL_DEGREE, panels) array: Poisson's integral at each panel's
-    Chebyshev nodes on the Gauss-Gegenbauer rule, then the coefficients."""
+    (PANEL_DEGREE, panels) array: Poisson's integral at the Chebyshev nodes
+    of the first POISSON_PANELS panels on the Gauss-Gegenbauer rule, and
+    Bessel's equation beyond (``_bessel_march``)."""
     u, to_coef = _chebyshev_panel()
-    x = (np.arange(panels)[:, None] + 0.5 + 0.5 * u) * PANEL_WIDTH
-    t, log2_w = _gauss_jacobi(_gauss_size(panels * PANEL_WIDTH),
+    near = min(panels, POISSON_PANELS)
+    x = (np.arange(near)[:, None] + 0.5 + 0.5 * u) * PANEL_WIDTH
+    t, log2_w = _gauss_jacobi(_gauss_size(near * PANEL_WIDTH),
                               alpha - 0.5, alpha - 0.5)
+    w = np.exp2(log2_w)
     values = np.zeros_like(x)
-    for tk, wk in zip(t, np.exp2(log2_w)):
+    for tk, wk in zip(t, w):
         values += wk * np.cos(tk * x)
+    if panels > near:
+        values = np.concatenate(
+            [values, _bessel_march(alpha, near, panels, t, w)])
     coef = to_coef @ values.T
     coef.flags.writeable = False
     return coef
@@ -165,10 +243,6 @@ def _j_alpha(alpha, x):
     x_max = float(ax.max())
     if not math.isfinite(x_max):
         raise ValueError("j_alpha needs finite arguments")
-    if x_max >= J_ALPHA_MAX_ARG:
-        raise SizeGuardError(
-            f"j_alpha argument {x_max:g} reaches {J_ALPHA_MAX_ARG:g}: its "
-            f"Gauss rule would need over {_gauss_size(x_max)} nodes")
     # a power-of-two panel count, so calls over similar ranges share tables
     coef = _j_table(alpha, 1 << int(x_max // PANEL_WIDTH).bit_length())
     panel = (ax // PANEL_WIDTH).astype(np.intp)
@@ -192,14 +266,24 @@ def j_alpha(alpha, x):
 
 
 def si(z):
-    """Sine integral Si(z) = int_0^z sin(s)/s ds on a float array: with
-    s = z (1+t)/2 it is (z/2) int_{-1}^{1} sinc, whose t-frequency is at
-    most |z|/2, on the Gauss-Legendre rule."""
+    """Sine integral Si(z) = int_0^z sin(s)/s ds on a float array: the
+    whole panels of width PANEL_WIDTH below |z|, summed cumulatively, plus
+    the part of the last one, each on the PANEL_DEGREE-node Gauss-Legendre
+    rule (exact to degree 2 PANEL_DEGREE - 1, past the sinc's round-off
+    degree on a panel)."""
     z = np.asarray(z, dtype=np.float64)
-    t, log2_w = _gauss_jacobi(_gauss_size(float(np.abs(z).max()) / 2.0),
-                              0.0, 0.0)
-    arg = np.multiply.outer(z / (2.0 * np.pi), 1.0 + t)
-    return z * (np.sinc(arg) @ np.exp2(log2_w))
+    az = np.abs(z).ravel()
+    t, log2_w = _gauss_jacobi(PANEL_DEGREE, 0.0, 0.0)
+    w, s = np.exp2(log2_w), 0.5 * (1.0 + t)
+    panel = (az // PANEL_WIDTH).astype(np.intp)
+    start = panel * PANEL_WIDTH
+    edges = np.arange(panel.max() + 1 if panel.size else 0) * PANEL_WIDTH
+    whole = PANEL_WIDTH * (
+        np.sinc(np.add.outer(edges, PANEL_WIDTH * s) / np.pi) @ w)
+    below = np.concatenate([[0.0], np.cumsum(whole)])[panel]
+    part = (az - start) * (np.sinc(
+        (start[:, None] + np.multiply.outer(az - start, s)) / np.pi) @ w)
+    return np.copysign((below + part).reshape(z.shape), z)
 
 
 def kernel_matrix(lam_pts, x_pts, alpha, sign=-1.0):

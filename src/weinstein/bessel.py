@@ -3,9 +3,10 @@
 j_alpha is the entire even function with j_alpha(0) = 1 solving the radial
 eigen-equation u'' + ((2*alpha+1)/r) u' = -u; it equals
 2^alpha * Gamma(alpha+1) * J_alpha(x) / x^alpha and Poisson's integral
-c_alpha * int_{-1}^{1} (1-t^2)^{alpha-1/2} cos(x t) dt, which ``_accel``
-evaluates on a Gauss-Gegenbauer rule for every x (tabulated as Chebyshev
-series on panels of x).
+c_alpha * int_{-1}^{1} (1-t^2)^{alpha-1/2} cos(x t) dt.  ``_accel``
+tabulates it as Chebyshev series on panels of x: Poisson's integral on a
+Gauss-Gegenbauer rule for x < 256, the radial eigen-equation carrying it
+further.
 """
 
 import numpy as np

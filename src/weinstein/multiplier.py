@@ -78,16 +78,6 @@ class MultiplierProfile:
         return np.sqrt(self.grid.radius_sq)
 
     @cached_property
-    def distinct_radii(self):
-        """(radii, index): the distinct values of ``radius`` and, in the
-        grid's shape, each point's position among them.  A tensor grid
-        repeats radii, so the profile is evaluated once per distinct radius
-        and gathered: ``radial_profile(s * radii)[index]`` equals
-        ``radial_profile(s * radius)`` bit for bit."""
-        radii, index = np.unique(self.radius, return_inverse=True)
-        return radii, index.reshape(self.grid.shape)
-
-    @cached_property
     def symbol(self):
         return Field(grid=self.grid, values=self.radial_profile(self.radius))
 
@@ -124,11 +114,10 @@ def admissibility_defect(profile):
     the degenerate point x = 0 never occurs on the grid.
     """
     q = profile.power
-    radii, index = profile.distinct_radii
-    acc = np.zeros(radii.shape)
+    acc = np.zeros(profile.grid.shape)
     for sigma, lw in zip(profile.sigma_grid.sigmas, profile.sigma_grid.log_weights):
-        acc += lw * np.abs(profile.radial_profile(sigma * radii)) ** q
-    return np.abs(acc[index] - 1.0)
+        acc += lw * np.abs(profile.radial_profile(sigma * profile.radius)) ** q
+    return np.abs(acc - 1.0)
 
 
 def apply_multiplier(plan, profile, sigma, phi):
@@ -186,26 +175,23 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     computed, so no (n_sigma, size) array is formed.
 
     phi is transformed once, and the radial-first synthesis block of its
-    transform, the gather index of the distinct radii and the weights are
-    laid out once.  Per scale, the profile is evaluated on the distinct
-    dilated radii, its gathered real values m(sigma r) scale that block,
-    and the transform's FFT and radial product run on it (``_fft_gemm``);
-    the per-Euclidean-index phase that would follow is unimodular and cannot
+    transform, the dilated radii and the weights are laid out once.  Per
+    scale, the real profile values m(sigma r) scale that block and the
+    transform's FFT and radial product run on it (``_fft_gemm``); the
+    per-Euclidean-index phase that would follow is unimodular and cannot
     change |T|^2, so it is skipped, and so is the move back to grid layout.
     """
     betas = tuple(float(b) for b in betas)
     F = forward(plan, phi)
     src = _synthesis_source(plan, F)
-    radii, index = profile.distinct_radii
-    index = _radial_first(index, dtype=np.intp)
+    radius = _radial_first(profile.radius, dtype=np.float64)
     rsq = _radial_first(plan.grid_in.radius_sq, dtype=np.float64).reshape(-1)
     w = _radial_first(plan.weights_in.weights, dtype=np.float64).reshape(-1)
     # one row per real and imaginary part of each output value
     wb = np.repeat(np.stack([w * rsq ** b for b in betas], axis=1), 2, axis=0)
     moments = np.empty((len(profile.sigma_grid), len(betas)))
     for j, sigma in enumerate(profile.sigma_grid.sigmas):
-        gain = profile.radial_profile(sigma * radii)[index]
-        out = _fft_gemm(plan, gain * src, +1)
+        out = _fft_gemm(plan, profile.radial_profile(sigma * radius) * src, +1)
         moments[j] = (out * out).reshape(-1) @ wb
     if not np.all(np.isfinite(moments)):
         raise ValueError("multiplier sweep produced non-finite moments")

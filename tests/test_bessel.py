@@ -8,7 +8,6 @@ from scipy.special import jn_zeros
 
 from weinstein import WeinsteinParams, _accel, bessel_j_normalized, \
     weinstein_kernel
-from weinstein.errors import SizeGuardError
 
 mp.mp.dps = 80
 
@@ -48,7 +47,7 @@ def test_against_extended_precision_series(alpha):
     xs = np.concatenate([
         np.linspace(0.0, 14.0, 57),
         np.linspace(10.0, 100.0, 91),
-        # both sides of the series / scipy switchover at 12
+        # a dense window around x = 12
         np.linspace(11.5, 12.5, 41),
     ])
     vals = bessel_j_normalized(alpha, xs)
@@ -142,9 +141,15 @@ def test_radial_eigen_equation_residual():
 @pytest.mark.parametrize("alpha", [-0.45, 0.0, 0.5, 2.0, 20.0, 100.0])
 def test_j_alpha_against_mpmath_besselj(alpha):
     # the 80-digit series of j_reference cancels past x ~ 150, so the
-    # reference is 2^a Gamma(a+1) J_a(x) / x^a from mpmath's besselj
+    # reference is 2^a Gamma(a+1) J_a(x) / x^a from mpmath's besselj;
+    # past x = 256 the table comes from Bessel's equation, not Poisson's
+    # integral, so both sides of that seam are checked, and x up to 9e4
+    # (radial extents of 300)
     xs = np.concatenate([np.linspace(0.0, 250.0, 301),
-                         [1e-9, 3.999999, 4.0, 127.999999, 128.0, 249.9]])
+                         [1e-9, 3.999999, 4.0, 127.999999, 128.0, 249.9,
+                          255.999999, 256.0, 256.000001, 259.9, 260.0],
+                         np.linspace(261.0, 4096.0, 60),
+                         [8190.0, 40000.25, 90000.0]])
     vals = _accel.j_alpha(alpha, xs)
     with mp.workdps(30):
         a = mp.mpf(alpha)
@@ -156,10 +161,19 @@ def test_j_alpha_against_mpmath_besselj(alpha):
     assert np.array_equal(_accel.j_alpha(alpha, -xs), vals)
 
 
-def test_j_alpha_argument_guard():
-    # the Gauss rule grows with the largest argument: refuse, don't allocate
-    with pytest.raises(SizeGuardError, match="j_alpha argument"):
-        bessel_j_normalized(0.5, np.array([1.0, 2.0 * _accel.J_ALPHA_MAX_ARG]))
+@pytest.mark.parametrize("alpha", [1000.0, 1500.0, 3000.0, 1e5])
+def test_j_alpha_large_index_past_poisson_panels(alpha):
+    # past x = 256 the march starts in the monotone range x < alpha, and
+    # from alpha ~ 1000 on it cuts its first panels into short steps; the
+    # reference is Poisson's integral on a Gauss-Gegenbauer rule large
+    # enough for x <= 1200 (mpmath's besselj does not converge here)
+    xs = np.linspace(250.0, 1200.0, 96)
+    t, w = _accel.roots_jacobi(700, alpha - 0.5, alpha - 0.5)
+    ref = np.cos(np.outer(xs, t)) @ (w / w.sum())
+    assert np.max(np.abs(_accel.j_alpha(alpha, xs) - ref)) <= 1e-12
+
+
+def test_j_alpha_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         bessel_j_normalized(0.5, np.array([1.0, np.nan]))
 

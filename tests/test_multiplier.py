@@ -85,19 +85,6 @@ def test_admissibility_oracle_closed_form():
         assert abs(quad + tail - 1.0) < 1e-8
 
 
-def test_distinct_radii_gather_is_bit_identical(bump_profile, plan_2d_small):
-    # the sweep and the admissibility defect evaluate the profile on the
-    # distinct radii and gather; that must not move a single bit
-    for profile in (bump_profile, make_admissible_radial(plan_2d_small)):
-        radii, index = profile.distinct_radii
-        assert index.shape == profile.grid.shape
-        assert len(radii) < profile.grid.size
-        for sigma in (profile.sigma_grid.sigma_min, 0.37, 1.0, 2.5,
-                      profile.sigma_grid.sigma_max):
-            assert np.array_equal(profile.radial_profile(sigma * radii)[index],
-                                  profile.radial_profile(sigma * profile.radius))
-
-
 def test_admissibility_defect_sampled(bump_profile):
     defect = admissibility_defect(bump_profile)
     assert defect.max() < 1e-5
