@@ -5,7 +5,6 @@ Kernels
 roots_jacobi       Gauss-Jacobi nodes and weights, memoized per rule
 j_alpha            normalized Bessel function of index alpha, array-valued
 si                 sine integral Si(z), array-valued
-kernel_matrix      matrix of plane-wave x Bessel kernel values at point pairs
 
 Gauss-Jacobi rules follow Golub & Welsch (Math. Comp. 1969): the nodes are
 the eigenvalues of the Jacobi matrix, polished by one Newton step on the
@@ -33,9 +32,16 @@ import numpy as np
 # from k = PANEL_DEGREE on, so PANEL_DEGREE terms reach round-off.
 PANEL_WIDTH = 4.0
 PANEL_DEGREE = 20
-# Panels whose values come from Poisson's integral (x < 256, a Gauss rule
-# of 180 nodes); the table continues from there by Bessel's equation.
+# Panels whose values come from Poisson's integral (x < 256); every table
+# has at least these, and continues from there by Bessel's equation.
 POISSON_PANELS = 64
+# Nodes of the one Gauss-Gegenbauer rule per alpha for Poisson's integral:
+# an n-node rule is exact to degree 2n - 1, and the Chebyshev coefficients
+# 2 J_k(x) of cos(x t) on [-1, 1] drop below 1e-17 once k exceeds x by
+# ~13 x^(1/3) (measured n - x/2 is at most 6.5 x^(1/3) up to x = 1024), so
+# n = x/2 + 7 x^(1/3) + 8 integrates cos(x t) to round-off up to x; at
+# x = POISSON_PANELS * PANEL_WIDTH = 256 that is 180.
+POISSON_NODES = 180
 # Largest m h / x0 of a Taylor step of Bessel's equation (m = 2 alpha + 1,
 # step h from x0): the series' terms then stay below e^8 ~ 3000 times the
 # solution, so round-off keeps ~12 digits of it.
@@ -43,15 +49,6 @@ MARCH_REACH = 8.0
 # Rescaling step of the recurrence, so that p_k^2 and the Christoffel sums
 # stay in the float range for large rules and parameters.
 _RESCALE_LOG2 = 400
-
-
-def _gauss_size(x_max):
-    """Nodes of a Gauss rule (positive weights summing to 1) that integrates
-    cos(x t) on [-1, 1] to round-off for |x| <= x_max: the rule is exact
-    for degree 2n - 1, and the Chebyshev coefficients 2 J_k(x) of cos(x t)
-    drop below 1e-17 once k exceeds x by ~13 x^(1/3) (measured n - x/2 is
-    at most 6.5 x^(1/3) up to x = 1024)."""
-    return int(x_max / 2.0 + 7.0 * x_max ** (1.0 / 3.0)) + 8
 
 
 def _jacobi_recurrence(n, a, b):
@@ -215,22 +212,22 @@ def _bessel_march(alpha, first, panels, t, w):
 @functools.cache
 def _j_table(alpha, panels):
     """Chebyshev coefficients of j_alpha on the panels
-    [k*PANEL_WIDTH, (k+1)*PANEL_WIDTH], k < ``panels``, as a read-only
-    (PANEL_DEGREE, panels) array: Poisson's integral at the Chebyshev nodes
-    of the first POISSON_PANELS panels on the Gauss-Gegenbauer rule, and
-    Bessel's equation beyond (``_bessel_march``)."""
+    [k*PANEL_WIDTH, (k+1)*PANEL_WIDTH], k < ``panels`` (at least
+    POISSON_PANELS), as a read-only (PANEL_DEGREE, panels) array: Poisson's
+    integral at the Chebyshev nodes of the first POISSON_PANELS panels on
+    the POISSON_NODES-node Gauss-Gegenbauer rule, and Bessel's equation
+    beyond (``_bessel_march``).  A longer table extends a shorter one and
+    agrees with it on their common panels."""
     u, to_coef = _chebyshev_panel()
-    near = min(panels, POISSON_PANELS)
-    x = (np.arange(near)[:, None] + 0.5 + 0.5 * u) * PANEL_WIDTH
-    t, log2_w = _gauss_jacobi(_gauss_size(near * PANEL_WIDTH),
-                              alpha - 0.5, alpha - 0.5)
+    x = (np.arange(POISSON_PANELS)[:, None] + 0.5 + 0.5 * u) * PANEL_WIDTH
+    t, log2_w = _gauss_jacobi(POISSON_NODES, alpha - 0.5, alpha - 0.5)
     w = np.exp2(log2_w)
     values = np.zeros_like(x)
     for tk, wk in zip(t, w):
         values += wk * np.cos(tk * x)
-    if panels > near:
+    if panels > POISSON_PANELS:
         values = np.concatenate(
-            [values, _bessel_march(alpha, near, panels, t, w)])
+            [values, _bessel_march(alpha, POISSON_PANELS, panels, t, w)])
     coef = to_coef @ values.T
     coef.flags.writeable = False
     return coef
@@ -244,7 +241,8 @@ def _j_alpha(alpha, x):
     if not math.isfinite(x_max):
         raise ValueError("j_alpha needs finite arguments")
     # a power-of-two panel count, so calls over similar ranges share tables
-    coef = _j_table(alpha, 1 << int(x_max // PANEL_WIDTH).bit_length())
+    coef = _j_table(alpha, max(POISSON_PANELS,
+                               1 << int(x_max // PANEL_WIDTH).bit_length()))
     panel = (ax // PANEL_WIDTH).astype(np.intp)
     u = (2.0 / PANEL_WIDTH) * ax - (2.0 * panel + 1.0)
     # Clenshaw's recurrence on each point's own panel series
@@ -285,22 +283,3 @@ def si(z):
         (start[:, None] + np.multiply.outer(az - start, s)) / np.pi) @ w)
     return np.copysign((below + part).reshape(z.shape), z)
 
-
-def kernel_matrix(lam_pts, x_pts, alpha, sign=-1.0):
-    """Matrix K[i, k] = exp(1j*sign*<lam'_i, x'_k>) * j_alpha(lam_i[-1]*x_k[-1]).
-
-    ``lam_pts`` and ``x_pts`` are (m, d+1) and (n, d+1) coordinate arrays;
-    the first d columns carry the plane-wave phase, the last the Bessel
-    argument.  sign=-1 gives the analysis kernel, sign=+1 the synthesis one.
-    """
-    lam = np.ascontiguousarray(lam_pts, dtype=np.float64)
-    x = np.ascontiguousarray(x_pts, dtype=np.float64)
-    d = lam.shape[1] - 1
-    phase = lam[:, :d] @ x[:, :d].T
-    # a tensor grid repeats each radial coordinate across the Euclidean
-    # axes: evaluate j on the distinct radial products and gather
-    lam_r, lam_idx = np.unique(lam[:, d], return_inverse=True)
-    x_r, x_idx = np.unique(x[:, d], return_inverse=True)
-    radial = _j_alpha(float(alpha), np.outer(lam_r, x_r).ravel())
-    radial = radial.reshape(len(lam_r), len(x_r))[np.ix_(lam_idx, x_idx)]
-    return radial * np.exp(1j * float(sign) * phase)

@@ -29,12 +29,12 @@ from functools import cached_property
 
 import numpy as np
 
-from . import _accel
+from .bessel import weinstein_kernel
 from .core import Field, Grid, SigmaGrid, build_sigma_grid, norm_p
 from .errors import SigmaRangeError
 from .transform import (TransformPlan, _apply_factors, _fft_gemm,
-                        _kernel_factors, _radial_first, _synthesis_source,
-                        forward, inverse)
+                        _kernel_factors, _radial_first, _source, forward,
+                        inverse)
 
 ADMISSIBILITY_VARIANTS = ("modulus", "modulus_squared")
 
@@ -174,16 +174,16 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     |T_sigma phi|^2 against the matrix of w |x|^{2 beta} as soon as it is
     computed, so no (n_sigma, size) array is formed.
 
-    phi is transformed once, and the radial-first synthesis block of its
-    transform, the dilated radii and the weights are laid out once.  Per
-    scale, the real profile values m(sigma r) scale that block and the
-    transform's FFT and radial product run on it (``_fft_gemm``); the
-    per-Euclidean-index phase that would follow is unimodular and cannot
-    change |T|^2, so it is skipped, and so is the move back to grid layout.
+    phi is transformed once, and the inverse's own source block of its
+    transform (``_source``), the dilated radii and the weights are laid out
+    once.  Per scale, the real profile values m(sigma r) scale that block
+    and the inverse's FFT and radial product run on it (``_fft_gemm``); the
+    inverse's ``post`` factor is unimodular and cannot change |T|^2, so it
+    is skipped, and so is the move back to grid layout.
     """
     betas = tuple(float(b) for b in betas)
     F = forward(plan, phi)
-    src = _synthesis_source(plan, F)
+    src = _source(plan, F.values, +1)
     radius = _radial_first(profile.radius, dtype=np.float64)
     rsq = _radial_first(plan.grid_in.radius_sq, dtype=np.float64).reshape(-1)
     w = _radial_first(plan.weights_in.weights, dtype=np.float64).reshape(-1)
@@ -236,13 +236,12 @@ def kernel_psi(profile, plan, sigma, x, y):
         raise ValueError(f"dilation scale must be positive, got {sigma}")
     x = np.asarray(x, dtype=np.float64).reshape(-1) / sigma
     y = np.asarray(y, dtype=np.float64).reshape(-1) / sigma
-    d = profile.grid.params.d
-    x_reflected = np.concatenate([-x[:d], x[d:]])
-    k = _accel.kernel_matrix(profile.grid.points, np.stack([y, x_reflected]),
-                             profile.grid.params.alpha, sign=-1.0)
+    params, u = profile.grid.params, profile.grid.points
+    x_reflected = np.concatenate([-x[:params.d], x[params.d:]])
     # frequency-side quadrature weights under the plan's normalization
     wm = plan.weights_out.flat * profile.symbol.flat
-    return complex(k[:, 1] @ (wm * k[:, 0]))
+    return complex(weinstein_kernel(params, u, x_reflected)
+                   @ (wm * weinstein_kernel(params, u, y)))
 
 
 def apply_multiplier_kernel(plan, profile, sigma, phi, region_mask=None):

@@ -95,6 +95,8 @@ class ExperimentConfig:
             alphas = [alphas]
         if not alphas or not all(_real(a) and a > -0.5 for a in alphas):
             raise ConfigError("params.alpha entries must be numbers > -1/2")
+        if len({float(a) for a in alphas}) < len(alphas):
+            raise ConfigError("params.alpha entries must be distinct")
         grid = need(doc, "grid", "grid")
         extents = need(grid, "extents", "grid.extents")
         counts = need(grid, "counts", "grid.counts")
@@ -313,10 +315,10 @@ def run(config):
 
     Order, per alpha value: grid and multiplier profile, the self-test
     Gaussian's sweep, the self-tests, the other fields' sweeps, then the
-    certificates.  ``timings`` keys each stage by alpha
-    (``setup_alpha_<a>``, ``sweeps_alpha_<a>``, ``self_tests_alpha_<a>``,
-    ``certificates_alpha_<a>``); every sweep counts under ``sweeps`` only,
-    so the stages are disjoint.
+    certificates.  ``timings`` keys each stage by alpha, with <a> the
+    repr of alpha (``setup_alpha_<a>``, ``sweeps_alpha_<a>``,
+    ``self_tests_alpha_<a>``, ``certificates_alpha_<a>``); every sweep
+    counts under ``sweeps`` only, so the stages are disjoint.
     """
     if isinstance(config, dict):
         config = ExperimentConfig.from_dict(config)
@@ -326,6 +328,7 @@ def run(config):
     all_certs = []
     t_start = time.perf_counter()
     for alpha in config.alphas:
+        tag = f"alpha_{alpha!r}"
         params = WeinsteinParams(d=config.d, alpha=alpha)
         t0 = time.perf_counter()
         grid = build_grid(params, config.extents, config.counts,
@@ -342,10 +345,10 @@ def run(config):
             # variant (its defect is then measured, not assumed)
             profile = dataclasses.replace(
                 profile, admissibility_variant=config.multiplier["variant"])
-        timings[f"setup_alpha_{alpha:g}"] = time.perf_counter() - t0
+        timings[f"setup_{tag}"] = time.perf_counter() - t0
         sweeps = {}
         betas = sorted({0.0, 1.0, *(b for b, _ in config.general_exponents)})
-        sweep_key = f"sweeps_alpha_{alpha:g}"
+        sweep_key = f"sweeps_{tag}"
         timings[sweep_key] = 0.0
 
         def stats_of(f):
@@ -360,7 +363,7 @@ def run(config):
         gauss_stats = stats_of(gaussian_field(grid))
         t0 = time.perf_counter()
         self_tests = _self_tests(gauss_stats)
-        timings[f"self_tests_alpha_{alpha:g}"] = time.perf_counter() - t0
+        timings[f"self_tests_{tag}"] = time.perf_counter() - t0
 
         fields = [("gaussian_s%g" % s, gaussian_field(grid, scale=s))
                   for s in config.gaussian_scales]
@@ -398,7 +401,7 @@ def run(config):
                             stats, omega, floor, slack=slack,
                             admissibility_tol=adm_tol,
                             digest=f"{name};q={q:g};floor={floor:g}"))
-        timings[f"certificates_alpha_{alpha:g}"] = time.perf_counter() - t0
+        timings[f"certificates_{tag}"] = time.perf_counter() - t0
         per_alpha.append({
             "alpha": alpha,
             "self_tests": self_tests,

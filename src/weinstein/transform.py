@@ -6,9 +6,11 @@ Two routes compute the same integral transform
 
 against the weighted measure:
 
-* ``fast_separable``: an FFT over each Euclidean axis (with phase
-  corrections for the midpoint-symmetric grids) and a dense cached
-  Bessel-kernel matrix over the radial axis.
+* ``fast_separable``: a pre-factor (the midpoint-symmetric grids' index
+  phases, the spacings and 1/C), an FFT over each Euclidean axis, one
+  real product with the dense cached Bessel-kernel matrix over the radial
+  axis, and a unimodular post-factor.  The synthesis source block
+  (``_source``) is also where every multiplier sweep starts.
 * ``direct_quadrature``: the weighted quadrature sum itself, with the
   kernel factored over the tensor grid into one explicit matrix per axis,
   exp(-+1j*x_a*lam_a) on each Euclidean axis and j_alpha(r*rho) on the
@@ -84,31 +86,39 @@ class TransformPlan:
         return self.radial_table * self.grid_in.radial_weights()[None, :]
 
     @cached_property
-    def _euclid_factors(self):
-        """Per-direction tuples of per-axis (pre, post, modulus) factors
-        around the plain FFT (analysis, index 0) or the unscaled inverse FFT
-        (synthesis, index 1) giving the midpoint-symmetric-grid Fourier sum
-        sum_k f_k exp(-+1j x_k lam_m).  The source grid's spacing is folded
-        into each post factor and the source measure's 1/C into the first
-        axis' one, so the separable route returns the normalized transform;
-        ``modulus`` is that constant |post|.
+    def _phases(self):
+        """Per-direction (pre, post) factors around the plain FFTs
+        (analysis, index 0) or the unscaled inverse FFTs (synthesis, index
+        1) giving the midpoint-symmetric-grid Fourier sum
+        sum_k f_k exp(-+1j x_k lam_m), as radial-first arrays broadcasting
+        over the Euclidean axes.  ``pre`` carries the per-axis index phases,
+        the source grid's spacings and the source measure's 1/C, so the
+        separable route returns the normalized transform (and a sweep never
+        squares unscaled outputs, which overflow at large alpha); ``post``
+        is unimodular.  A factor along one Euclidean axis commutes with the
+        FFTs along the others and with the radial product, so every axis'
+        factors are applied at once, before and after the core.
         """
         directions = []
         for grid_src, weights, synthesis in (
                 (self.grid_in, self.weights_in, False),
                 (self.grid_out, self.weights_out, True)):
-            factors = []
+            nd = len(grid_src.shape)
+            pre = np.full((1,) * nd, 1.0 / weights.normalization_constant,
+                          dtype=np.complex128)
+            post = np.ones((1,) * nd, dtype=np.complex128)
             for ax, (n, step) in enumerate(zip(grid_src.shape[:-1],
-                                               grid_src.euclid_spacings())):
+                                               grid_src.euclid_spacings()),
+                                           start=1):
                 c = (n - 1) / 2.0
                 k = np.arange(n)
-                pre = np.exp(2j * np.pi * c * k / n)
-                post = np.exp(2j * np.pi * c * (k - c) / n)
-                scale = step / weights.normalization_constant if ax == 0 else step
+                a = np.exp(2j * np.pi * c * k / n)
+                b = np.exp(2j * np.pi * c * (k - c) / n)
                 if synthesis:
-                    pre, post = np.conj(post), np.conj(pre)
-                factors.append((pre, post * scale, scale))
-            directions.append(tuple(factors))
+                    a, b = np.conj(b), np.conj(a)
+                pre = pre * _axis_view(step * a, ax, nd)
+                post = post * _axis_view(b, ax, nd)
+            directions.append((pre, post))
         return tuple(directions)
 
 
@@ -125,11 +135,25 @@ def _radial_first(values, dtype=np.complex128):
     return np.array(np.moveaxis(values, -1, 0), dtype=dtype, order="C")
 
 
-def _fft_gemm(plan, v, sign, factors=None):
+def _source(plan, values, sign):
+    """Grid-shaped ``values`` on the source grid of the direction (analysis
+    sign=-1 / synthesis sign=+1) as the radial-first complex block the
+    separable core starts from: one C-order copy times that direction's
+    ``pre`` factor.
+
+    For a real radial-first gain g, ``_fft_gemm(plan, g * block, +1)`` on
+    the synthesis block is the inverse of g times ``values`` in
+    radial-first layout, up to the unimodular ``post`` factor.
+    """
+    v = _radial_first(values)
+    v *= plan._phases[0 if sign < 0 else 1][0]
+    return v
+
+
+def _fft_gemm(plan, v, sign):
     """The separable core on a radial-first complex block ``v`` (consumed):
     each Euclidean axis' FFT (analysis sign=-1, unscaled synthesis
-    sign=+1), between that axis' (pre, post) factors when ``factors`` is
-    given, then one real matrix product over the radial axis.
+    sign=+1), then one real matrix product over the radial axis.
 
     The (n_r, rest) complex block, viewed as an (n_r, 2 * rest) real
     block, is multiplied by the real ``kernel_cache``: a real GEMM instead
@@ -137,51 +161,25 @@ def _fft_gemm(plan, v, sign, factors=None):
     (n_r, 2 * rest) product, the radial-first complex result viewed as
     real.
     """
-    nd = v.ndim
-    for ax in range(1, nd):
-        if factors is not None:
-            v *= _axis_view(factors[ax - 1][0], ax, nd)
+    for ax in range(1, v.ndim):
         if sign < 0:
             v = np.fft.fft(v, axis=ax)
         else:
             v = np.fft.ifft(v, axis=ax, norm="forward")
-        if factors is not None:
-            v *= _axis_view(factors[ax - 1][1], ax, nd)
     return plan.kernel_cache @ v.reshape(v.shape[0], -1).view(np.float64)
 
 
 def _separable_apply(plan, values, sign):
     """Normalized transform (analysis sign=-1 / synthesis sign=+1): the
-    radial axis moved first (one C-order copy), ``_fft_gemm`` with the
-    direction's phase factors, and the radial axis moved back last; the
-    result is C-contiguous."""
+    direction's ``_source`` block, ``_fft_gemm``, its ``post`` factor, and
+    the radial axis moved back last; the result is C-contiguous."""
     shape = values.shape[-1:] + values.shape[:-1]
-    # no reference to the copy is kept here: it is freed after the first FFT
-    out = _fft_gemm(plan, _radial_first(values), sign,
-                    plan._euclid_factors[0 if sign < 0 else 1])
+    # no reference to the source block is kept here: it is freed after the
+    # first FFT
+    out = _fft_gemm(plan, _source(plan, values, sign), sign)
     out = out.view(np.complex128).reshape(shape)
+    out *= plan._phases[0 if sign < 0 else 1][1]
     return np.ascontiguousarray(np.moveaxis(out, 0, -1))
-
-
-def _synthesis_source(plan, F):
-    """``F`` (on plan.grid_out) as the radial-first block the synthesis
-    FFTs start from: every axis' pre-phase applied and the constant modulus
-    of the post factors (spacings, 1/C) folded in.
-
-    For a real radial-first gain g, ``_fft_gemm(plan, g * block, +1)`` is
-    inverse(g * F) in radial-first layout times a unimodular factor per
-    Euclidean index, so its squared modulus is that of the inverse.  The
-    modulus goes into F, not into the squares: at large alpha 1/C is far
-    below 1 and the unscaled outputs would overflow when squared.
-    """
-    v = _radial_first(F.values)
-    nd = v.ndim
-    modulus = 1.0
-    for ax, (pre, _, scale) in enumerate(plan._euclid_factors[1], start=1):
-        v *= _axis_view(pre, ax, nd)
-        modulus *= scale
-    v *= modulus
-    return v
 
 
 def forward(plan, f):

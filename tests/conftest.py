@@ -1,6 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
+import weinstein.bessel
 from weinstein import (WeinsteinParams, build_grid, make_admissible_radial,
                        make_plan)
 
@@ -62,3 +65,22 @@ def plan_mult():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture()
+def kernel_calls(monkeypatch):
+    """The list of (lam, x) argument pairs of every ``weinstein_kernel``
+    call made while the test runs, through any of the package's module
+    namespaces."""
+    calls = []
+    kernel = weinstein.bessel.weinstein_kernel
+
+    def counted(params, lam, x):
+        calls.append((lam, x))
+        return kernel(params, lam, x)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "weinstein" or name.startswith("weinstein."):
+            if getattr(mod, "weinstein_kernel", None) is kernel:
+                monkeypatch.setattr(mod, "weinstein_kernel", counted)
+    return calls

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -171,6 +172,25 @@ def test_j_alpha_large_index_past_poisson_panels(alpha):
     t, w = _accel.roots_jacobi(700, alpha - 0.5, alpha - 0.5)
     ref = np.cos(np.outer(xs, t)) @ (w / w.sum())
     assert np.max(np.abs(_accel.j_alpha(alpha, xs) - ref)) <= 1e-12
+
+
+def test_j_alpha_one_poisson_rule_per_alpha(monkeypatch):
+    # calls with largest arguments 10, 100 and 1000 share one
+    # Gauss-Gegenbauer rule, and a longer table extends a shorter one, so
+    # j_alpha(x) does not depend on the other arguments of its call
+    rules = functools.cache(_accel._gauss_jacobi.__wrapped__)
+    monkeypatch.setattr(_accel, "_gauss_jacobi", rules)
+    monkeypatch.setattr(_accel, "_j_table",
+                        functools.cache(_accel._j_table.__wrapped__))
+    alpha = 0.7
+    for x_max in (10.0, 100.0, 1000.0):
+        _accel.j_alpha(alpha, np.linspace(0.0, x_max, 50))
+    assert rules.cache_info().currsize == 1
+    assert np.array_equal(_accel._j_table(alpha, 128)[:, :64],
+                          _accel._j_table(alpha, 64))
+    xs = np.linspace(0.0, 250.0, 101)
+    assert np.array_equal(_accel.j_alpha(alpha, np.append(xs, 3000.0))[:-1],
+                          _accel.j_alpha(alpha, xs))
 
 
 def test_j_alpha_rejects_non_finite():

@@ -376,7 +376,7 @@ def test_kernel_route_pointwise_bound(small_setup, rng):
 
 
 @pytest.mark.parametrize("d, counts", [(1, (8, 8)), (2, (8, 8, 8))])
-def test_kernel_route_matches_assembled_psi(d, counts, monkeypatch):
+def test_kernel_route_matches_assembled_psi(d, counts, kernel_calls):
     # the two matrix-vector products equal the kernel sum assembled from
     # kernel_psi, whose reflected point is built explicitly: this checks
     # K(u, (-x', x_r)/sigma) = conj K(u, x/sigma) on the grid
@@ -395,27 +395,18 @@ def test_kernel_route_matches_assembled_psi(d, counts, monkeypatch):
     mask = (np.arange(grid.size) % 3 != 0).reshape(grid.shape)
     # a few x spread over the grid; each row sums over every y
     rows = np.linspace(0, grid.size - 1, 8 if d == 1 else 2).astype(int)
-    kernel_matrix = weinstein.multiplier._accel.kernel_matrix
-    shapes = []
-
-    def counted(lam, x, alpha, sign=-1.0):
-        out = kernel_matrix(lam, x, alpha, sign)
-        shapes.append(out.shape)
-        return out
-
     for s in (0.8, 1.0, 1.5):
         psi = np.array([[kernel_psi(prof, plan, s, pts[i], pts[k])
                          for k in range(grid.size)] for i in rows])
         for region in (None, mask):
             vals = f.flat if region is None else f.flat * region.ravel()
             assembled = s ** (-deg) * (psi @ (w * vals))
-            shapes.clear()
-            with monkeypatch.context() as m:
-                m.setattr(weinstein.multiplier._accel, "kernel_matrix", counted)
-                out = apply_multiplier_kernel(plan, prof, s, f,
-                                              region_mask=region)
-            # applied through per-axis factors: no (n_u, n_x) kernel matrix
-            assert (prof.grid.size, grid.size) not in shapes
+            kernel_calls.clear()
+            out = apply_multiplier_kernel(plan, prof, s, f,
+                                          region_mask=region)
+            # applied through per-axis factors: the pointwise kernel is
+            # never evaluated
+            assert kernel_calls == []
             got = out.flat[rows]
             assert np.linalg.norm(got - assembled) \
                 <= 1e-12 * np.linalg.norm(assembled)

@@ -213,34 +213,32 @@ def test_d2_run_oracles_and_determinism():
 
 @pytest.mark.parametrize("doc", [json.loads(DEFAULT_CONFIG.read_text()),
                                  D2_CONFIG], ids=["default", "d2"])
-def test_run_builds_no_point_pair_kernel_matrix(doc, monkeypatch):
-    # both oracles run on the run's grid through per-axis factors, so no
-    # kernel matrix over point pairs (grid size squared entries) is built
-    import weinstein._accel
-
-    calls = []
-
-    def counted(lam_pts, x_pts, alpha, sign=-1.0):
-        calls.append((len(lam_pts), len(x_pts)))
-        return kernel_matrix(lam_pts, x_pts, alpha, sign)
-
-    kernel_matrix = weinstein._accel.kernel_matrix
-    monkeypatch.setattr(weinstein._accel, "kernel_matrix", counted)
+def test_run_builds_no_point_pair_kernel_matrix(doc, kernel_calls):
+    # both oracles run on the run's grid through per-axis factors, so the
+    # pointwise kernel is never evaluated over point pairs
     report = run(dict(doc))
     tol = report["config"]["tolerances"]["fast_vs_direct"]
     st = report["runs"][0]["self_tests"]
     assert st["fast_vs_direct_rel_l2"] <= tol
     assert st["kernel_vs_spectral_rel_l2"] <= tol
-    assert calls == []
+    assert kernel_calls == []
 
 
 def test_timings_keyed_per_alpha():
-    # every stage keeps one time per alpha; no alpha overwrites another
-    report = run({**SMALL_CONFIG, "params": {"d": 1, "alpha": [0.5, 1.5]}})
+    # every stage keeps one time per alpha; no alpha overwrites another,
+    # not even one that agrees with it to six digits
     stages = ("setup", "sweeps", "self_tests", "certificates")
-    assert set(report["timings"]) == {"total"} | {
-        f"{stage}_alpha_{a}" for stage in stages for a in ("0.5", "1.5")}
-    assert all(t >= 0 for t in report["timings"].values())
+    for alphas, tags in (([0.5, 1.5], ("0.5", "1.5")),
+                         ([0.5, 0.5000001], ("0.5", "0.5000001"))):
+        report = run({**SMALL_CONFIG, "params": {"d": 1, "alpha": alphas}})
+        timings = report["timings"]
+        assert set(timings) == {"total"} | {
+            f"{stage}_alpha_{a}" for stage in stages for a in tags}
+        assert all(timings[f"sweeps_alpha_{a}"] > 0 for a in tags)
+        assert all(t >= 0 for t in timings.values())
+    # a repeated alpha would run twice under one key: it is refused
+    with pytest.raises(ConfigError, match="params.alpha"):
+        run({**SMALL_CONFIG, "params": {"d": 1, "alpha": [0.5, 0.5]}})
 
 
 def test_report_csv_columns(small_report):

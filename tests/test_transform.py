@@ -7,7 +7,6 @@ from weinstein import (Field, WeinsteinParams, build_grid,
                        direct_quadrature, forward, frequency_grid,
                        gaussian_field, inner_product, inverse, make_plan,
                        norm_p, weinstein_kernel)
-from weinstein._accel import kernel_matrix
 
 
 def resolved_field(grid, rng, n_terms=3):
@@ -118,8 +117,13 @@ def test_direct_quadrature_matches_fast(rng):
         assert norm_p(fb_fast - fb_dense, wi, 2) / norm_p(fb_fast, wi, 2) < 1e-8
 
 
-@pytest.mark.parametrize("normalization", ["self-reciprocal", "squared", 2.75])
-def test_fast_matches_direct_nonsquare(rng, normalization):
+@pytest.mark.parametrize("normalization, alpha", [
+    ("self-reciprocal", 0.75), ("squared", 0.75), (2.75, 0.75),
+    # 1/C ~ 1e-188 enters the separable route's pre-factor ("squared" at
+    # this alpha leaves the float range, MeasureRangeError)
+    ("self-reciprocal", 100.0),
+], ids=["self-reciprocal", "squared", "2.75", "self-reciprocal-alpha100"])
+def test_fast_matches_direct_nonsquare(rng, normalization, alpha):
     # axes of different lengths catch axis mix-ups in the separable route
     # (radial axis moved first, Euclidean FFTs along the rest) that the
     # cubic grids above cannot; both routes evaluate the same discrete sum
@@ -127,7 +131,7 @@ def test_fast_matches_direct_nonsquare(rng, normalization):
             (1, (5.0, 6.0), (12, 20), "uniform-offset"),
             (1, (5.0, 6.0), (12, 20), "collocation"),
             (2, (5.0, 4.0, 6.0), (10, 8, 14), "uniform-offset")):
-        p = WeinsteinParams(d=d, alpha=0.75)
+        p = WeinsteinParams(d=d, alpha=alpha)
         g = build_grid(p, extents, counts, radial_scheme=scheme)
         plan = make_plan(g, normalization=normalization)
         f = Field(grid=g, values=rng.normal(size=g.shape)
@@ -177,17 +181,22 @@ def test_direct_quadrature_linearity(rng):
 def test_direct_quadrature_equals_dense_kernel_sum(d, counts, alpha, scheme,
                                                    rng):
     # the per-axis quadrature is the dense weighted sum over all point
-    # pairs, K(dst, src) @ (w * f), in both directions
+    # pairs, K(dst, src) @ (w * f), in both directions; K is the pointwise
+    # kernel at every (dst, src) pair, conjugated for the synthesis sign
     p = WeinsteinParams(d=d, alpha=alpha)
     g = build_grid(p, (4.0,) * (d + 1), counts, radial_scheme=scheme)
     plan = make_plan(g)
-    for inv, src, dst, w, sign in (
-            (False, plan.grid_in, plan.grid_out, plan.weights_in, -1.0),
-            (True, plan.grid_out, plan.grid_in, plan.weights_out, +1.0)):
+    for inv, src, dst, w in (
+            (False, plan.grid_in, plan.grid_out, plan.weights_in),
+            (True, plan.grid_out, plan.grid_in, plan.weights_out)):
         f = Field(grid=src, values=rng.normal(size=src.shape)
                   + 1j * rng.normal(size=src.shape))
-        dense = kernel_matrix(dst.points, src.points, alpha, sign) \
-            @ (w.flat * f.flat)
+        pairs = weinstein_kernel(p, np.repeat(dst.points, src.size, axis=0),
+                                 np.tile(src.points, (dst.size, 1)))
+        kernel = pairs.reshape(dst.size, src.size)
+        if inv:
+            kernel = kernel.conj()
+        dense = kernel @ (w.flat * f.flat)
         got = direct_quadrature(plan, f, inverse=inv).flat
         assert np.linalg.norm(got - dense) <= 1e-13 * np.linalg.norm(dense)
 
