@@ -258,7 +258,13 @@ def _j_alpha(alpha, x):
 
 
 def j_alpha(alpha, x):
-    """Normalized Bessel function of index ``alpha`` on a float array."""
+    """Normalized Bessel function of index ``alpha`` on a float array.
+
+    The accuracy is absolute: within 1e-12 of mpmath's 2^a Gamma(a+1)
+    J_a(x) / x^a for alpha from -0.45 to 100 and x up to 65,536.  It is
+    not relative: where j_alpha is tiny the relative error is large (at
+    alpha = 100 and x = 250, j_alpha is 7.8e-54 and the table gives
+    5.4e-17), and no caller divides by the values."""
     x = np.asarray(x, dtype=np.float64)
     return _j_alpha(float(alpha), x.ravel()).reshape(x.shape)
 

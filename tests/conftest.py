@@ -1,3 +1,7 @@
+import json
+import os
+import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -6,6 +10,8 @@ import pytest
 import weinstein.bessel
 from weinstein import (WeinsteinParams, build_grid, make_admissible_radial,
                        make_plan)
+
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(scope="session")
@@ -84,3 +90,27 @@ def kernel_calls(monkeypatch):
             if getattr(mod, "weinstein_kernel", None) is kernel:
                 monkeypatch.setattr(mod, "weinstein_kernel", counted)
     return calls
+
+
+@pytest.fixture()
+def run_cli(tmp_path):
+    """A function running ``weinstein run`` on a config document in a fresh
+    interpreter (PYTHONPATH=src) with a given BLAS thread count, so no
+    in-process warning filter decides its exit code.  It returns the exit
+    code, the output directory and stderr."""
+    def run(config, blas_threads=1, name="run"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / name
+        threads = str(blas_threads)
+        env = dict(os.environ, PYTHONPATH=str(SRC),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-m", "weinstein.cli", "run", "--config",
+             str(path), "--out", str(out)],
+            capture_output=True, text=True, timeout=300, cwd=tmp_path,
+            env=env)
+        return proc.returncode, out, proc.stderr
+
+    return run

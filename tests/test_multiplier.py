@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 import weinstein.multiplier
 
-from weinstein import (Field, MultiplierProfile, SigmaRangeError,
-                       WeinsteinParams, admissibility_defect, apply_multiplier,
+from weinstein import (Field, MeasureRangeError, MultiplierProfile,
+                       SigmaRangeError, WeinsteinParams,
+                       admissibility_defect, apply_multiplier,
                        apply_multiplier_kernel, build_grid, build_sigma_grid,
                        dilate_symbol, forward,
                        gaussian_field, kernel_psi, make_admissible_radial,
@@ -17,6 +19,7 @@ from weinstein.multiplier import (gaussian_bump_profile,
                                   quadratic_bump_profile,
                                   quadratic_bump_tail_mass,
                                   radial_admissibility_quadrature)
+from weinstein.report import _random_bump
 
 
 # ---------------------------------------------------------------------------
@@ -445,14 +448,29 @@ def plan_alpha_100():
     return make_plan(grid)
 
 
-@pytest.mark.parametrize("plan_name",
-                         ["plan_mult", "plan_2d_small", "plan_alpha_100"])
-def test_sweep_stats_match_density_oracle(plan_name, request):
-    # the streamed moments equal the materialized densities reduced
-    # afterwards, on a d=1 and a d=2 grid and at alpha = 100
+def _oracle_case(name, family, field):
+    parts = [name] + [s for s in (family, field)
+                      if s not in ("gaussian_bump", "gaussian")]
+    return pytest.param(name, family, field, id="-".join(parts))
+
+
+@pytest.mark.parametrize("plan_name,family,field", [
+    _oracle_case(name, family, field)
+    for field in ("gaussian", "random_bump")
+    for family in ("gaussian_bump", "quadratic_bump")
+    for name in ("plan_mult", "plan_2d_small", "plan_alpha_100")])
+def test_sweep_stats_match_density_oracle(plan_name, family, field, request):
+    # the streamed moments (interpolated at the small scales) equal the
+    # materialized densities reduced afterwards, on a d=1 and a d=2 grid
+    # and at alpha = 100, for both profile families, and for a run's
+    # random bump field (complex, off-centre Gaussians) as well as a
+    # centred Gaussian
     plan = request.getfixturevalue(plan_name)
-    profile = make_admissible_radial(plan)
-    f = gaussian_field(plan.grid_in, scale=0.9)
+    profile = make_admissible_radial(plan, family=family)
+    if field == "gaussian":
+        f = gaussian_field(plan.grid_in, scale=0.9)
+    else:
+        f = _random_bump(plan.grid_in, np.random.default_rng(20240501))
     betas = (0.0, 1.0, 1.5, 2.0)
     stats = multiplier_sweep(plan, profile, f, betas)
     dens = multiplier_densities(plan, profile, f)
@@ -478,6 +496,16 @@ def test_sweep_rejects_non_finite_profile(plan_mult, bump_profile):
         multiplier_sweep(plan_mult, prof, gaussian_field(plan_mult.grid_in))
 
 
+def test_sweep_overflow_is_a_measure_range_error(plan_mult, bump_profile):
+    # a finite field and profile whose squared outputs overflow are a
+    # numeric guard, told from the data, not from floating-point flags
+    # (which a threaded BLAS product does not carry back from its workers)
+    f = gaussian_field(plan_mult.grid_in)
+    huge = Field(grid=f.grid, values=1e160 * f.values)
+    with pytest.raises(MeasureRangeError, match="float range"):
+        multiplier_sweep(plan_mult, bump_profile, huge)
+
+
 def test_sweep_builds_no_per_scale_field(plan_mult, bump_profile,
                                          monkeypatch):
     # the sweep runs on the transform's FFT and GEMM core: no dilated
@@ -491,3 +519,57 @@ def test_sweep_builds_no_per_scale_field(plan_mult, bump_profile,
         monkeypatch.setattr(f"weinstein.multiplier.{name}", refuse)
     stats = multiplier_sweep(plan_mult, bump_profile, f)
     assert np.array_equal(stats.moments, expected)
+
+
+@pytest.mark.parametrize("T", [1e-6, 0.01, 0.05, 0.09, 0.3, 1.0])
+def test_chebyshev_count_is_smallest_meeting_bound(T):
+    # n is the smallest node count whose relative interpolation bound
+    # 2 e^T (T/4)^n / n! is at most 2^-53; 8 nodes at tau = 0.3
+    def bound(n):
+        return 2.0 * math.exp(T) * (T / 4.0) ** n / math.factorial(n)
+
+    n = weinstein.multiplier._chebyshev_count(T)
+    assert bound(n) <= 2.0 ** -53 < bound(n - 1)
+    if T == 0.09:
+        assert n == 8
+
+
+def test_sweep_interpolation_needs_its_nodes(plan_alpha_100, monkeypatch):
+    # the node count is not slack: five nodes miss the dense oracle by
+    # more than 1e-12 at alpha = 100
+    profile = make_admissible_radial(plan_alpha_100)
+    f = gaussian_field(plan_alpha_100.grid_in, scale=0.9)
+    oracle = multiplier_densities(plan_alpha_100, profile, f) \
+        @ plan_alpha_100.weights_in.flat
+    monkeypatch.setattr(weinstein.multiplier, "_chebyshev_count",
+                        lambda T: 5)
+    moments = multiplier_sweep(plan_alpha_100, profile, f).moments[:, 0]
+    assert np.max(np.abs(moments / oracle - 1.0)) > 1e-12
+
+
+def test_sweep_synthesis_count(plan_mult, bump_profile, monkeypatch):
+    # the scales with tau = sigma max|x| <= 0.3 cost n syntheses in all;
+    # a profile other than the family functions is synthesized at every
+    # scale
+    calls = []
+    core = weinstein.multiplier._fft_gemm
+
+    def counted(*args):
+        calls.append(1)
+        return core(*args)
+
+    monkeypatch.setattr(weinstein.multiplier, "_fft_gemm", counted)
+    f = gaussian_field(plan_mult.grid_in)
+    sigmas = bump_profile.sigma_grid.sigmas
+    t = (sigmas * bump_profile.radius.max()) ** 2
+    n_small = int(np.count_nonzero(t <= 0.3 ** 2))
+    n = weinstein.multiplier._chebyshev_count(float(t[n_small - 1]))
+    stats = multiplier_sweep(plan_mult, bump_profile, f)
+    assert (n_small, n) == (49, 8)
+    assert len(calls) == len(sigmas) - n_small + n
+    calls.clear()
+    ad_hoc = dataclasses.replace(
+        bump_profile, radial_profile=lambda u: gaussian_bump_profile(u))
+    per_scale = multiplier_sweep(plan_mult, ad_hoc, f)
+    assert len(calls) == len(sigmas)
+    np.testing.assert_allclose(stats.moments, per_scale.moments, rtol=1e-12)

@@ -316,6 +316,39 @@ def test_cli_large_alpha_guard(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
 
 
+def test_cli_transform_overflow_guard(run_cli):
+    # an explicit normalization of 2.75 at alpha = 100 scales the transform
+    # to ~1e154, past the float range once squared: a numeric guard (exit
+    # 3), not the sweep's non-finite-moments error (exit 4)
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    cfg["params"]["alpha"] = [100]
+    cfg["grid"]["counts"] = [16, 16]
+    cfg["normalization"] = 2.75
+    code, out, err = run_cli(cfg)
+    assert code == 3, err
+    assert "numeric guard:" in err and "float range" in err
+    assert not out.exists()
+
+
+def test_report_independent_of_blas_threads(run_cli):
+    # 2 * 48 * 48 * 36 real output values per scale are enough for OpenBLAS
+    # to split a matrix-vector product over two threads, which changes its
+    # summation order; the sweep's reduction is an einsum, so one and two
+    # BLAS threads write the same report and CSV
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    cfg["params"]["d"] = 2
+    cfg["grid"].update(extents=[12.0, 12.0, 9.0], counts=[48, 48, 36])
+    runs = [run_cli(cfg, blas_threads=n, name=f"threads_{n}") for n in (1, 2)]
+    assert [code for code, _, _ in runs] == [0, 0], runs[0][2] + runs[1][2]
+    (_, one, _), (_, two, _) = runs
+    reports = [json.loads((out / "report.json").read_text())
+               for out in (one, two)]
+    assert report_json_bytes(reports[0], strip_timings=True) \
+        == report_json_bytes(reports[1], strip_timings=True)
+    assert (one / "certificates.csv").read_bytes() \
+        == (two / "certificates.csv").read_bytes()
+
+
 def test_cli_alpha_100_runs_without_warnings(tmp_path):
     # at alpha = 100 the measure still fits the float range, the self-tests
     # fail (exit 1 with a report) and sigma^{-2 deg} below the Donoho-Stark
