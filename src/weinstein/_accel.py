@@ -17,8 +17,8 @@ Poisson's integral
 
 on the Gauss-Gegenbauer rule of that weight; beyond, Bessel's equation
 x j'' + (2 alpha + 1) j' + x j = 0 carries j and j' from panel to panel by
-Taylor series, so the table costs O(x) for any x.  Si is Gauss-Legendre on
-the sinc over the same panels.
+Taylor series, so the table costs O(x), up to MARCH_STEP_BUDGET steps.  Si
+is Gauss-Legendre on the sinc over the same panels.
 
 """
 
@@ -26,6 +26,8 @@ import functools
 import math
 
 import numpy as np
+
+from .errors import SizeGuardError
 
 # Chebyshev panels for j_alpha: on a panel of half-width 2 the series
 # coefficients of cos(x t), |t| <= 1, are bounded by 2|J_k(2)| < 1e-18
@@ -46,6 +48,12 @@ POISSON_NODES = 180
 # step h from x0): the series' terms then stay below e^8 ~ 3000 times the
 # solution, so round-off keeps ~12 digits of it.
 MARCH_REACH = 8.0
+# Most Taylor steps one table may take (up to ~1.6 kB each while it is
+# built).  Panels past x = 256 take at least one step each, plus about
+# (alpha / 4) ln(x / 256) in all, so this admits x < 524,288 at small alpha
+# and alpha = 1e5 at x = 1200 (52,385 steps, the most any test takes), and
+# refuses alpha = 1e7 at x = 400 (1.7 million steps).
+MARCH_STEP_BUDGET = 1 << 17
 # Rescaling step of the recurrence, so that p_k^2 and the Christoffel sums
 # stay in the float range for large rules and parameters.
 _RESCALE_LOG2 = 400
@@ -180,7 +188,15 @@ def _bessel_march(alpha, first, panels, t, w):
     series of the step it lies in."""
     m = 2.0 * alpha + 1.0
     left = np.arange(first, panels) * PANEL_WIDTH
-    cuts = np.ceil(m * PANEL_WIDTH / (MARCH_REACH * left)).astype(np.intp)
+    # counted in floats, so that a huge alpha cannot wrap the count
+    cuts = np.ceil(m * PANEL_WIDTH / (MARCH_REACH * left))
+    steps = float(cuts.sum())
+    if steps > MARCH_STEP_BUDGET:
+        raise SizeGuardError(
+            f"j_alpha at alpha={alpha:g} for |x| up to "
+            f"{panels * PANEL_WIDTH:g} needs {steps:.4g} Taylor steps of "
+            f"Bessel's equation, over the budget of {MARCH_STEP_BUDGET}")
+    cuts = cuts.astype(np.intp)
     start = np.cumsum(cuts) - cuts              # each panel's first step
     panel = np.repeat(np.arange(len(left)), cuts)
     h = PANEL_WIDTH / cuts[panel]
@@ -264,7 +280,8 @@ def j_alpha(alpha, x):
     J_a(x) / x^a for alpha from -0.45 to 100 and x up to 65,536.  It is
     not relative: where j_alpha is tiny the relative error is large (at
     alpha = 100 and x = 250, j_alpha is 7.8e-54 and the table gives
-    5.4e-17), and no caller divides by the values."""
+    5.4e-17), and no caller divides by the values.  Arguments whose table
+    needs more than MARCH_STEP_BUDGET Taylor steps raise SizeGuardError."""
     x = np.asarray(x, dtype=np.float64)
     return _j_alpha(float(alpha), x.ravel()).reshape(x.shape)
 

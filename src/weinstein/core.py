@@ -312,7 +312,18 @@ def norm_p(f, w, p):
     p = float(p)
     if p < 1.0:
         raise ValueError(f"norms require p >= 1, got {p}")
-    return float(np.sum(w.weights * np.abs(f.values) ** p) ** (1.0 / p))
+    a = np.abs(f.values)
+    with np.errstate(over="ignore"):
+        total = np.sum(w.weights * a ** p)
+        if 0.0 < total < math.inf or not a.any():
+            return float(total ** (1.0 / p))
+        # |f|^p left the float range: scale max|f| into [1/2, 1) by a power
+        # of two and multiply the norm back.  The plain sum is kept whenever
+        # it fits, because the root (pow) does not commute with the scaling
+        # bit for bit.
+        e = int(np.frexp(a.max())[1])
+        total = np.sum(w.weights * np.ldexp(a, -e) ** p)
+        return float(np.ldexp(total ** (1.0 / p), e))
 
 
 def inner_product(f, g, w):

@@ -6,7 +6,8 @@ class GridMismatchError(ValueError):
 
 
 class SizeGuardError(RuntimeError):
-    """A dense O(N^2)-or-worse routine was asked for more points than allowed."""
+    """A dense O(N^2)-or-worse routine was asked for more points than allowed,
+    or the j_alpha table for more Taylor steps than its budget."""
 
 
 class IntegrabilityGuardError(ValueError):

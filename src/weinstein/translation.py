@@ -103,21 +103,26 @@ def radial_mix_matrix(rule, grid, x_r):
                        minlength=n * n).reshape(n, n)
 
 
+def _apply_operators(values, operators):
+    """Apply (axis, matrix) operators to ``values`` in order."""
+    for axis, matrix in operators:
+        values = apply_axis_matrix(values, matrix, axis)
+    return values
+
+
 def translate_direct(rule, f, x):
-    """Translate ``f`` by the point ``x`` through the angular-average integral."""
+    """Translate ``f`` by the point ``x`` through the angular-average integral:
+    a linear shift along each Euclidean axis with a nonzero offset, then the
+    radial mix unless x_r = 0."""
     grid = f.grid
     _check_alpha(rule, grid)
     x = _check_point(grid, x)
-    v = f.values
-    for ax, (nodes, s) in enumerate(zip(grid.euclid_axes, x[:-1])):
-        if s == 0.0:
-            continue
-        v = apply_axis_matrix(v, uniform_linear_matrix(nodes, nodes + s), ax)
-    if x[-1] == 0.0:
-        return Field(grid=grid, values=v)
-    mix = radial_mix_matrix(rule, grid, x[-1])
-    v = apply_axis_matrix(v, mix, grid.params.d)
-    return Field(grid=grid, values=v)
+    operators = [(ax, uniform_linear_matrix(nodes, nodes + s))
+                 for ax, (nodes, s) in enumerate(zip(grid.euclid_axes, x[:-1]))
+                 if s != 0.0]
+    if x[-1] != 0.0:
+        operators.append((grid.params.d, radial_mix_matrix(rule, grid, x[-1])))
+    return Field(grid=grid, values=_apply_operators(f.values, operators))
 
 
 def spectral_multiplier(plan, x):
@@ -171,7 +176,10 @@ def convolve_direct(rule, f, g, w):
     """Brute-force convolution sum over translations; small grids only.
 
     (f * g)(x) = sum_y w(y) * (tau_x f)(-y) * g(y), with -y the Euclidean
-    reflection of y.
+    reflection of y.  Each tau_x f is ``translate_direct``'s, bit for bit,
+    but its operators are built once per distinct offset (one linear shift
+    per Euclidean coordinate, one radial mix per radial node), and a
+    Euclidean point's shifted field is shared by its radial line.
     """
     grid = f.grid
     if grid.size > CONVOLVE_DIRECT_GUARD:
@@ -179,11 +187,20 @@ def convolve_direct(rule, f, g, w):
             f"direct convolution over {grid.size} points exceeds the guard "
             f"({CONVOLVE_DIRECT_GUARD})"
         )
-    flip = tuple(range(grid.params.d))
+    d = grid.params.d
+    # None where translate_direct skips a zero offset; radial nodes of the
+    # uniform-offset axis (the only one radial_mix_matrix accepts) are > 0
+    shifts = [[None if s == 0.0 else uniform_linear_matrix(nodes, nodes + s)
+               for s in nodes] for nodes in grid.euclid_axes]
+    mixes = [radial_mix_matrix(rule, grid, r) for r in grid.radial_nodes]
+    flip = tuple(range(d))
     gw = (w.weights * g.values).ravel()
-    out = np.empty(grid.size, dtype=np.complex128)
-    for i, x in enumerate(grid.points):
-        tf = translate_direct(rule, f, x)
-        reflected = np.flip(tf.values, axis=flip) if flip else tf.values
-        out[i] = reflected.ravel() @ gw
-    return Field(grid=grid, values=out.reshape(grid.shape))
+    out = np.empty(grid.shape, dtype=np.complex128)
+    for euclid in np.ndindex(grid.shape[:-1]):
+        shifted = _apply_operators(f.values, [
+            (ax, shifts[ax][j]) for ax, j in enumerate(euclid)
+            if shifts[ax][j] is not None])
+        for k, mix in enumerate(mixes):
+            tf = _apply_operators(shifted, [(d, mix)])
+            out[euclid + (k,)] = np.flip(tf, axis=flip).ravel() @ gw
+    return Field(grid=grid, values=out)

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 import warnings
 
 import mpmath as mp
@@ -7,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from weinstein import WeinsteinParams, _accel, bessel_j_normalized, \
-    weinstein_kernel
+from weinstein import SizeGuardError, WeinsteinParams, _accel, \
+    bessel_j_normalized, weinstein_kernel
 
 mp.mp.dps = 80
 
@@ -191,6 +192,26 @@ def test_j_alpha_one_poisson_rule_per_alpha(monkeypatch):
     xs = np.linspace(0.0, 250.0, 101)
     assert np.array_equal(_accel.j_alpha(alpha, np.append(xs, 3000.0))[:-1],
                           _accel.j_alpha(alpha, xs))
+
+
+def test_j_alpha_march_step_budget(monkeypatch):
+    # alpha = 1e7 at x = 400 needs ~1.7 million Taylor steps past x = 256
+    # (GBs of series); the march counts its steps first and refuses before
+    # any series or per-step array exists
+    def no_series(*args):
+        raise AssertionError("a Taylor series was built")
+
+    monkeypatch.setattr(_accel, "_bessel_taylor", no_series)
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError,
+                           match=r"alpha=1e\+07 .* 1\.74\de\+06 Taylor steps"
+                                 r" .* budget of 131072"):
+            _accel.j_alpha(1e7, np.array([400.0]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 << 20
 
 
 def test_j_alpha_rejects_non_finite():

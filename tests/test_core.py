@@ -132,6 +132,24 @@ def test_norms_basic():
         norm_p(f, w, 0.5)
 
 
+def test_norms_out_of_float_range():
+    # at these scales |f|^2 over- or underflows; the norm then scales
+    # max|f| by a power of two and multiplies back, so it is the scaled
+    # norm of the unit field, with no overflow warning
+    p = WeinsteinParams(d=1, alpha=0.5)
+    g = build_grid(p, (8.0, 8.0), (32, 32))
+    w = measure_weights(g)
+    f = gaussian_field(g)
+    f = Field(grid=g, values=f.values * np.exp(1j * g.radius_sq)
+              / np.max(f.values))
+    for scale in (1e200, 1e-200):
+        big = Field(grid=g, values=scale * f.values)
+        assert np.max(np.abs(big.values)) == pytest.approx(scale)
+        for q in (1, 2, 3.5):
+            assert norm_p(big, w, q) == pytest.approx(
+                scale * norm_p(f, w, q), rel=1e-14)
+
+
 def test_norm2_matches_inner_product():
     p = WeinsteinParams(d=1, alpha=0.5)
     g = build_grid(p, (8.0, 8.0), (48, 48))

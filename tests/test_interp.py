@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from weinstein.interp import radial_cubic_matrix, uniform_linear_matrix
+from weinstein.interp import (apply_axis_matrix, radial_cubic_matrix,
+                              uniform_linear_matrix)
 
 
 def test_linear_exact_on_nodes():
@@ -38,3 +39,21 @@ def test_radial_zero_beyond_extent():
     m = radial_cubic_matrix(r, extent, np.array([5.0, 7.5]))
     assert np.all(m == 0)
 
+
+def test_apply_axis_matrix_matches_complex_product():
+    # the real product on the float view equals the complex product against
+    # the upcast matrix, along every axis, for square and non-square
+    # matrices and for a non-contiguous (transposed) input
+    rng = np.random.default_rng(7)
+    for shape in ((6, 9), (5, 4, 7)):
+        base = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        for v in (base, base.T):
+            for axis in range(v.ndim):
+                n_in = v.shape[axis]
+                for n_out in (n_in, n_in + 3):
+                    m = rng.normal(size=(n_out, n_in))
+                    ref = np.moveaxis(np.moveaxis(v, axis, -1) @ m.T, -1, axis)
+                    out = apply_axis_matrix(v, m, axis)
+                    assert out.shape == ref.shape
+                    assert np.max(np.abs(out - ref)) \
+                        <= 1e-15 * np.max(np.abs(ref))

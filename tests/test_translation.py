@@ -9,6 +9,7 @@ from weinstein import (Field, SizeGuardError, TranslationRule, WeinsteinParams,
                        gaussian_field, make_plan, measure_weights, norm_p,
                        translate_direct, translate_spectral, weinstein_kernel)
 from weinstein.interp import radial_cubic_matrix
+from weinstein import translation
 from weinstein.translation import radial_mix_matrix, spectral_multiplier
 
 
@@ -298,6 +299,60 @@ def test_convolve_direct_small_grid_oracle():
     cd48 = convolve_direct(rule, f48, h48, w48)
     cs48 = convolve(plan48, f48, h48)
     assert norm_p(cd48 - cs48, w48, 2) / norm_p(cs48, w48, 2) < 5e-3
+
+
+def convolve_direct_reference(rule, f, g, w):
+    """The convolution sum one translate_direct per grid point: the
+    translate's Euclidean flip dotted with w * g."""
+    flip = tuple(range(f.grid.params.d))
+    gw = (w.weights * g.values).ravel()
+    out = [np.flip(translate_direct(rule, f, x).values, axis=flip).ravel() @ gw
+           for x in f.grid.points]
+    return np.array(out).reshape(f.grid.shape)
+
+
+@pytest.mark.parametrize("alpha, extents, counts", [
+    (0.5, (5.6, 5.6), (16, 16)),
+    (0.5, (8.0, 8.0), (48, 48)),
+    # 9 Euclidean nodes of step 1 put one at exactly 0, a shift
+    # translate_direct skips
+    (1.0, (4.5, 4.0, 5.0), (9, 8, 10)),
+])
+def test_convolve_direct_matches_translate_direct(alpha, extents, counts):
+    # the per-offset operators reproduce the per-point translations bit for
+    # bit
+    g = build_grid(WeinsteinParams(d=len(counts) - 1, alpha=alpha),
+                   extents, counts)
+    if len(counts) == 3:
+        assert 0.0 in g.euclid_axes[0]
+    w = measure_weights(g)
+    rule = TranslationRule(alpha=alpha)
+    f = signed_field(g)
+    f = Field(grid=g, values=f.values * np.exp(0.3j * g.points[:, 0]).reshape(
+        g.shape))
+    h = gaussian_field(g, scale=1.2)
+    assert np.array_equal(convolve_direct(rule, f, h, w).values,
+                          convolve_direct_reference(rule, f, h, w))
+
+
+def test_convolve_direct_builds_one_operator_per_offset(monkeypatch):
+    # 48 radial nodes and 48 Euclidean coordinates: 48 + 48 operators for
+    # the 2304 translations
+    counts = {}
+
+    def counted(fn):
+        def call(*args):
+            counts[fn.__name__] = counts.get(fn.__name__, 0) + 1
+            return fn(*args)
+        return call
+
+    for name in ("radial_mix_matrix", "uniform_linear_matrix"):
+        monkeypatch.setattr(translation, name,
+                            counted(getattr(translation, name)))
+    g = build_grid(WeinsteinParams(d=1, alpha=0.5), (8.0, 8.0), (48, 48))
+    f = gaussian_field(g)
+    convolve_direct(TranslationRule(alpha=0.5), f, f, measure_weights(g))
+    assert counts == {"radial_mix_matrix": 48, "uniform_linear_matrix": 48}
 
 
 def test_convolve_direct_guard(plan_half):
