@@ -27,7 +27,7 @@ import math
 
 import numpy as np
 
-from .errors import SizeGuardError
+from .errors import MeasureRangeError, SizeGuardError
 
 # Chebyshev panels for j_alpha: on a panel of half-width 2 the series
 # coefficients of cos(x t), |t| <= 1, are bounded by 2|J_k(2)| < 1e-18
@@ -129,12 +129,25 @@ def roots_jacobi(n, a, b):
     """Nodes (ascending) and weights of the n-point Gauss-Jacobi rule for
     the weight (1-t)^a (1+t)^b on [-1, 1]; needs a, b > -1.  The rule is
     computed once per (n, a, b) and the nodes are shared and read-only.
-    Weights beyond the float range come out inf (or 0), never nan."""
+    Weights beyond the float range come out inf (or 0), never nan; a, b
+    so large that the recurrence itself leaves the float range (or loses
+    the Christoffel sums to cancellation) raise MeasureRangeError."""
     a, b = float(a), float(b)
-    nodes, log2_weights = _gauss_jacobi(int(n), a, b)
+    try:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            nodes, log2_weights = _gauss_jacobi(int(n), a, b)
+        finite = np.all(np.isfinite(nodes)) \
+            and np.all(np.isfinite(log2_weights))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise MeasureRangeError(
+            f"the {n}-node Gauss-Jacobi rule for (1-t)^{a:g} (1+t)^{b:g} "
+            "leaves the float range")
     log2_mass = a + b + 1.0 + (math.lgamma(a + 1.0) + math.lgamma(b + 1.0)
                                - math.lgamma(a + b + 2.0)) / math.log(2.0)
-    return nodes, np.exp2(log2_mass + log2_weights)
+    with np.errstate(over="ignore"):
+        return nodes, np.exp2(log2_mass + log2_weights)
 
 
 @functools.cache

@@ -300,8 +300,16 @@ class Field:
 
 
 def gaussian_field(grid, scale=1.0):
-    """The Gaussian exp(-|x|^2 / (2 scale^2)) on the grid."""
-    return Field(grid=grid, values=np.exp(-grid.radius_sq / (2.0 * scale ** 2)))
+    """The Gaussian exp(-|x|^2 / (2 scale^2)) on the grid; a scale whose
+    2 scale^2 leaves the float range raises MeasureRangeError."""
+    try:
+        width = 2.0 * scale ** 2
+    except OverflowError:
+        width = math.inf
+    if not 0.0 < width < math.inf:
+        raise MeasureRangeError(
+            f"gaussian scale {scale:g}: 2 scale^2 leaves the float range")
+    return Field(grid=grid, values=np.exp(-grid.radius_sq / width))
 
 
 def norm_p(f, w, p):

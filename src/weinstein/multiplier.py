@@ -31,7 +31,7 @@ import numpy as np
 
 from .bessel import weinstein_kernel
 from .core import Field, Grid, SigmaGrid, build_sigma_grid, norm_p
-from .errors import MeasureRangeError, SigmaRangeError
+from .errors import GridMismatchError, MeasureRangeError, SigmaRangeError
 from .transform import (TransformPlan, _apply_factors, _fft_gemm,
                         _kernel_factors, _radial_first, _source, forward,
                         inverse)
@@ -43,10 +43,14 @@ ADMISSIBILITY_VARIANTS = ("modulus", "modulus_squared")
 # above, its super-exponential decay moves off the Gregory edge nodes.
 LOG_PAD_BELOW = 5.0
 LOG_PAD_ABOVE = 1.0
-# Probe radii per period of log-radius, and the scale counts searched.
+# Probe radii per period of log-radius, and the scale counts searched
+# (MAX_SIGMA_COUNT also bounds a configured count).
 PROBES_PER_PERIOD = 16
 MIN_SIGMA_COUNT = 16
 MAX_SIGMA_COUNT = 1024
+# Largest dilated radius sigma * |x| a profile is evaluated at: the
+# profiles and their tail masses square it, and 2^1022 is a float.
+DILATED_RADIUS_MAX = 2.0 ** 511
 # Largest tau = sigma * max|x| of the scales whose sweep moments are
 # interpolated (``_chebyshev_count`` gives 8 nodes at tau = 0.3).
 INTERP_TAU_MAX = 0.3
@@ -95,6 +99,12 @@ class MultiplierProfile:
         return admissibility_defect(self)
 
 
+def _check_profile(plan, profile):
+    if not profile.grid.same_geometry(plan.grid_out):
+        raise GridMismatchError(
+            "profile does not live on the plan's output grid")
+
+
 def dilate_symbol(profile, sigma):
     """The dilated symbol m(sigma * .) on the frequency grid: the radius
     profile evaluated at the dilated radii.  sigma = 1 returns the symbol."""
@@ -127,6 +137,7 @@ def apply_multiplier(plan, profile, sigma, phi):
     """T phi = inverse(m(sigma .) * forward(phi)); linear in phi."""
     if sigma <= 0:
         raise ValueError(f"dilation scale must be positive, got {sigma}")
+    _check_profile(plan, profile)
     F = forward(plan, phi)
     dil = dilate_symbol(profile, float(sigma))
     return inverse(plan, Field(grid=plan.grid_out, values=dil.values * F.values))
@@ -247,6 +258,7 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     with a finite field and finite profile values they mean the transform
     left the float range (MeasureRangeError); otherwise ValueError.
     """
+    _check_profile(plan, profile)
     betas = tuple(float(b) for b in betas)
     F = forward(plan, phi)
     src = _source(plan, F.values, +1)
@@ -323,6 +335,7 @@ def kernel_psi(profile, plan, sigma, x, y):
     so the symbol itself is never interpolated."""
     if sigma <= 0:
         raise ValueError(f"dilation scale must be positive, got {sigma}")
+    _check_profile(plan, profile)
     x = np.asarray(x, dtype=np.float64).reshape(-1) / sigma
     y = np.asarray(y, dtype=np.float64).reshape(-1) / sigma
     params, u = profile.grid.params, profile.grid.points
@@ -351,6 +364,9 @@ def apply_multiplier_kernel(plan, profile, sigma, phi, region_mask=None):
     """
     if sigma <= 0:
         raise ValueError(f"dilation scale must be positive, got {sigma}")
+    _check_profile(plan, profile)
+    if not phi.grid.same_geometry(plan.grid_in):
+        raise GridMismatchError("field does not live on the plan's input grid")
     grid = phi.grid
     factors = _kernel_factors(plan, -1.0, sigma)
     vals = phi.values if region_mask is None \
@@ -479,15 +495,21 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
     the rule converges geometrically in the count.  When no count is
     given, the smallest one whose quadrature defect at the probe radii is
     <= ``tolerance``/16 is used.  A range too narrow for ``tolerance``
-    raises SigmaRangeError with the achieved defect.
+    raises SigmaRangeError with the achieved defect, and so do frequency
+    radii or dilated radii sigma*|x| whose squares leave the float range.
     """
     if family not in PROFILE_FAMILIES:
         raise ValueError(f"unknown profile family {family!r}")
     profile_fn, tail_fn = PROFILE_FAMILIES[family]
     grid_f = plan.grid_out
-    rsq = grid_f.radius_sq
-    x_lo = math.sqrt(float(rsq.min()))
-    x_hi = math.sqrt(float(rsq.max()))
+    with np.errstate(over="ignore"):
+        rsq = grid_f.radius_sq
+    rsq_lo, rsq_hi = float(rsq.min()), float(rsq.max())
+    if not (0.0 < rsq_lo and rsq_hi < math.inf):
+        raise SigmaRangeError(
+            f"the frequency grid's |x|^2 spans [{rsq_lo:g}, {rsq_hi:g}]: it "
+            "leaves the float range")
+    x_lo, x_hi = math.sqrt(rsq_lo), math.sqrt(rsq_hi)
     if sigma_range is None:
         u_lo = _tail_bracket(lambda u: tail_fn(u, math.inf), tolerance / 16.0,
                              start=1.0, direction=-1)
@@ -496,6 +518,11 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
         sigma_range = (u_lo / x_hi * math.exp(-LOG_PAD_BELOW),
                        u_hi / x_lo * math.exp(LOG_PAD_ABOVE))
     s_min, s_max = float(sigma_range[0]), float(sigma_range[1])
+    if not (0.0 < s_min and s_max / s_min < math.inf
+            and s_max * x_hi <= DILATED_RADIUS_MAX):
+        raise SigmaRangeError(
+            f"sigma range [{s_min:g}, {s_max:g}] at frequency radii up to "
+            f"{x_hi:g}: sigma*|x| or the range's width leaves the float range")
     if sigma_count is None:
         sigma_count = _smallest_sigma_count(profile_fn, tail_fn, s_min, s_max,
                                             x_lo, x_hi, tolerance / 16.0)

@@ -17,10 +17,10 @@ import numpy as np
 
 from .core import (MIN_AXIS_POINTS, NORMALIZATION_KINDS, RADIAL_SCHEMES, Field,
                    WeinsteinParams, build_grid, gaussian_field, norm_p)
-from .errors import ConfigError
-from .multiplier import (ADMISSIBILITY_VARIANTS, PROFILE_FAMILIES,
-                         apply_multiplier_kernel, dilate_symbol,
-                         make_admissible_radial,
+from .errors import ConfigError, MeasureRangeError
+from .multiplier import (ADMISSIBILITY_VARIANTS, MAX_SIGMA_COUNT,
+                         PROFILE_FAMILIES, apply_multiplier_kernel,
+                         dilate_symbol, make_admissible_radial,
                          multiplier_plancherel_defect, multiplier_sweep,
                          radial_admissibility_quadrature)
 from .transform import direct_quadrature, inverse, make_plan
@@ -174,10 +174,10 @@ class ExperimentConfig:
             raise ConfigError("multiplier.sigma_range must be [lo, hi] with "
                               "0 < lo < hi")
         sigma_count = mult.get("sigma_count")
-        if sigma_count is not None and not (_whole(sigma_count)
-                                            and sigma_count >= 2):
+        if sigma_count is not None and not (
+                _whole(sigma_count) and 2 <= sigma_count <= MAX_SIGMA_COUNT):
             raise ConfigError("multiplier.sigma_count must be a whole number "
-                              ">= 2")
+                              f"in [2, {MAX_SIGMA_COUNT}]")
         seed = doc.get("seed", 0)
         if not _whole(seed) or seed < 0:
             raise ConfigError("seed must be a whole number >= 0")
@@ -250,6 +250,10 @@ def _self_tests(stats):
     plan, profile, f, F = stats.plan, stats.profile, stats.phi, stats.transform
     n_in = norm_p(f, plan.weights_in, 2)
     n_out = norm_p(F, plan.weights_out, 2)
+    if n_out == 0:
+        raise MeasureRangeError(
+            "the self-test Gaussian's transform has norm 0: the "
+            "normalization scales it below the float range")
     plancherel = abs(n_out ** 2 - n_in ** 2) / n_in ** 2
     back = inverse(plan, F)
     roundtrip = float(np.max(np.abs(back.values - f.values)))
@@ -369,6 +373,11 @@ def run(config):
                   for s in config.gaussian_scales]
         fields += [("bump_%d" % i, _random_bump(grid, rng))
                    for i in range(config.random_bumps)]
+        for name, f in fields:
+            if not f.values.any():
+                raise MeasureRangeError(
+                    f"test field {name} is 0 at every grid point (its "
+                    "values underflow)")
         needs_sweep = any(c in config.certificates for c in
                           ("multiplier_heisenberg", "general_heisenberg",
                            "donoho_stark"))

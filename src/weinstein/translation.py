@@ -182,6 +182,9 @@ def convolve_direct(rule, f, g, w):
     Euclidean point's shifted field is shared by its radial line.
     """
     grid = f.grid
+    if not (grid.same_geometry(g.grid) and grid.same_geometry(w.grid)):
+        raise GridMismatchError(
+            "convolution factors and weights live on different grids")
     if grid.size > CONVOLVE_DIRECT_GUARD:
         raise SizeGuardError(
             f"direct convolution over {grid.size} points exceeds the guard "

@@ -13,6 +13,7 @@ dispersion product: the Gaussian family saturates the plain product bound
 (ratio 1), which pins the constant 2/(2*alpha+d+2) numerically.
 """
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from ._accel import si
 from .core import norm_p
-from .errors import IntegrabilityGuardError
+from .errors import IntegrabilityGuardError, MeasureRangeError
 from .transform import forward
 
 DEFAULT_SLACK = 1e-3
@@ -79,19 +80,9 @@ class InequalityCertificate:
     flags: dict = field(default_factory=dict)
 
     def to_json(self):
-        doc = {
-            "name": self.name,
-            "d": self.d,
-            "alpha": self.alpha,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "ratio": self.ratio,
-            "satisfied": self.satisfied,
-            "slack": self.slack,
-            "input_digest": self.input_digest,
-        }
-        if self.flags:
-            doc["flags"] = self.flags
+        doc = dataclasses.asdict(self)
+        if not self.flags:
+            del doc["flags"]
         return doc
 
     @property
@@ -104,6 +95,9 @@ class InequalityCertificate:
 
 
 def _certificate(name, params, lhs, rhs, slack, digest, flags=None):
+    if not (math.isfinite(lhs) and math.isfinite(rhs)):
+        raise MeasureRangeError(f"{name} certificate leaves the float "
+                                f"range: lhs {lhs:g}, rhs {rhs:g}")
     ratio = lhs / rhs if rhs != 0 else math.inf if lhs > 0 else 0.0
     return InequalityCertificate(
         name=name, d=params.d, alpha=params.alpha,
@@ -113,19 +107,37 @@ def _certificate(name, params, lhs, rhs, slack, digest, flags=None):
     )
 
 
-def _norm2(plan, f):
+def _product_certificate(name, plan, f, a, b, beta, delta, slack, digest,
+                         flags=None):
+    """The Heisenberg-Pauli-Weyl product bound in squared form,
+
+        ||f||^2 <= c^{2 beta eps} * a^{2 eps} * b^{2 (1-eps)},
+
+    with c = 2/(2 alpha + d + 2) and eps = delta/(beta+delta) (the unique
+    solution of beta*eps = (1-eps)*delta), for a spatial spread ``a`` of
+    order beta and a frequency spread ``b`` of order delta.  At beta =
+    delta = 1 every exponent is 1 and the bound is (c * a) * b exactly.
+    """
+    params = plan.grid_in.params
     n2 = norm_p(f, plan.weights_in, 2) ** 2
     if n2 == 0:
         raise ValueError("certificate needs a nonzero field")
-    return n2
+    eps = delta / (beta + delta)
+    c = 2.0 / params.homogeneity_degree
+    rhs = c ** (2.0 * beta * eps) * a ** (2.0 * eps) * b ** (2.0 * (1.0 - eps))
+    return _certificate(name, params, n2, rhs, slack,
+                        digest or f"norm2={n2:.6e}", flags)
 
 
 def dispersion(f, w, beta=1.0):
     """Weighted spread (integral of |x|^{2 beta} |f|^2)^{1/2}; beta >= 1."""
     if beta < 1.0:
         raise ValueError(f"dispersion power must be >= 1, got {beta}")
-    vals = w.weights * f.grid.radius_sq ** beta * np.abs(f.values) ** 2
-    return float(np.sqrt(vals.sum()))
+    # |x|^{2 beta} may leave the float range: the certificate refuses the
+    # inf or nan spread this gives
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = w.weights * f.grid.radius_sq ** beta * np.abs(f.values) ** 2
+        return float(np.sqrt(vals.sum()))
 
 
 def heisenberg_certificate(plan, f, slack=DEFAULT_SLACK, digest="",
@@ -137,14 +149,10 @@ def heisenberg_certificate(plan, f, slack=DEFAULT_SLACK, digest="",
     with equality on the Gaussian family.  F is read from ``stats`` (f's
     ``multiplier_sweep``) when given.
     """
-    params = plan.grid_in.params
-    n2 = _norm2(plan, f)
     F = forward(plan, f) if stats is None else stats.transform
-    d_space = dispersion(f, plan.weights_in, 1.0)
-    d_freq = dispersion(F, plan.weights_out, 1.0)
-    rhs = (2.0 / params.homogeneity_degree) * d_space * d_freq
-    return _certificate("heisenberg", params, n2, rhs, slack,
-                        digest or f"norm2={n2:.6e}")
+    return _product_certificate(
+        "heisenberg", plan, f, dispersion(f, plan.weights_in, 1.0),
+        dispersion(F, plan.weights_out, 1.0), 1.0, 1.0, slack, digest)
 
 
 def _hypothesis_flags(stats, admissibility_tol):
@@ -176,51 +184,39 @@ def multiplier_heisenberg_certificate(stats, slack=DEFAULT_SLACK,
     """Product uncertainty bound with the multiplier family on the spatial
     side:
 
-        ||f||^2 <= (2/(2 alpha + d + 2)) * ||y| F f|| * A,
+        ||f||^2 <= (2/(2 alpha + d + 2)) * A * ||y| F f||,
 
-    where A aggregates ||x| T_sigma f|| over the dilation scales.  A
+    where A aggregates ||x| T_sigma f|| over the dilation scales, read
+    with everything else from ``stats``, f's ``multiplier_sweep``.  A
     profile failing the squared-modulus admissibility gate yields a
-    hypothesis_violated certificate (numbers still reported).  Everything
-    is read from ``stats``, f's ``multiplier_sweep``: its plan, profile,
-    field, transform and admissibility defect.
+    hypothesis_violated certificate (numbers still reported).
     """
     plan = stats.plan
-    params = plan.grid_in.params
-    n2 = _norm2(plan, stats.phi)
-    a = aggregated_dispersion(stats, 1.0)
-    b = dispersion(stats.transform, plan.weights_out, 1.0)
-    rhs = (2.0 / params.homogeneity_degree) * b * a
-    flags = _hypothesis_flags(stats, admissibility_tol)
-    return _certificate("multiplier_heisenberg", params, n2, rhs, slack,
-                        digest or f"norm2={n2:.6e}", flags)
+    return _product_certificate(
+        "multiplier_heisenberg", plan, stats.phi,
+        aggregated_dispersion(stats, 1.0),
+        dispersion(stats.transform, plan.weights_out, 1.0), 1.0, 1.0, slack,
+        digest, _hypothesis_flags(stats, admissibility_tol))
 
 
 def general_heisenberg_certificate(stats, beta, delta, slack=DEFAULT_SLACK,
                                    admissibility_tol=1e-3, digest=""):
-    """General-exponent product bound.  With eps = delta/(beta+delta) (the
-    unique solution of beta*eps = (1-eps)*delta),
-
-        ||f|| <= (2/(2a+d+2))^{beta*eps} * A_beta^eps * B_delta^{1-eps},
-
-    where A_beta aggregates ||x|^beta T_sigma f|| over scales and B_delta
-    = ||y|^delta F f||, all read from ``stats`` (f's ``multiplier_sweep``,
-    which must have swept ``beta``).  Reported in squared form so beta =
-    delta = 1 reproduces the plain multiplier certificate identically.
+    """General-exponent product bound (``_product_certificate``) with a =
+    A_beta, which aggregates ||x|^beta T_sigma f|| over scales, and b =
+    B_delta = ||y|^delta F f||, all read from ``stats`` (f's
+    ``multiplier_sweep``, which must have swept ``beta``).  beta = delta =
+    1 gives the multiplier certificate identically.
     """
     if beta < 1.0 or delta < 1.0:
         raise ValueError("exponents must satisfy beta, delta >= 1")
     plan = stats.plan
-    params = plan.grid_in.params
-    n2 = _norm2(plan, stats.phi)
-    eps = delta / (beta + delta)
-    a = aggregated_dispersion(stats, beta)
-    b = dispersion(stats.transform, plan.weights_out, float(delta))
-    const = 2.0 / params.homogeneity_degree
-    rhs = const ** (2.0 * beta * eps) * a ** (2.0 * eps) * b ** (2.0 * (1.0 - eps))
-    flags = {"beta": beta, "delta": delta, "eps": eps,
+    flags = {"beta": beta, "delta": delta, "eps": delta / (beta + delta),
              **_hypothesis_flags(stats, admissibility_tol)}
-    return _certificate("general_heisenberg", params, n2, rhs, slack,
-                        digest or f"norm2={n2:.6e}", flags)
+    return _product_certificate(
+        "general_heisenberg", plan, stats.phi,
+        aggregated_dispersion(stats, beta),
+        dispersion(stats.transform, plan.weights_out, float(delta)), beta,
+        delta, slack, digest, flags)
 
 
 def concentration_defect(f, w, region):
@@ -295,7 +291,7 @@ def donoho_stark_certificate(stats, region, floor, slack=DEFAULT_SLACK,
             "smallest sampled scale)")
     deg = params.homogeneity_degree
     log_rho = -math.log(floor)
-    log_decay = math.log(float(plan.weights_in.flat.sum())) \
+    log_decay = math.log(plan.weights_in.total) \
         + 2.0 * deg * log_rho - math.log(2.0 * deg)
     if max(log_decay, deg * log_rho) > LOG_FLOAT_MAX:
         raise IntegrabilityGuardError("sigma-region integral is not finite")

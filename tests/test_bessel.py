@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from scipy.special import jn_zeros
 
-from weinstein import SizeGuardError, WeinsteinParams, _accel, \
-    bessel_j_normalized, weinstein_kernel
+from weinstein import MeasureRangeError, SizeGuardError, WeinsteinParams, \
+    _accel, bessel_j_normalized, weinstein_kernel
 
 mp.mp.dps = 80
 
@@ -281,6 +281,17 @@ def test_gauss_jacobi_large_rule_stays_finite():
             t, w = _accel.roots_jacobi(1024, a, b)
             assert np.all(np.isfinite(w)) and np.all(np.isfinite(t))
             assert np.all(np.diff(t) > 0)
+
+
+def test_gauss_jacobi_out_of_float_range():
+    # b = 2e4 + 1: the weights overflow to inf, as documented, with no
+    # warning; b = 2e300: the recurrence itself overflows (alpha = 1e300
+    # on a collocation grid), and b = 1e17 cancels the Christoffel sums
+    t, w = _accel.roots_jacobi(16, 0.0, 2e4 + 1.0)
+    assert np.all(np.isfinite(t)) and np.all(np.isinf(w))
+    for b in (2e300, 1e17):
+        with pytest.raises(MeasureRangeError, match="Gauss-Jacobi"):
+            _accel.roots_jacobi(16, 0.0, b)
 
 
 def test_si_against_mpmath():

@@ -106,6 +106,13 @@ def test_measure_out_of_float_range():
             measure_weights(g)
 
 
+def test_gaussian_scale_out_of_float_range():
+    g = build_grid(WeinsteinParams(d=1, alpha=0.5), (8.0, 8.0), (16, 16))
+    for scale in (1e300, 1e154, 1e-200):
+        with pytest.raises(MeasureRangeError, match="2 scale\\^2"):
+            gaussian_field(g, scale=scale)
+
+
 def test_gaussian_norm_closed_form():
     # product of 1-D integrals: int exp(-t^2) dt = sqrt(pi) and
     # int_0^inf exp(-r^2) r^{2a+1} dr = Gamma(a+1)/2

@@ -6,8 +6,8 @@ import pytest
 
 import weinstein.multiplier
 
-from weinstein import (Field, MeasureRangeError, MultiplierProfile,
-                       SigmaRangeError, WeinsteinParams,
+from weinstein import (Field, GridMismatchError, MeasureRangeError,
+                       MultiplierProfile, SigmaRangeError, WeinsteinParams,
                        admissibility_defect, apply_multiplier,
                        apply_multiplier_kernel, build_grid, build_sigma_grid,
                        dilate_symbol, forward,
@@ -202,6 +202,19 @@ def test_radial_quadrature_vectorized():
 def test_make_admissible_narrow_range_errors(plan_mult):
     with pytest.raises(SigmaRangeError, match="too narrow"):
         make_admissible_radial(plan_mult, sigma_range=(0.9, 1.1))
+
+
+def test_make_admissible_range_out_of_float_range(plan_mult):
+    # (sigma |x|)^2, or sigma_max / sigma_min, would leave the float range
+    for sigma_range in ((1e-300, 1e300), (1e-300, 1e10), (1.0, 1e160)):
+        with pytest.raises(SigmaRangeError, match="float range"):
+            make_admissible_radial(plan_mult, sigma_range=sigma_range)
+    # frequency radii whose squares overflow: no sigma range is derived
+    params = WeinsteinParams(d=1, alpha=0.5)
+    for extent in (1e200, 1e-200):
+        plan = make_plan(build_grid(params, (extent, extent), (16, 16)))
+        with pytest.raises(SigmaRangeError, match="frequency grid"):
+            make_admissible_radial(plan)
 
 
 # ---------------------------------------------------------------------------
@@ -573,3 +586,47 @@ def test_sweep_synthesis_count(plan_mult, bump_profile, monkeypatch):
     per_scale = multiplier_sweep(plan_mult, ad_hoc, f)
     assert len(calls) == len(sigmas)
     np.testing.assert_allclose(stats.moments, per_scale.moments, rtol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# grid pairs
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def two_boxes():
+    """Plans and profiles on two 32x32 d=1 grids of extents 8 and 6, whose
+    shapes agree but whose nodes do not."""
+    params = WeinsteinParams(d=1, alpha=0.5)
+    plans = {L: make_plan(build_grid(params, (L, L), (32, 32)))
+             for L in (8.0, 6.0)}
+    return {L: (plan, make_admissible_radial(plan))
+            for L, plan in plans.items()}
+
+
+def test_sweep_rejects_profile_of_another_grid(two_boxes):
+    profile_8, plan_6 = two_boxes[8.0][1], two_boxes[6.0][0]
+    with pytest.raises(GridMismatchError, match="profile"):
+        multiplier_sweep(plan_6, profile_8, gaussian_field(plan_6.grid_in))
+
+
+def test_apply_multiplier_rejects_profile_of_another_grid(two_boxes):
+    profile_8, plan_6 = two_boxes[8.0][1], two_boxes[6.0][0]
+    with pytest.raises(GridMismatchError, match="profile"):
+        apply_multiplier(plan_6, profile_8, 1.0,
+                         gaussian_field(plan_6.grid_in))
+
+
+def test_apply_multiplier_kernel_rejects_grids_of_another_plan(two_boxes):
+    (plan_8, profile_8), (plan_6, profile_6) = two_boxes[8.0], two_boxes[6.0]
+    with pytest.raises(GridMismatchError, match="field"):
+        apply_multiplier_kernel(plan_6, profile_6, 1.0,
+                                gaussian_field(plan_8.grid_in))
+    with pytest.raises(GridMismatchError, match="profile"):
+        apply_multiplier_kernel(plan_6, profile_8, 1.0,
+                                gaussian_field(plan_6.grid_in))
+
+
+def test_kernel_psi_rejects_profile_of_another_grid(two_boxes):
+    profile_8, plan_6 = two_boxes[8.0][1], two_boxes[6.0][0]
+    with pytest.raises(GridMismatchError, match="profile"):
+        kernel_psi(profile_8, plan_6, 1.0, [0.5, 1.0], [0.0, 2.0])

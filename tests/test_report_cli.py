@@ -330,6 +330,66 @@ def test_cli_transform_overflow_guard(run_cli):
     assert not out.exists()
 
 
+def _set(*path_and_value):
+    """A config edit setting the value at ``path`` (dotted keys)."""
+    *path, value = path_and_value
+
+    def edit(cfg):
+        section = cfg
+        for key in path[:-1]:
+            section = section[key]
+        section[path[-1]] = value
+    return edit
+
+
+@pytest.mark.parametrize("edit,full_grid,code,message", [
+    (_set("test_functions", "gaussian_scales", [1e300]), False, 3,
+     "gaussian scale 1e+300: 2 scale^2 leaves the float range"),
+    (_set("params", "alpha", [1e300]), False, 3,
+     "Gauss-Jacobi rule for (1-t)^0 (1+t)^2e+300 leaves the float range"),
+    (_set("multiplier", "sigma_range", [1e-300, 1e300]), False, 3,
+     "sigma*|x| or the range's width leaves the float range"),
+    (_set("normalization", 1e300), False, 3,
+     "transform has norm 0: the normalization scales it below the float "
+     "range"),
+    (_set("test_functions", "gaussian_scales", [0.001]), False, 3,
+     "test field gaussian_s0.001 is 0 at every grid point"),
+    (_set("test_functions", "gaussian_scales", [0.001]), True, 3,
+     "test field gaussian_s0.001 is 0 at every grid point"),
+    (_set("grid", "extents", [1e200, 1e200]), False, 3,
+     "|x|^2 spans [inf, inf]: it leaves the float range"),
+    (_set("grid", "extents", [1e-200, 1e-200]), False, 3,
+     "|x|^2 spans [inf, inf]: it leaves the float range"),
+    (_set("general_exponents", [[1, 1e6]]), False, 3,
+     "general_heisenberg certificate leaves the float range"),
+    (_set("multiplier", "sigma_count", 1e300), False, 2,
+     "multiplier.sigma_count must be a whole number in [2, 1024]"),
+], ids=["gaussian_scale_1e300", "alpha_1e300", "sigma_range_1e300",
+        "normalization_1e300", "gaussian_scale_0.001",
+        "gaussian_scale_0.001_default_grid", "extents_1e200",
+        "extents_1e-200", "delta_1e6", "sigma_count_1e300"])
+def test_cli_out_of_range_inputs_exit_with_one_line(tmp_path, capsys, edit,
+                                                    full_grid, code, message):
+    # each input used to end in a traceback (exit 4): an OverflowError, a
+    # ZeroDivisionError, a ValueError from a zero field or an empty sigma
+    # range, or a report that no JSON can hold; pytest's RuntimeWarning
+    # filter also makes any warning before the guard an exit 4 here
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    if not full_grid:
+        cfg["grid"]["counts"] = [16, 16]
+    edit(cfg)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    prefix = "numeric guard: " if code == 3 else "config error: "
+    assert err.count("\n") == 1 and err.startswith(prefix), err
+    assert message in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_report_independent_of_blas_threads(run_cli):
     # 2 * 48 * 48 * 36 real output values per scale are enough for OpenBLAS
     # to split a matrix-vector product over two threads, which changes its

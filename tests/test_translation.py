@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.special import ive
 
-from weinstein import (Field, SizeGuardError, TranslationRule, WeinsteinParams,
+from weinstein import (Field, GridMismatchError, SizeGuardError,
+                       TranslationRule, WeinsteinParams,
                        build_grid, convolve, convolve_direct, forward,
                        gaussian_field, make_plan, measure_weights, norm_p,
                        translate_direct, translate_spectral, weinstein_kernel)
@@ -353,6 +354,18 @@ def test_convolve_direct_builds_one_operator_per_offset(monkeypatch):
     f = gaussian_field(g)
     convolve_direct(TranslationRule(alpha=0.5), f, f, measure_weights(g))
     assert counts == {"radial_mix_matrix": 48, "uniform_linear_matrix": 48}
+
+
+def test_convolve_direct_rejects_factors_of_another_grid():
+    params = WeinsteinParams(d=1, alpha=0.5)
+    rule = TranslationRule(alpha=0.5)
+    g16 = build_grid(params, (5.6, 5.6), (16, 16))
+    other = build_grid(params, (4.0, 4.0), (16, 16))
+    f = gaussian_field(g16)
+    with pytest.raises(GridMismatchError):
+        convolve_direct(rule, f, gaussian_field(other), measure_weights(g16))
+    with pytest.raises(GridMismatchError):
+        convolve_direct(rule, f, f, measure_weights(other))
 
 
 def test_convolve_direct_guard(plan_half):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -109,11 +110,19 @@ def test_multiplier_heisenberg_zero_symbol_flagged(plan_mult, bump_profile):
 
 
 def test_general_heisenberg_collapses_at_unit_exponents(plan_mult, bump_profile):
-    f = gaussian_field(plan_mult.grid_in)
-    stats = multiplier_sweep(plan_mult, bump_profile, f, (1.0,))
-    c31 = multiplier_heisenberg_certificate(stats)
-    c32 = general_heisenberg_certificate(stats, 1.0, 1.0)
-    assert abs(c32.ratio - c31.ratio) < 1e-12 * c31.ratio
+    # one product formula: every exponent is 1, so the numbers are equal.
+    # c = 2/(2 alpha + d + 2) is 1/2 at alpha = 1/2, where (c A) B and
+    # (c B) A agree whatever the rounding; at alpha = 2 (c = 2/7) on this
+    # 32x32 grid they differ by one ulp
+    plan_2 = make_plan(build_grid(WeinsteinParams(d=1, alpha=2.0), (8.0, 8.0),
+                                  (32, 32)))
+    for plan, profile in ((plan_mult, bump_profile),
+                          (plan_2, make_admissible_radial(plan_2))):
+        f = gaussian_field(plan.grid_in)
+        stats = multiplier_sweep(plan, profile, f, (1.0,))
+        c31 = multiplier_heisenberg_certificate(stats)
+        c32 = general_heisenberg_certificate(stats, 1.0, 1.0)
+        assert (c32.lhs, c32.rhs, c32.ratio) == (c31.lhs, c31.rhs, c31.ratio)
 
 
 @pytest.mark.parametrize("beta,delta", [(2.0, 1.0), (1.0, 2.0), (2.0, 2.0)])
@@ -261,3 +270,9 @@ def test_certificate_csv_shape(plan_half):
     assert lines[0] == "name,d,alpha,lhs,rhs,ratio,satisfied,slack,input_digest"
     assert lines[1].startswith("heisenberg,1,0.5,")
     assert len(lines) == 2
+    # an unflagged certificate's JSON is the CSV columns, a flagged one's
+    # keeps its flags
+    assert list(cert.to_json()) == lines[0].split(",")
+    flagged = dataclasses.replace(cert, flags={"vacuous": True})
+    assert flagged.to_json()["flags"] == {"vacuous": True}
+    assert list(flagged.to_json())[:-1] == lines[0].split(",")
