@@ -200,15 +200,20 @@ def _bessel_march(alpha, first, panels, t, w):
     carry j and j' from step to step, and each node sums the Taylor
     series of the step it lies in."""
     m = 2.0 * alpha + 1.0
-    left = np.arange(first, panels) * PANEL_WIDTH
-    # counted in floats, so that a huge alpha cannot wrap the count
-    cuts = np.ceil(m * PANEL_WIDTH / (MARCH_REACH * left))
-    steps = float(cuts.sum())
+    # each panel takes at least one step, so a table with more panels than
+    # the budget is refused before any per-panel array exists
+    steps = float(panels - first)
+    if steps <= MARCH_STEP_BUDGET:
+        left = np.arange(first, panels) * PANEL_WIDTH
+        # counted in floats, so that a huge alpha cannot wrap the count
+        cuts = np.ceil(m * PANEL_WIDTH / (MARCH_REACH * left))
+        steps = float(cuts.sum())
     if steps > MARCH_STEP_BUDGET:
         raise SizeGuardError(
             f"j_alpha at alpha={alpha:g} for |x| up to "
-            f"{panels * PANEL_WIDTH:g} needs {steps:.4g} Taylor steps of "
-            f"Bessel's equation, over the budget of {MARCH_STEP_BUDGET}")
+            f"{panels * PANEL_WIDTH:g} needs at least {steps:.4g} Taylor "
+            f"steps of Bessel's equation, over the budget of "
+            f"{MARCH_STEP_BUDGET}")
     cuts = cuts.astype(np.intp)
     start = np.cumsum(cuts) - cuts              # each panel's first step
     panel = np.repeat(np.arange(len(left)), cuts)

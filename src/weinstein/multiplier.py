@@ -24,6 +24,8 @@ certificates.
 """
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -54,6 +56,11 @@ DILATED_RADIUS_MAX = 2.0 ** 511
 # Largest tau = sigma * max|x| of the scales whose sweep moments are
 # interpolated (``_chebyshev_count`` gives 8 nodes at tau = 0.3).
 INTERP_TAU_MAX = 0.3
+# Slabs of radial rows in which a sweep evaluates the profile into each
+# synthesis block: the profile's temporaries are then a third of the block,
+# and each thread's working set stays near the block and the radial
+# product's output.
+PROFILE_SLABS = 3
 
 
 @dataclass(frozen=True)
@@ -105,6 +112,51 @@ def _check_profile(plan, profile):
             "profile does not live on the plan's output grid")
 
 
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _cpu_map(fn, items):
+    """[fn(item) for item in items] on min(_cpu_count(), len(items))
+    threads, the calling thread one of them, each taking the next item in
+    turn.  Each call runs whole on one thread, under the caller's
+    np.errstate (NumPy's error state does not pass to new threads), and
+    the first exception raised is re-raised here once every thread has
+    stopped."""
+    items = list(items)
+    results = [None] * len(items)
+    errors = []
+    # one iterator shared by the threads: each next() hands out one item
+    todo = enumerate(items)
+    errstate = np.geterr()
+
+    def work():
+        with np.errstate(**errstate):
+            for i, item in todo:
+                if errors:
+                    return
+                try:
+                    results[i] = fn(item)
+                except BaseException as exc:
+                    errors.append(exc)
+                    return
+
+    helpers = [threading.Thread(target=work)
+               for _ in range(min(_cpu_count(), len(items)) - 1)]
+    for thread in helpers:
+        thread.start()
+    work()
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def dilate_symbol(profile, sigma):
     """The dilated symbol m(sigma * .) on the frequency grid: the radius
     profile evaluated at the dilated radii.  sigma = 1 returns the symbol."""
@@ -125,12 +177,25 @@ def admissibility_defect(profile):
     the closed-form tail estimate of a constructed profile, to separate
     truncation from quadrature).  Radial nodes are strictly positive, so
     the degenerate point x = 0 never occurs on the grid.
+
+    The flat radii are split into one contiguous chunk per CPU the process
+    may use (``_cpu_map``), and each chunk adds its sigma terms in order,
+    so the defect does not depend on the CPU count.  The profile is called
+    on each chunk from that chunk's thread, and each extra thread holds one
+    chunk's arrays; BLAS keeps its own thread setting.
     """
     q = profile.power
-    acc = np.zeros(profile.grid.shape)
-    for sigma, lw in zip(profile.sigma_grid.sigmas, profile.sigma_grid.log_weights):
-        acc += lw * np.abs(profile.radial_profile(sigma * profile.radius)) ** q
-    return np.abs(acc - 1.0)
+    sg = profile.sigma_grid
+
+    def chunk_defect(radius):
+        acc = np.zeros(radius.shape)
+        for sigma, lw in zip(sg.sigmas, sg.log_weights):
+            acc += lw * np.abs(profile.radial_profile(sigma * radius)) ** q
+        return np.abs(acc - 1.0)
+
+    chunks = np.array_split(profile.radius.reshape(-1), _cpu_count())
+    return np.concatenate(_cpu_map(chunk_defect, chunks)) \
+        .reshape(profile.grid.shape)
 
 
 def apply_multiplier(plan, profile, sigma, phi):
@@ -211,20 +276,25 @@ def _chebyshev_count(T):
     return n
 
 
-def _chebyshev_moments(scale_moments, t, p):
-    """Moments at the scales t = tau^2 (ascending, in (0, T]) by
-    barycentric interpolation of M / t^p at the ``_chebyshev_count(T)``
-    first-kind Chebyshev nodes of [0, T], multiplied back by t^p; each node
-    is one exact ``scale_moments(t_node)``."""
-    T = float(t[-1])
+def _chebyshev_rule(T):
+    """The ``_chebyshev_count(T)`` first-kind Chebyshev nodes of [0, T]
+    and their barycentric weights."""
     n = _chebyshev_count(T)
     theta = (2.0 * np.arange(n) + 1.0) * math.pi / (2.0 * n)
-    nodes = 0.5 * T * (1.0 + np.cos(theta))
-    values = np.stack([scale_moments(tn) / tn ** p for tn in nodes])
+    return (0.5 * T * (1.0 + np.cos(theta)),
+            (-1.0) ** np.arange(n) * np.sin(theta))
+
+
+def _chebyshev_moments(node_moments, nodes, bary, t, p):
+    """Moments at the scales t = tau^2 (ascending, in (0, T]) by
+    barycentric interpolation of M / t^p from the exact moments
+    ``node_moments`` at the nodes of ``_chebyshev_rule(T)`` (``nodes``,
+    weights ``bary``), multiplied back by t^p."""
+    values = np.stack([m / tn ** p for m, tn in zip(node_moments, nodes)])
     diff = t[:, None] - nodes
     on_node = diff == 0.0
     diff[on_node] = 1.0
-    c = (-1.0) ** np.arange(n) * np.sin(theta) / diff
+    c = bary / diff
     # a scale on a node takes that node's value
     hit = on_node.any(axis=1)
     c[hit] = on_node[hit]
@@ -253,10 +323,18 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     fewer than the scales it replaces; every other scale, and every scale of
     any other profile, is one synthesis.
 
+    The syntheses (the Chebyshev nodes and every other scale) are split
+    across the CPUs the process may use (``_cpu_map``), each run whole by
+    one thread, so the moments do not depend on the CPU count; each extra
+    thread holds one synthesis' blocks, and BLAS keeps its own thread
+    setting.
+
     Non-finite moments are classified from the data, not from floating-point
     flags (a threaded BLAS product does not report a worker's overflow):
     with a finite field and finite profile values they mean the transform
-    left the float range (MeasureRangeError); otherwise ValueError.
+    left the float range (MeasureRangeError); otherwise ValueError.  Weights
+    w |x|^{2 beta} that leave the float range are a MeasureRangeError
+    naming beta.
     """
     _check_profile(plan, profile)
     betas = tuple(float(b) for b in betas)
@@ -266,12 +344,31 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     rsq = _radial_first(plan.grid_in.radius_sq, dtype=np.float64).reshape(-1)
     w = _radial_first(plan.weights_in.weights, dtype=np.float64).reshape(-1)
     # one column per real and imaginary part of each output value
-    wb = np.repeat(np.stack([w * rsq ** b for b in betas]), 2, axis=1)
+    wb = np.empty((len(betas), 2 * w.size))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for row, b in zip(wb, betas):
+            row[0::2] = row[1::2] = w * rsq ** b
+    del rsq, w
+    finite = np.isfinite(wb).all(axis=1)
+    if not finite.all():
+        raise MeasureRangeError(
+            "multiplier sweep weights w |x|^(2 beta) leave the float range "
+            f"at beta={betas[int(np.argmin(finite))]:g}")
     r_max = float(radius.max())
 
+    # the profile runs a slab of radial rows at a time, straight into the
+    # synthesis block, so its temporaries are a fraction of the block
+    step = -(-len(radius) // PROFILE_SLABS)
+    slabs = [slice(i, i + step) for i in range(0, len(radius), step)]
+
     def scale_moments(sigma):
-        out = _fft_gemm(plan, profile.radial_profile(sigma * radius) * src, +1)
-        return np.einsum("i,bi->b", (out * out).reshape(-1), wb)
+        v = np.empty_like(src)
+        for rows in slabs:
+            np.multiply(profile.radial_profile(sigma * radius[rows]),
+                        src[rows], out=v[rows])
+        out = _fft_gemm(plan, v, +1)
+        out *= out
+        return np.einsum("i,bi->b", out.reshape(-1), wb)
 
     sigmas = profile.sigma_grid.sigmas
     t = (sigmas * r_max) ** 2
@@ -279,14 +376,18 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     n_small = 0 if p is None else int(np.count_nonzero(t <= INTERP_TAU_MAX ** 2))
     if n_small and n_small <= _chebyshev_count(float(t[n_small - 1])):
         n_small = 0
+    nodes = bary = np.empty(0)
+    if n_small:
+        nodes, bary = _chebyshev_rule(float(t[n_small - 1]))
+    scales = [math.sqrt(tn) / r_max for tn in nodes] + list(sigmas[n_small:])
     moments = np.empty((len(sigmas), len(betas)))
     with np.errstate(over="ignore", invalid="ignore"):
+        done = _cpu_map(scale_moments, scales)
         if n_small:
             moments[:n_small] = _chebyshev_moments(
-                lambda tn: scale_moments(math.sqrt(tn) / r_max),
-                t[:n_small], p)
-        for j in range(n_small, len(sigmas)):
-            moments[j] = scale_moments(sigmas[j])
+                done[:len(nodes)], nodes, bary, t[:n_small], p)
+        for j, m in enumerate(done[len(nodes):], start=n_small):
+            moments[j] = m
     if not np.all(np.isfinite(moments)):
         if np.all(np.isfinite(phi.values)) and all(
                 np.all(np.isfinite(profile.radial_profile(s * radius)))

@@ -264,8 +264,13 @@ def _self_tests(stats):
     kern = apply_multiplier_kernel(plan, profile, 1.0, f)
     m = dilate_symbol(profile, 1.0).values
     spec = inverse(plan, Field(grid=plan.grid_out, values=m * F.values))
-    kernel_vs_spectral = norm_p(kern - spec, plan.weights_in, 2) \
-        / norm_p(spec, plan.weights_in, 2)
+    n_spec = norm_p(spec, plan.weights_in, 2)
+    if n_spec == 0:
+        raise MeasureRangeError(
+            "the kernel_vs_spectral self-test's spectral output has norm 0: "
+            "the symbol times the self-test Gaussian's transform is below "
+            "the float range")
+    kernel_vs_spectral = norm_p(kern - spec, plan.weights_in, 2) / n_spec
 
     mp_defect = multiplier_plancherel_defect(stats)
     quad = radial_admissibility_quadrature(profile.radial_profile,

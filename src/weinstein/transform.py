@@ -151,9 +151,10 @@ def _source(plan, values, sign):
 
 
 def _fft_gemm(plan, v, sign):
-    """The separable core on a radial-first complex block ``v`` (consumed):
-    each Euclidean axis' FFT (analysis sign=-1, unscaled synthesis
-    sign=+1), then one real matrix product over the radial axis.
+    """The separable core on a radial-first complex block ``v``
+    (overwritten): each Euclidean axis' FFT in place (analysis sign=-1,
+    unscaled synthesis sign=+1), then one real matrix product over the
+    radial axis.
 
     The (n_r, rest) complex block, viewed as an (n_r, 2 * rest) real
     block, is multiplied by the real ``kernel_cache``: a real GEMM instead
@@ -163,9 +164,9 @@ def _fft_gemm(plan, v, sign):
     """
     for ax in range(1, v.ndim):
         if sign < 0:
-            v = np.fft.fft(v, axis=ax)
+            np.fft.fft(v, axis=ax, out=v)
         else:
-            v = np.fft.ifft(v, axis=ax, norm="forward")
+            np.fft.ifft(v, axis=ax, norm="forward", out=v)
     return plan.kernel_cache @ v.reshape(v.shape[0], -1).view(np.float64)
 
 
@@ -174,8 +175,8 @@ def _separable_apply(plan, values, sign):
     direction's ``_source`` block, ``_fft_gemm``, its ``post`` factor, and
     the radial axis moved back last; the result is C-contiguous."""
     shape = values.shape[-1:] + values.shape[:-1]
-    # no reference to the source block is kept here: it is freed after the
-    # first FFT
+    # no reference to the source block is kept here: the FFTs run in it,
+    # and it is freed once the radial product has read it
     out = _fft_gemm(plan, _source(plan, values, sign), sign)
     out = out.view(np.complex128).reshape(shape)
     out *= plan._phases[0 if sign < 0 else 1][1]

@@ -214,6 +214,20 @@ def test_j_alpha_march_step_budget(monkeypatch):
     assert peak < 4 << 20
 
 
+def test_j_alpha_march_refuses_panels_before_counting():
+    # |x| = 1e8 needs 2^25 panels, each at least one step: refused on the
+    # panel count, before the per-panel arrays (256 MB each) are built
+    tracemalloc.start()
+    try:
+        with pytest.raises(SizeGuardError,
+                           match=r"at least 3\.355e\+07 Taylor steps"):
+            _accel.j_alpha(0.5, np.array([1e8]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_j_alpha_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
         bessel_j_normalized(0.5, np.array([1.0, np.nan]))

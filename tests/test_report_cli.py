@@ -364,10 +364,18 @@ def _set(*path_and_value):
      "general_heisenberg certificate leaves the float range"),
     (_set("multiplier", "sigma_count", 1e300), False, 2,
      "multiplier.sigma_count must be a whole number in [2, 1024]"),
+    (_set("grid", "extents", [15, 1e5]), False, 3,
+     "Taylor steps of Bessel's equation, over the budget of 131072"),
+    (_set("grid", "extents", [1e-8, 15]), False, 3,
+     "the kernel_vs_spectral self-test's spectral output has norm 0"),
+    (_set("general_exponents", [[1e6, 1]]), False, 3,
+     "multiplier sweep weights w |x|^(2 beta) leave the float range at "
+     "beta=1e+06"),
 ], ids=["gaussian_scale_1e300", "alpha_1e300", "sigma_range_1e300",
         "normalization_1e300", "gaussian_scale_0.001",
         "gaussian_scale_0.001_default_grid", "extents_1e200",
-        "extents_1e-200", "delta_1e6", "sigma_count_1e300"])
+        "extents_1e-200", "delta_1e6", "sigma_count_1e300",
+        "radial_extent_1e5", "euclid_extent_1e-8", "beta_1e6"])
 def test_cli_out_of_range_inputs_exit_with_one_line(tmp_path, capsys, edit,
                                                     full_grid, code, message):
     # each input used to end in a traceback (exit 4): an OverflowError, a
