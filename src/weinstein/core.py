@@ -4,9 +4,8 @@ The underlying domain is R^d x (0, inf) with the measure
 
     x_{d+1}^{2*alpha+1} dx / C,
 
-where C is a normalization constant.  The default C = (2*pi)^{d/2} * 2^alpha
-* Gamma(alpha+1) makes the transform pair self-reciprocal (the "squared"
-variant C^2 is also selectable, as is any explicit positive value).
+where C = (2*pi)^{d/2} * 2^alpha * Gamma(alpha+1) is the one constant that
+makes the transform pair self-reciprocal, so the transform is an isometry.
 Everything downstream (transforms, translations, multiplier operators,
 certificates) consumes the weighted sums defined here.
 
@@ -23,7 +22,6 @@ from ._accel import roots_jacobi
 from .errors import GridMismatchError, MeasureRangeError
 
 RADIAL_SCHEMES = ("uniform-offset", "collocation")
-NORMALIZATION_KINDS = ("self-reciprocal", "squared")
 MIN_AXIS_POINTS = 8
 
 # Gregory endpoint corrections for uniform-step trapezoid sums (sixth
@@ -51,22 +49,11 @@ class WeinsteinParams:
         return 2.0 * self.alpha + self.d + 2.0
 
 
-def normalization_constant(params, kind="self-reciprocal"):
-    """Resolve the measure normalization constant.
-
-    ``kind`` is "self-reciprocal" (default), "squared" (its square), or an
-    explicit positive number.
-    """
-    if isinstance(kind, (int, float)) and not isinstance(kind, bool):
-        value = float(kind)
-        if value <= 0:
-            raise ValueError("normalization constant must be positive")
-        return value
-    if kind not in NORMALIZATION_KINDS:
-        raise ValueError(f"unknown normalization kind {kind!r}")
-    base = (2.0 * math.pi) ** (params.d / 2.0) * 2.0 ** params.alpha \
+def normalization_constant(params):
+    """The self-reciprocal constant C = (2*pi)^{d/2} * 2^alpha *
+    Gamma(alpha+1) of the measure."""
+    return (2.0 * math.pi) ** (params.d / 2.0) * 2.0 ** params.alpha \
         * math.gamma(params.alpha + 1.0)
-    return base if kind == "self-reciprocal" else base * base
 
 
 def _axis_view(vec, axis, ndim):
@@ -160,11 +147,13 @@ class Grid:
 
     @cached_property
     def radius_sq(self):
-        """|x|^2 = |x'|^2 + x_{d+1}^2 per grid point, grid-shaped."""
+        """|x|^2 = |x'|^2 + x_{d+1}^2 per grid point, grid-shaped; a square
+        past the float range is inf, for the caller to refuse."""
         out = np.zeros(self.shape)
         nd = len(self.shape)
-        for j, nodes in enumerate(self.axes):
-            out = out + _axis_view(nodes ** 2, j, nd)
+        with np.errstate(over="ignore"):
+            for j, nodes in enumerate(self.axes):
+                out = out + _axis_view(nodes ** 2, j, nd)
         return _readonly(out)
 
     def same_geometry(self, other):
@@ -231,7 +220,7 @@ class WeightField:
         return float(self.weights.sum())
 
 
-def measure_weights(grid, normalization="self-reciprocal"):
+def measure_weights(grid):
     """Quadrature weights for the weighted measure on ``grid``.
 
     Raises MeasureRangeError when the normalization constant or the
@@ -239,7 +228,7 @@ def measure_weights(grid, normalization="self-reciprocal"):
     overflows, and on a small box every weight underflows to 0).
     """
     try:
-        const = normalization_constant(grid.params, normalization)
+        const = normalization_constant(grid.params)
     except OverflowError:
         const = math.inf
     nd = grid.params.d + 1
@@ -247,8 +236,7 @@ def measure_weights(grid, normalization="self-reciprocal"):
     for j, step in enumerate(grid.euclid_spacings()):
         w = w * _axis_view(np.full(grid.shape[j], step), j, nd)
     w = w * _axis_view(grid.radial_weights(), nd - 1, nd)
-    with np.errstate(over="ignore"):
-        w = w / const
+    w = w / const  # C > 2 for every alpha > -1/2: no overflow
     if not (math.isfinite(const) and np.all(np.isfinite(w)) and w.any()):
         raise MeasureRangeError(
             f"measure leaves the float range at alpha={grid.params.alpha:g} "

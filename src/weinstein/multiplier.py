@@ -4,11 +4,9 @@ An operator in this family multiplies the transform of its argument by a
 dilated symbol m(sigma * .) and transforms back.  The family is governed
 by the admissibility condition: the dilation average
 
-    integral over sigma of |m(sigma x)|^q  d(sigma)/sigma
+    integral over sigma of |m(sigma x)|^2  d(sigma)/sigma
 
-should equal 1 at almost every frequency x (q = 2 in the default
-"modulus_squared" variant, q = 1 in the "modulus" variant, which is kept
-selectable for fidelity experiments but fails for the standard bump).
+should equal 1 at almost every frequency x.
 
 Every symbol is radial and owned by its radius profile u -> m(u): the
 spectral route evaluates that profile at the dilated radii sigma*|x|, so
@@ -37,8 +35,6 @@ from .errors import GridMismatchError, MeasureRangeError, SigmaRangeError
 from .transform import (TransformPlan, _apply_factors, _fft_gemm,
                         _kernel_factors, _radial_first, _source, forward,
                         inverse)
-
-ADMISSIBILITY_VARIANTS = ("modulus", "modulus_squared")
 
 # Widening of a derived sigma range in ln(sigma) beyond the tail brackets.
 # Below, the profile's u^2 edge (u^4 for quadratic_bump) drops to ~1e-12;
@@ -78,14 +74,7 @@ class MultiplierProfile:
     grid: Grid
     radial_profile: object           # radius profile u -> m(u)
     sigma_grid: SigmaGrid
-    admissibility_variant: str = "modulus_squared"
     tail_mass: object = None         # optional closed-form out-of-range mass
-
-    def __post_init__(self):
-        if self.admissibility_variant not in ADMISSIBILITY_VARIANTS:
-            raise ValueError(
-                f"unknown admissibility variant {self.admissibility_variant!r}"
-            )
 
     @cached_property
     def radius(self):
@@ -94,10 +83,6 @@ class MultiplierProfile:
     @cached_property
     def symbol(self):
         return Field(grid=self.grid, values=self.radial_profile(self.radius))
-
-    @property
-    def power(self):
-        return 1.0 if self.admissibility_variant == "modulus" else 2.0
 
     @cached_property
     def defect(self):
@@ -169,7 +154,7 @@ def dilate_symbol(profile, sigma):
 
 
 def admissibility_defect(profile):
-    """|sum_j w_j |m(sigma_j x)|^q - 1| per frequency point, as a real
+    """|sum_j w_j |m(sigma_j x)|^2 - 1| per frequency point, as a real
     array of the frequency grid's shape.
 
     The integral runs over the configured sigma range only; mass of the
@@ -184,13 +169,12 @@ def admissibility_defect(profile):
     on each chunk from that chunk's thread, and each extra thread holds one
     chunk's arrays; BLAS keeps its own thread setting.
     """
-    q = profile.power
     sg = profile.sigma_grid
 
     def chunk_defect(radius):
         acc = np.zeros(radius.shape)
         for sigma, lw in zip(sg.sigmas, sg.log_weights):
-            acc += lw * np.abs(profile.radial_profile(sigma * radius)) ** q
+            acc += lw * np.abs(profile.radial_profile(sigma * radius)) ** 2
         return np.abs(acc - 1.0)
 
     chunks = np.array_split(profile.radius.reshape(-1), _cpu_count())
@@ -236,10 +220,9 @@ class SweepStats:
 
     @cached_property
     def admissibility_defect(self):
-        """Admissibility defect (in the profile's variant) averaged against
-        the energy density |F|^2 of phi's transform: the aggregate that
-        controls the dilation-averaged norm identity, and that the
-        hypothesis certificates gate on."""
+        """Admissibility defect averaged against the energy density |F|^2
+        of phi's transform: the aggregate that controls the dilation-averaged
+        norm identity, and that the hypothesis certificates gate on."""
         dens = self.plan.weights_out.weights \
             * np.abs(self.transform.values) ** 2
         total = dens.sum()
@@ -331,10 +314,10 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
 
     Non-finite moments are classified from the data, not from floating-point
     flags (a threaded BLAS product does not report a worker's overflow):
-    with a finite field and finite profile values they mean the transform
-    left the float range (MeasureRangeError); otherwise ValueError.  Weights
-    w |x|^{2 beta} that leave the float range are a MeasureRangeError
-    naming beta.
+    with finite profile values (a Field is always finite) they mean the
+    transform left the float range (MeasureRangeError); otherwise
+    ValueError.  Weights w |x|^{2 beta} that leave the float range are a
+    MeasureRangeError naming beta.
     """
     _check_profile(plan, profile)
     betas = tuple(float(b) for b in betas)
@@ -389,13 +372,12 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
         for j, m in enumerate(done[len(nodes):], start=n_small):
             moments[j] = m
     if not np.all(np.isfinite(moments)):
-        if np.all(np.isfinite(phi.values)) and all(
-                np.all(np.isfinite(profile.radial_profile(s * radius)))
-                for s in sigmas):
+        if all(np.all(np.isfinite(profile.radial_profile(s * radius)))
+               for s in sigmas):
             raise MeasureRangeError(
-                "multiplier sweep leaves the float range: the field and "
-                "profile are finite but the moments are not (an explicit "
-                "normalization may scale the transform past it)")
+                "multiplier sweep leaves the float range: the field, profile "
+                "and weights are finite, but the moments sum_x w |x|^(2 beta) "
+                "|T_sigma phi|^2 are not")
         raise ValueError("multiplier sweep produced non-finite moments")
     return SweepStats(plan=plan, profile=profile, phi=phi, betas=betas,
                       moments=moments, transform=F)
@@ -511,15 +493,15 @@ def quadratic_bump_tail_mass(u_lo, u_hi):
     return 1.0 - (anti(u_lo) - anti(u_hi))
 
 
-def radial_admissibility_quadrature(radial_profile, sg, radius, q=2.0):
-    """1-D dilation-average quadrature sum_j w_j |g(sigma_j * radius)|^q.
+def radial_admissibility_quadrature(radial_profile, sg, radius):
+    """1-D dilation-average quadrature sum_j w_j |g(sigma_j * radius)|^2.
 
     This is the oracle the sampled-symbol defect is validated against: no
     grid interpolation enters, only the log-grid rule.  ``radius`` may be
     an array of radii, giving one sum per radius.
     """
     u = np.multiply.outer(np.asarray(radius, dtype=np.float64), sg.sigmas)
-    out = np.abs(radial_profile(u)) ** q @ sg.log_weights
+    out = np.abs(radial_profile(u)) ** 2 @ sg.log_weights
     return float(out) if out.ndim == 0 else out
 
 
@@ -585,8 +567,8 @@ def _smallest_sigma_count(profile_fn, tail_fn, s_min, s_max, x_lo, x_hi,
 
 def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
                            sigma_count=None, tolerance=1e-6):
-    """Construct a radial symbol satisfying the modulus-squared
-    admissibility condition over its sigma grid.
+    """Construct a radial symbol satisfying the admissibility condition
+    over its sigma grid.
 
     When no range is given, one is derived: the tail brackets put the
     closed-form mass of the dilation profile outside [sigma_min*|x|,
@@ -603,8 +585,7 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
         raise ValueError(f"unknown profile family {family!r}")
     profile_fn, tail_fn = PROFILE_FAMILIES[family]
     grid_f = plan.grid_out
-    with np.errstate(over="ignore"):
-        rsq = grid_f.radius_sq
+    rsq = grid_f.radius_sq
     rsq_lo, rsq_hi = float(rsq.min()), float(rsq.max())
     if not (0.0 < rsq_lo and rsq_hi < math.inf):
         raise SigmaRangeError(

@@ -6,7 +6,6 @@ seeded generator recorded in the report, so identical config + seed give
 byte-identical reports up to the timing section.
 """
 
-import dataclasses
 import hashlib
 import json
 import math
@@ -15,14 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (MIN_AXIS_POINTS, NORMALIZATION_KINDS, RADIAL_SCHEMES, Field,
-                   WeinsteinParams, build_grid, gaussian_field, norm_p)
+from .core import (MIN_AXIS_POINTS, RADIAL_SCHEMES, Field, WeinsteinParams,
+                   build_grid, gaussian_field, norm_p)
 from .errors import ConfigError, MeasureRangeError
-from .multiplier import (ADMISSIBILITY_VARIANTS, MAX_SIGMA_COUNT,
-                         PROFILE_FAMILIES, apply_multiplier_kernel,
-                         dilate_symbol, make_admissible_radial,
-                         multiplier_plancherel_defect, multiplier_sweep,
-                         radial_admissibility_quadrature)
+from .multiplier import (MAX_SIGMA_COUNT, PROFILE_FAMILIES,
+                         apply_multiplier_kernel, dilate_symbol,
+                         make_admissible_radial, multiplier_plancherel_defect,
+                         multiplier_sweep, radial_admissibility_quadrature)
 from .transform import direct_quadrature, inverse, make_plan
 from .uncertainty import (ball_region_for_mass, donoho_stark_certificate,
                           general_heisenberg_certificate,
@@ -46,6 +44,16 @@ DEFAULT_TOLERANCES = {
 }
 
 CSV_HEADER = "name,d,alpha,lhs,rhs,ratio,satisfied,slack,input_digest"
+
+# Size budgets of a config (exit 2 past them).  A sweep holds a few
+# grid-sized complex blocks (16 bytes a point) per thread, 64 MiB each at
+# MAX_GRID_POINTS; the plan's radial kernel and the oracle's per-axis
+# factors are dense in one axis' count, 256 MiB complex at MAX_AXIS_POINTS;
+# and each random bump keeps its values and its sweep's transform, two
+# grid-sized blocks, for the whole run: 512 MiB at MAX_BUMP_POINTS.
+MAX_GRID_POINTS = 1 << 22
+MAX_AXIS_POINTS = 1 << 12
+MAX_BUMP_POINTS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -107,13 +115,17 @@ class ExperimentConfig:
                 or not all(_whole(n) and n >= MIN_AXIS_POINTS for n in counts):
             raise ConfigError("grid.counts: need d+1 entries, all whole "
                               f"numbers >= {MIN_AXIS_POINTS}")
+        points = math.prod(int(n) for n in counts)
+        if max(counts) > MAX_AXIS_POINTS or points > MAX_GRID_POINTS:
+            raise ConfigError(f"grid.counts: at most {MAX_AXIS_POINTS} per "
+                              f"axis and {MAX_GRID_POINTS} points in all")
         scheme = grid.get("radial_scheme", "uniform-offset")
         if not isinstance(scheme, str) or scheme not in RADIAL_SCHEMES:
             raise ConfigError(f"grid.radial_scheme: unknown scheme {scheme!r}")
         normalization = doc.get("normalization", "self-reciprocal")
-        if normalization not in NORMALIZATION_KINDS \
-                and not (_real(normalization) and normalization > 0):
-            raise ConfigError(f"normalization: unknown kind {normalization!r}")
+        if normalization != "self-reciprocal":
+            raise ConfigError(f"normalization: unknown kind {normalization!r} "
+                              "(the one kind is 'self-reciprocal')")
         tf = optional_section("test_functions")
         scales = tuple(real_list(
             tf.get("gaussian_scales", [1.0]),
@@ -123,6 +135,9 @@ class ExperimentConfig:
         if not _whole(bumps) or bumps < 0:
             raise ConfigError("test_functions.random_bumps must be a whole "
                               "number >= 0")
+        if bumps * points > MAX_BUMP_POINTS:
+            raise ConfigError("test_functions.random_bumps: at most "
+                              f"{MAX_BUMP_POINTS // points} on this grid")
         certs = doc.get("certificates", ["heisenberg"])
         if not isinstance(certs, (list, tuple)):
             raise ConfigError("certificates must be a list of names")
@@ -163,9 +178,6 @@ class ExperimentConfig:
         family = mult.get("family", "gaussian_bump")
         if not isinstance(family, str) or family not in PROFILE_FAMILIES:
             raise ConfigError(f"multiplier.family: unknown family {family!r}")
-        variant = mult.get("variant", "modulus_squared")
-        if variant not in ADMISSIBILITY_VARIANTS:
-            raise ConfigError(f"multiplier.variant: unknown variant {variant!r}")
         sigma_range = mult.get("sigma_range")
         if sigma_range is not None and not (
                 isinstance(sigma_range, (list, tuple)) and len(sigma_range) == 2
@@ -188,7 +200,6 @@ class ExperimentConfig:
             radial_scheme=scheme, normalization=normalization,
             multiplier={
                 "family": family,
-                "variant": variant,
                 "sigma_range": sigma_range,
                 "sigma_count": sigma_count,
                 "tolerance": float(mult_tol),
@@ -252,8 +263,8 @@ def _self_tests(stats):
     n_out = norm_p(F, plan.weights_out, 2)
     if n_out == 0:
         raise MeasureRangeError(
-            "the self-test Gaussian's transform has norm 0: the "
-            "normalization scales it below the float range")
+            "the self-test Gaussian's transform has norm 0: the Gaussian "
+            "or its transform underflows to 0 on the grid")
     plancherel = abs(n_out ** 2 - n_in ** 2) / n_in ** 2
     back = inverse(plan, F)
     roundtrip = float(np.max(np.abs(back.values - f.values)))
@@ -274,15 +285,11 @@ def _self_tests(stats):
 
     mp_defect = multiplier_plancherel_defect(stats)
     quad = radial_admissibility_quadrature(profile.radial_profile,
-                                           profile.sigma_grid, 1.0,
-                                           q=profile.power)
-    if profile.admissibility_variant == "modulus_squared":
-        # the closed-form tail mass separates truncation from quadrature
-        tail = profile.tail_mass(profile.sigma_grid.sigma_min,
-                                 profile.sigma_grid.sigma_max)
-        oracle_defect = abs(quad + tail - 1.0)
-    else:
-        oracle_defect = abs(quad - 1.0)
+                                           profile.sigma_grid, 1.0)
+    # the closed-form tail mass separates truncation from quadrature
+    tail = profile.tail_mass(profile.sigma_grid.sigma_min,
+                             profile.sigma_grid.sigma_max)
+    oracle_defect = abs(quad + tail - 1.0)
     return {
         "plancherel_defect": plancherel,
         "roundtrip_max_abs": roundtrip,
@@ -349,11 +356,6 @@ def run(config):
             sigma_count=config.multiplier["sigma_count"],
             tolerance=config.multiplier["tolerance"],
         )
-        if config.multiplier["variant"] != profile.admissibility_variant:
-            # same symbol and scales, admissibility read in the selected
-            # variant (its defect is then measured, not assumed)
-            profile = dataclasses.replace(
-                profile, admissibility_variant=config.multiplier["variant"])
         timings[f"setup_{tag}"] = time.perf_counter() - t0
         sweeps = {}
         betas = sorted({0.0, 1.0, *(b for b, _ in config.general_exponents)})

@@ -54,21 +54,23 @@ class TransformPlan:
     grid_in: Grid
     grid_out: Grid
     method: str
-    normalization: object = "self-reciprocal"
+    normalization: str = "self-reciprocal"
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}")
+        if self.normalization != "self-reciprocal":
+            raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.grid_in.shape != self.grid_out.shape:
             raise ValueError("input and output grids must have matching shapes")
 
     @cached_property
     def weights_in(self):
-        return measure_weights(self.grid_in, self.normalization)
+        return measure_weights(self.grid_in)
 
     @cached_property
     def weights_out(self):
-        return measure_weights(self.grid_out, self.normalization)
+        return measure_weights(self.grid_out)
 
     @cached_property
     def radial_table(self):
@@ -124,7 +126,8 @@ class TransformPlan:
 
 def make_plan(grid, method="fast_separable", normalization="self-reciprocal"):
     """Plan the transform from ``grid`` to its conjugate frequency grid; the
-    Bessel index is the grid's alpha."""
+    Bessel index is the grid's alpha, and the one normalization is
+    "self-reciprocal", under which the transform is an isometry."""
     return TransformPlan(grid_in=grid, grid_out=frequency_grid(grid),
                          method=method, normalization=normalization)
 

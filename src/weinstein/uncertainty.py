@@ -157,11 +157,7 @@ def heisenberg_certificate(plan, f, slack=DEFAULT_SLACK, digest="",
 
 def _hypothesis_flags(stats, admissibility_tol):
     """Flags of a certificate whose hypotheses fail, else {}: the
-    certificates admit only "modulus_squared" profiles that pass the
-    admissibility gate."""
-    variant = stats.profile.admissibility_variant
-    if variant != "modulus_squared":
-        return {"hypothesis_violated": True, "admissibility_variant": variant}
+    certificates admit only profiles that pass the admissibility gate."""
     defect = stats.admissibility_defect
     if defect > admissibility_tol:
         return {"hypothesis_violated": True, "admissibility_defect": defect}
@@ -188,8 +184,8 @@ def multiplier_heisenberg_certificate(stats, slack=DEFAULT_SLACK,
 
     where A aggregates ||x| T_sigma f|| over the dilation scales, read
     with everything else from ``stats``, f's ``multiplier_sweep``.  A
-    profile failing the squared-modulus admissibility gate yields a
-    hypothesis_violated certificate (numbers still reported).
+    profile failing the admissibility gate yields a hypothesis_violated
+    certificate (numbers still reported).
     """
     plan = stats.plan
     return _product_certificate(

@@ -1,14 +1,18 @@
 """Property test of the CLI exit-code contract on mutated configs.
 
 One field of configs/default.json (a section, a leaf or a list entry) is
-replaced by a value of the wrong kind on a 16x16 grid; whatever the
-mutation, ``weinstein run`` must return 0, 1, 2 or 3 without an escaping
-exception, and exit 1 must come with a report whose ``ok`` is false.
-Renaming one dict key (appending ``_x``) must exit 2: a required key goes
-missing or an unknown one appears.
+replaced by a value of the wrong kind or an extreme magnitude on a 16x16
+grid; whatever the mutation, ``weinstein run`` must return 0, 1, 2 or 3
+without an escaping exception, exit 1 must come with a report whose ``ok``
+is false, and exit 2 or 3 with exactly one stderr line.  Size keys reach
+only budgets that refuse them before anything is allocated.  Renaming one
+dict key (appending ``_x``) must exit 2: a required key goes missing or an
+unknown one appears.
 """
 
+import contextlib
 import copy
+import io
 import json
 import pathlib
 import tempfile
@@ -19,7 +23,8 @@ from hypothesis import strategies as st
 from weinstein.cli import main
 
 DEFAULT = pathlib.Path(__file__).resolve().parents[1] / "configs" / "default.json"
-BAD_VALUES = ("x", [1], {}, None, True, -1)
+BAD_VALUES = ("x", [1], {}, None, True, -1,
+              0, 1e300, -1e300, 1e-300, 1e-8, 1e8)
 
 
 def _base():
@@ -51,8 +56,13 @@ def _run(doc, tmp):
     cfg = pathlib.Path(tmp) / "cfg.json"
     cfg.write_text(json.dumps(doc))
     out = pathlib.Path(tmp) / "out"
-    code = main(["run", "--config", str(cfg), "--out", str(out),
-                 "--format", "json"])
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(cfg), "--out", str(out),
+                     "--format", "json"])
+    err = err.getvalue()
+    if code in (2, 3):
+        assert err.count("\n") == 1 and "Traceback" not in err, err
     return code, out
 
 

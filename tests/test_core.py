@@ -32,12 +32,6 @@ def test_normalization_constants():
     p = WeinsteinParams(d=1, alpha=0.5)
     base = math.sqrt(2 * math.pi) * 2 ** 0.5 * math.gamma(1.5)
     assert normalization_constant(p) == pytest.approx(base, rel=1e-15)
-    assert normalization_constant(p, "squared") == pytest.approx(base ** 2, rel=1e-15)
-    assert normalization_constant(p, 2.5) == 2.5
-    with pytest.raises(ValueError):
-        normalization_constant(p, "bogus")
-    with pytest.raises(ValueError):
-        normalization_constant(p, -1.0)
 
 
 def test_build_grid_shapes():

@@ -94,7 +94,6 @@ def test_admissibility_defect_sampled(bump_profile):
     defect = admissibility_defect(bump_profile)
     assert defect.max() < 1e-5
     assert defect.mean() <= defect.max()
-    assert bump_profile.admissibility_variant == "modulus_squared"
 
 
 def test_admissibility_zero_symbol(plan_mult):
@@ -122,42 +121,20 @@ def test_admissibility_scaling_invariance(bump_profile):
     assert np.max(np.abs(d1 - d2)) < 1e-6
 
 
-def test_modulus_variant_bump_not_admissible(plan_mult, bump_profile):
-    # the first-power dilation average of the bump is sqrt(pi), not 1
-    prof = MultiplierProfile(
-        grid=bump_profile.grid,
-        radial_profile=bump_profile.radial_profile,
-        sigma_grid=bump_profile.sigma_grid,
-        admissibility_variant="modulus",
-    )
-    defect = admissibility_defect(prof)
-    interior = (np.sqrt(prof.symbol.grid.radius_sq) > 0.5) \
-        & (np.sqrt(prof.symbol.grid.radius_sq) < 5.0)
-    vals = defect[interior]
-    assert np.min(vals) > 0.5  # defect ~ sqrt(pi) - 1 ~ 0.77
-    assert np.max(np.abs(vals - (math.sqrt(math.pi) - 1.0))) < 1e-2
-
-
-@pytest.mark.parametrize("variant", ["modulus_squared", "modulus"])
-def test_sampled_defect_matches_radial_oracle(plan_mult, bump_profile, variant):
+def test_sampled_defect_matches_radial_oracle(plan_mult, bump_profile):
     # the sampled defect is the 1-D quadrature's |sum - 1| at every
     # frequency point; both sums round off at rel 1e-12 of the dilation
     # average, which the defect (down to ~1e-12) inherits absolutely
-    prof = MultiplierProfile(grid=bump_profile.grid,
-                             radial_profile=bump_profile.radial_profile,
-                             sigma_grid=bump_profile.sigma_grid,
-                             admissibility_variant=variant)
     quad = radial_admissibility_quadrature(
-        prof.radial_profile, prof.sigma_grid,
-        np.sqrt(plan_mult.grid_out.radius_sq), prof.power)
-    defect = admissibility_defect(prof)
+        bump_profile.radial_profile, bump_profile.sigma_grid,
+        np.sqrt(plan_mult.grid_out.radius_sq))
+    defect = admissibility_defect(bump_profile)
     assert np.all(np.abs(defect - np.abs(quad - 1.0)) <= 1e-12 * quad)
 
 
 def test_make_admissible_families(plan_mult):
     for family in ("gaussian_bump", "quadratic_bump"):
         prof = make_admissible_radial(plan_mult, family=family)
-        assert prof.admissibility_variant == "modulus_squared"
         assert prof.defect.max() < 1e-5
     with pytest.raises(ValueError):
         make_admissible_radial(plan_mult, family="bogus")

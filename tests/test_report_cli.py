@@ -3,14 +3,16 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import pytest
 
 from weinstein.cli import main
-from weinstein.errors import ConfigError
-from weinstein.report import (ExperimentConfig, emit, report_csv,
-                              report_json_bytes, run, self_tests_pass)
+from weinstein.errors import ConfigError, MeasureRangeError
+from weinstein.report import (ExperimentConfig, _self_tests, emit,
+                              report_csv, report_json_bytes, run,
+                              self_tests_pass)
 
 DEFAULT_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" \
     / "default.json"
@@ -316,20 +318,6 @@ def test_cli_large_alpha_guard(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 3
 
 
-def test_cli_transform_overflow_guard(run_cli):
-    # an explicit normalization of 2.75 at alpha = 100 scales the transform
-    # to ~1e154, past the float range once squared: a numeric guard (exit
-    # 3), not the sweep's non-finite-moments error (exit 4)
-    cfg = json.loads(DEFAULT_CONFIG.read_text())
-    cfg["params"]["alpha"] = [100]
-    cfg["grid"]["counts"] = [16, 16]
-    cfg["normalization"] = 2.75
-    code, out, err = run_cli(cfg)
-    assert code == 3, err
-    assert "numeric guard:" in err and "float range" in err
-    assert not out.exists()
-
-
 def _set(*path_and_value):
     """A config edit setting the value at ``path`` (dotted keys)."""
     *path, value = path_and_value
@@ -349,9 +337,6 @@ def _set(*path_and_value):
      "Gauss-Jacobi rule for (1-t)^0 (1+t)^2e+300 leaves the float range"),
     (_set("multiplier", "sigma_range", [1e-300, 1e300]), False, 3,
      "sigma*|x| or the range's width leaves the float range"),
-    (_set("normalization", 1e300), False, 3,
-     "transform has norm 0: the normalization scales it below the float "
-     "range"),
     (_set("test_functions", "gaussian_scales", [0.001]), False, 3,
      "test field gaussian_s0.001 is 0 at every grid point"),
     (_set("test_functions", "gaussian_scales", [0.001]), True, 3,
@@ -371,17 +356,36 @@ def _set(*path_and_value):
     (_set("general_exponents", [[1e6, 1]]), False, 3,
      "multiplier sweep weights w |x|^(2 beta) leave the float range at "
      "beta=1e+06"),
+    # every euclidean |x|^2 overflows to inf (not a RuntimeWarning), and
+    # the beta = 1 weights w |x|^2 of the self-test Gaussian's sweep are
+    # refused
+    (_set("grid", "extents", [1e200, 15]), False, 3,
+     "multiplier sweep weights w |x|^(2 beta) leave the float range at "
+     "beta=1"),
+    (_set("grid", "extents", [1e300, 15]), False, 3,
+     "multiplier sweep weights w |x|^(2 beta) leave the float range at "
+     "beta=1"),
+    # the removed admissibility variant and non-unitary normalizations
+    (_set("multiplier", "variant", "modulus"), False, 2,
+     "unknown config key: multiplier.variant"),
+    (_set("normalization", "squared"), False, 2,
+     "normalization: unknown kind 'squared'"),
+    (_set("normalization", 2.75), False, 2,
+     "normalization: unknown kind 2.75"),
 ], ids=["gaussian_scale_1e300", "alpha_1e300", "sigma_range_1e300",
-        "normalization_1e300", "gaussian_scale_0.001",
+        "gaussian_scale_0.001",
         "gaussian_scale_0.001_default_grid", "extents_1e200",
         "extents_1e-200", "delta_1e6", "sigma_count_1e300",
-        "radial_extent_1e5", "euclid_extent_1e-8", "beta_1e6"])
+        "radial_extent_1e5", "euclid_extent_1e-8", "beta_1e6",
+        "extents_1e200_15", "extents_1e300_15", "variant_modulus",
+        "normalization_squared", "normalization_2.75"])
 def test_cli_out_of_range_inputs_exit_with_one_line(tmp_path, capsys, edit,
                                                     full_grid, code, message):
     # each input used to end in a traceback (exit 4): an OverflowError, a
     # ZeroDivisionError, a ValueError from a zero field or an empty sigma
     # range, or a report that no JSON can hold; pytest's RuntimeWarning
-    # filter also makes any warning before the guard an exit 4 here
+    # filter also makes any warning before the guard an exit 4 here.  The
+    # removed options used to run and fail (exit 1)
     cfg = json.loads(DEFAULT_CONFIG.read_text())
     if not full_grid:
         cfg["grid"]["counts"] = [16, 16]
@@ -558,49 +562,100 @@ def test_cli_certificate_failure_exit(tmp_path):
     assert main(["run", "--config", str(path), "--out", str(tmp_path)]) == 1
 
 
-def test_cli_modulus_variant_reported_and_fails(tmp_path):
-    # the bump is not admissible in the first-power variant: the sampled
-    # defect blows past tolerance, multiplier certificates are flagged
-    # hypothesis-violated (not counted), and the run exits nonzero
+def test_cli_flagged_certificates_reported_not_failed(tmp_path):
+    # an admissibility tolerance below the bump's sampled defect: the
+    # mean-defect self-test fails and every multiplier certificate is
+    # flagged hypothesis-violated, reported in strict JSON and not counted
+    # as a certificate failure
     cfg = dict(SMALL_CONFIG)
-    cfg["multiplier"] = {"family": "gaussian_bump", "variant": "modulus"}
+    cfg["tolerances"] = {**cfg["tolerances"], "admissibility": 1e-15}
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
     assert main(["run", "--config", str(path),
-                 "--out", str(tmp_path / "mod")]) == 1
+                 "--out", str(tmp_path / "flagged")]) == 1
 
     def reject(name):
         raise ValueError(f"non-standard JSON constant {name}")
 
-    report = json.loads((tmp_path / "mod" / "report.json").read_text(),
+    report = json.loads((tmp_path / "flagged" / "report.json").read_text(),
                         parse_constant=reject)
-    st = report["runs"][0]["self_tests"]
-    assert st["sampled_admissibility_mean_defect"] > 0.1
     assert not report["self_tests_ok"]
     mult_certs = [c for c in report["runs"][0]["certificates"]
                   if c["name"] == "multiplier_heisenberg"]
     assert mult_certs
-    assert all(c.get("flags", {}).get("hypothesis_violated")
-               and c["flags"]["admissibility_variant"] == "modulus"
+    assert all(c["flags"]["hypothesis_violated"]
+               and c["flags"]["admissibility_defect"] > 1e-15
                for c in mult_certs)
-    assert report["certificates_ok"]  # flagged certs are not failures
+    assert report["certificates_ok"]
 
 
-def test_modulus_variant_flags_certificates(tmp_path):
-    # selecting the first-power admissibility variant for the bump leaves
-    # the dilation average far from 1: multiplier certificates get the
-    # hypothesis-violated flag and do not count as failures
-    from weinstein import (MultiplierProfile, build_grid, gaussian_field,
-                           make_plan, WeinsteinParams,
-                           multiplier_heisenberg_certificate,
-                           multiplier_sweep, make_admissible_radial)
-    p = WeinsteinParams(d=1, alpha=0.5)
-    g = build_grid(p, (7.0, 7.0), (48, 48), radial_scheme="collocation")
-    plan = make_plan(g)
-    base = make_admissible_radial(plan)
-    modulus = MultiplierProfile(
-        grid=base.grid, radial_profile=base.radial_profile,
-        sigma_grid=base.sigma_grid, admissibility_variant="modulus")
-    cert = multiplier_heisenberg_certificate(
-        multiplier_sweep(plan, modulus, gaussian_field(g), (1.0,)))
-    assert cert.hypothesis_violated
+@pytest.mark.parametrize("edit,message", [
+    (_set("grid", "counts", [1e9, 16]), "grid.counts: at most 4096 per axis"),
+    (_set("grid", "counts", [1e300, 16]), "grid.counts: at most 4096 per axis"),
+    # under the points budget, but one axis' dense factors are 1 GiB
+    (_set("grid", "counts", [16, 8192]), "grid.counts: at most 4096 per axis"),
+    (_set("grid", "counts", [2048, 4096]),
+     "and 4194304 points in all"),
+    (_set("test_functions", "random_bumps", 1e9),
+     "test_functions.random_bumps: at most 65536 on this grid"),
+], ids=["counts_1e9", "counts_1e300", "counts_axis_8192",
+        "counts_2048x4096", "random_bumps_1e9"])
+def test_size_budgets_refuse_before_allocating(edit, message):
+    # each is refused while the config is parsed, before any grid-sized
+    # array exists (a 1e9 x 16 grid's |x|^2 alone is 128 GB)
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    cfg["grid"]["counts"] = [16, 16]
+    edit(cfg)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_size_budgets_admit_their_limits():
+    cfg = json.loads(DEFAULT_CONFIG.read_text())
+    cfg["grid"]["counts"] = [1024, 4096]
+    cfg["test_functions"]["random_bumps"] = 4
+    config = ExperimentConfig.from_dict(cfg)
+    assert config.counts == (1024, 4096) and config.random_bumps == 4
+
+
+def test_self_test_zero_norm_guard():
+    # on a box this wide the self-test Gaussian is 0 at every grid point,
+    # so its transform's norm is 0: a numeric guard, not a ZeroDivisionError
+    from weinstein import (WeinsteinParams, build_grid, gaussian_field,
+                           make_admissible_radial, make_plan,
+                           multiplier_sweep)
+    grid = build_grid(WeinsteinParams(d=1, alpha=0.5), (1e4, 15.0), (16, 16),
+                      radial_scheme="collocation")
+    plan = make_plan(grid)
+    f = gaussian_field(grid)
+    assert not f.values.any()
+    stats = multiplier_sweep(plan, make_admissible_radial(plan), f)
+    with pytest.raises(MeasureRangeError,
+                       match="self-test Gaussian's transform has norm 0"):
+        _self_tests(stats)
+
+
+PERFBENCH_D2 = DEFAULT_CONFIG.parents[1] / "perfbench" / "configs" \
+    / "d2_cube.json"
+
+
+@pytest.mark.parametrize("path", [DEFAULT_CONFIG, PERFBENCH_D2],
+                         ids=["default", "d2_cube"])
+def test_benchmark_contract_plan_names(path):
+    # the benchmark's set-up parses each run config, plans with the
+    # config's normalization, and keys its traces on the plan's
+    # normalization and method
+    from weinstein import WeinsteinParams, build_grid, make_plan
+    cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
+    assert cfg.normalization == "self-reciprocal"
+    grid = build_grid(WeinsteinParams(d=cfg.d, alpha=cfg.alphas[0]),
+                      cfg.extents, cfg.counts, radial_scheme=cfg.radial_scheme)
+    plan = make_plan(grid, normalization=cfg.normalization)
+    assert (plan.normalization, plan.method) \
+        == ("self-reciprocal", "fast_separable")
