@@ -51,9 +51,17 @@ class WeinsteinParams:
 
 def normalization_constant(params):
     """The self-reciprocal constant C = (2*pi)^{d/2} * 2^alpha *
-    Gamma(alpha+1) of the measure."""
-    return (2.0 * math.pi) ** (params.d / 2.0) * 2.0 ** params.alpha \
-        * math.gamma(params.alpha + 1.0)
+    Gamma(alpha+1) of the measure; MeasureRangeError when it leaves the
+    float range (Gamma(alpha+1) does from alpha ~ 171 on)."""
+    try:
+        const = (2.0 * math.pi) ** (params.d / 2.0) * 2.0 ** params.alpha \
+            * math.gamma(params.alpha + 1.0)
+    except OverflowError:
+        const = math.inf
+    if math.isfinite(const):
+        return const
+    raise MeasureRangeError("the measure's normalization constant leaves the "
+                            f"float range at alpha={params.alpha:g}")
 
 
 def _axis_view(vec, axis, ndim):
@@ -227,20 +235,16 @@ def measure_weights(grid):
     weights leave the float range (for large alpha, Gamma(alpha+1)
     overflows, and on a small box every weight underflows to 0).
     """
-    try:
-        const = normalization_constant(grid.params)
-    except OverflowError:
-        const = math.inf
+    const = normalization_constant(grid.params)
     nd = grid.params.d + 1
     w = np.ones(grid.shape)
     for j, step in enumerate(grid.euclid_spacings()):
         w = w * _axis_view(np.full(grid.shape[j], step), j, nd)
     w = w * _axis_view(grid.radial_weights(), nd - 1, nd)
     w = w / const  # C > 2 for every alpha > -1/2: no overflow
-    if not (math.isfinite(const) and np.all(np.isfinite(w)) and w.any()):
+    if not (np.all(np.isfinite(w)) and w.any()):
         raise MeasureRangeError(
-            f"measure leaves the float range at alpha={grid.params.alpha:g} "
-            f"(normalization constant {const:g})")
+            f"measure leaves the float range at alpha={grid.params.alpha:g}")
     return WeightField(grid=grid, weights=_readonly(w),
                        normalization_constant=const)
 

@@ -163,23 +163,15 @@ def admissibility_defect(profile):
     truncation from quadrature).  Radial nodes are strictly positive, so
     the degenerate point x = 0 never occurs on the grid.
 
-    The flat radii are split into one contiguous chunk per CPU the process
-    may use (``_cpu_map``), and each chunk adds its sigma terms in order,
-    so the defect does not depend on the CPU count.  The profile is called
-    on each chunk from that chunk's thread, and each extra thread holds one
-    chunk's arrays; BLAS keeps its own thread setting.
+    The defect depends on |x| alone, so the sigma terms are added, in
+    order, once per distinct radius and read back at every point.
     """
     sg = profile.sigma_grid
-
-    def chunk_defect(radius):
-        acc = np.zeros(radius.shape)
-        for sigma, lw in zip(sg.sigmas, sg.log_weights):
-            acc += lw * np.abs(profile.radial_profile(sigma * radius)) ** 2
-        return np.abs(acc - 1.0)
-
-    chunks = np.array_split(profile.radius.reshape(-1), _cpu_count())
-    return np.concatenate(_cpu_map(chunk_defect, chunks)) \
-        .reshape(profile.grid.shape)
+    radius, at = np.unique(profile.radius, return_inverse=True)
+    acc = np.zeros(radius.shape)
+    for sigma, lw in zip(sg.sigmas, sg.log_weights):
+        acc += lw * np.abs(profile.radial_profile(sigma * radius)) ** 2
+    return np.abs(acc - 1.0, out=acc)[at].reshape(profile.grid.shape)
 
 
 def apply_multiplier(plan, profile, sigma, phi):
@@ -316,15 +308,20 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     flags (a threaded BLAS product does not report a worker's overflow):
     with finite profile values (a Field is always finite) they mean the
     transform left the float range (MeasureRangeError); otherwise
-    ValueError.  Weights w |x|^{2 beta} that leave the float range are a
-    MeasureRangeError naming beta.
+    ValueError.  An input grid whose |x|^2 leaves the float range, and
+    weights w |x|^{2 beta} that do, are a MeasureRangeError naming the
+    grid or beta.
     """
     _check_profile(plan, profile)
+    rsq = plan.grid_in.radius_sq
+    if not rsq.max() < math.inf:
+        raise MeasureRangeError(f"the input grid's |x|^2 spans [{rsq.min():g}, "
+                                f"{rsq.max():g}]: it leaves the float range")
     betas = tuple(float(b) for b in betas)
     F = forward(plan, phi)
     src = _source(plan, F.values, +1)
     radius = _radial_first(profile.radius, dtype=np.float64)
-    rsq = _radial_first(plan.grid_in.radius_sq, dtype=np.float64).reshape(-1)
+    rsq = _radial_first(rsq, dtype=np.float64).reshape(-1)
     w = _radial_first(plan.weights_in.weights, dtype=np.float64).reshape(-1)
     # one column per real and imaginary part of each output value
     wb = np.empty((len(betas), 2 * w.size))

@@ -6,9 +6,10 @@ Two routes compute the same integral transform
 
 against the weighted measure:
 
-* ``fast_separable``: a pre-factor (the midpoint-symmetric grids' index
-  phases, the spacings and 1/C), an FFT over each Euclidean axis, one
-  real product with the dense cached Bessel-kernel matrix over the radial
+* ``forward`` / ``inverse`` (the fast separable route, the only one a
+  plan runs): a pre-factor (the midpoint-symmetric grids' index phases,
+  the spacings and 1/C), an FFT over each Euclidean axis, one real
+  product with the dense cached Bessel-kernel matrix over the radial
   axis, and a unimodular post-factor.  The synthesis source block
   (``_source``) is also where every multiplier sweep starts.
 * ``direct_quadrature``: the weighted quadrature sum itself, with the
@@ -16,7 +17,7 @@ against the weighted measure:
   exp(-+1j*x_a*lam_a) on each Euclidean axis and j_alpha(r*rho) on the
   radial one, applied one axis at a time.  No FFT, phase correction or
   folded constant enters, so it is the oracle the fast route is validated
-  against.
+  against; the self-tests and the tests call it directly.
 
 The inverse is the forward composed with the Euclidean reflection
 lam -> (-lam', lam_r), i.e. the conjugate-phase Fourier factor; the radial
@@ -25,14 +26,13 @@ factor is its own inverse kernel on the mirrored frequency axis.
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import ClassVar
 
 import numpy as np
 
 from . import _accel
 from .core import Field, Grid, _axis_view, build_grid, measure_weights
 from .errors import GridMismatchError
-
-METHODS = ("fast_separable", "direct_quadrature")
 
 
 def frequency_grid(grid):
@@ -49,18 +49,15 @@ def frequency_grid(grid):
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Cached machinery for applying the transform on one grid pair."""
+    """Cached machinery for applying the transform on one grid pair; its
+    one route and one normalization are class constants."""
 
     grid_in: Grid
     grid_out: Grid
-    method: str
-    normalization: str = "self-reciprocal"
+    method: ClassVar[str] = "fast_separable"
+    normalization: ClassVar[str] = "self-reciprocal"
 
     def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.normalization != "self-reciprocal":
-            raise ValueError(f"unknown normalization {self.normalization!r}")
         if self.grid_in.shape != self.grid_out.shape:
             raise ValueError("input and output grids must have matching shapes")
 
@@ -124,12 +121,13 @@ class TransformPlan:
         return tuple(directions)
 
 
-def make_plan(grid, method="fast_separable", normalization="self-reciprocal"):
+def make_plan(grid, normalization="self-reciprocal"):
     """Plan the transform from ``grid`` to its conjugate frequency grid; the
     Bessel index is the grid's alpha, and the one normalization is
     "self-reciprocal", under which the transform is an isometry."""
-    return TransformPlan(grid_in=grid, grid_out=frequency_grid(grid),
-                         method=method, normalization=normalization)
+    if normalization != TransformPlan.normalization:
+        raise ValueError(f"unknown normalization {normalization!r}")
+    return TransformPlan(grid_in=grid, grid_out=frequency_grid(grid))
 
 
 def _radial_first(values, dtype=np.complex128):
@@ -190,8 +188,6 @@ def forward(plan, f):
     """Transform of ``f`` (on plan.grid_in), sampled on plan.grid_out."""
     if not f.grid.same_geometry(plan.grid_in):
         raise GridMismatchError("field does not live on the plan's input grid")
-    if plan.method == "direct_quadrature":
-        return direct_quadrature(plan, f)
     return Field(grid=plan.grid_out, values=_separable_apply(plan, f.values, -1))
 
 
@@ -204,8 +200,6 @@ def inverse(plan, F):
     """
     if not F.grid.same_geometry(plan.grid_out):
         raise GridMismatchError("field does not live on the plan's output grid")
-    if plan.method == "direct_quadrature":
-        return direct_quadrature(plan, F, inverse=True)
     # Mirrored radial axes make kernel_cache (weights included) self-paired.
     return Field(grid=plan.grid_in, values=_separable_apply(plan, F.values, +1))
 

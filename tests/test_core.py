@@ -98,6 +98,9 @@ def test_measure_out_of_float_range():
                        (16, 16), radial_scheme=scheme)
         with pytest.raises(MeasureRangeError):
             measure_weights(g)
+    # the public constant itself leaves the float range past alpha ~ 171
+    with pytest.raises(MeasureRangeError, match="alpha=200"):
+        normalization_constant(WeinsteinParams(d=1, alpha=200.0))
 
 
 def test_gaussian_scale_out_of_float_range():

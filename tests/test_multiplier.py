@@ -498,6 +498,18 @@ def test_sweep_overflow_is_a_measure_range_error(plan_mult, bump_profile):
         multiplier_sweep(plan_mult, bump_profile, huge)
 
 
+def test_sweep_refuses_input_grid_past_float_range():
+    # every euclidean |x|^2 of the input grid is inf: the sweep names the
+    # grid, even for beta = 0 alone, whose weights w |x|^0 stay finite
+    grid = build_grid(WeinsteinParams(d=1, alpha=0.5), (1e200, 15.0),
+                      (16, 16))
+    plan = make_plan(grid)
+    f = Field(grid=grid, values=np.ones(grid.shape))
+    with pytest.raises(MeasureRangeError,
+                       match=r"input grid's \|x\|\^2 spans \[inf, inf\]"):
+        multiplier_sweep(plan, make_admissible_radial(plan), f)
+
+
 def test_sweep_builds_no_per_scale_field(plan_mult, bump_profile,
                                          monkeypatch):
     # the sweep runs on the transform's FFT and GEMM core: no dilated
@@ -574,9 +586,10 @@ def test_sweep_synthesis_count(plan_mult, bump_profile, monkeypatch):
 @pytest.mark.parametrize("plan_name", ["plan_mult", "plan_2d_small"])
 def test_sweep_and_defect_independent_of_cpu_count(plan_name, request,
                                                    monkeypatch):
-    # each scale and each point is computed whole by one thread, so the
-    # moments and the defect are bit for bit the same on 1, 2, 3 and 5 CPUs
-    # (3 and 5 split the radii into unequal chunks)
+    # each scale is computed whole by one thread, so the moments are bit
+    # for bit the same on 1, 2, 3 and 5 CPUs; the defect runs on the
+    # calling thread, once per distinct radius, and equals the per-point
+    # sum with its scales added in order
     plan = request.getfixturevalue(plan_name)
     profile = make_admissible_radial(plan)
     f = _random_bump(plan.grid_in, np.random.default_rng(20240501))
@@ -588,6 +601,12 @@ def test_sweep_and_defect_independent_of_cpu_count(plan_name, request,
     for moments, defect in results[1:]:
         assert np.array_equal(moments, results[0][0])
         assert np.array_equal(defect, results[0][1])
+    radius = np.sqrt(plan.grid_out.radius_sq)
+    acc = np.zeros(radius.shape)
+    for sigma, lw in zip(profile.sigma_grid.sigmas,
+                         profile.sigma_grid.log_weights):
+        acc += lw * np.abs(profile.radial_profile(sigma * radius)) ** 2
+    assert np.array_equal(results[0][1], np.abs(acc - 1.0))
 
 
 @pytest.mark.parametrize("check", [

@@ -356,15 +356,12 @@ def _set(*path_and_value):
     (_set("general_exponents", [[1e6, 1]]), False, 3,
      "multiplier sweep weights w |x|^(2 beta) leave the float range at "
      "beta=1e+06"),
-    # every euclidean |x|^2 overflows to inf (not a RuntimeWarning), and
-    # the beta = 1 weights w |x|^2 of the self-test Gaussian's sweep are
-    # refused
+    # every euclidean |x|^2 of the input grid overflows to inf (not a
+    # RuntimeWarning), and the sweep refuses the grid
     (_set("grid", "extents", [1e200, 15]), False, 3,
-     "multiplier sweep weights w |x|^(2 beta) leave the float range at "
-     "beta=1"),
+     "the input grid's |x|^2 spans [inf, inf]: it leaves the float range"),
     (_set("grid", "extents", [1e300, 15]), False, 3,
-     "multiplier sweep weights w |x|^(2 beta) leave the float range at "
-     "beta=1"),
+     "the input grid's |x|^2 spans [inf, inf]: it leaves the float range"),
     # the removed admissibility variant and non-unitary normalizations
     (_set("multiplier", "variant", "modulus"), False, 2,
      "unknown config key: multiplier.variant"),
@@ -641,21 +638,28 @@ def test_self_test_zero_norm_guard():
         _self_tests(stats)
 
 
-PERFBENCH_D2 = DEFAULT_CONFIG.parents[1] / "perfbench" / "configs" \
-    / "d2_cube.json"
+REPO = DEFAULT_CONFIG.parents[1]
+PERFBENCH_D2 = REPO / "perfbench" / "configs" / "d2_cube.json"
 
 
-@pytest.mark.parametrize("path", [DEFAULT_CONFIG, PERFBENCH_D2],
-                         ids=["default", "d2_cube"])
-def test_benchmark_contract_plan_names(path):
-    # the benchmark's set-up parses each run config, plans with the
-    # config's normalization, and keys its traces on the plan's
-    # normalization and method
+@pytest.mark.parametrize("args", [
+    ["--config", str(DEFAULT_CONFIG), "--seed", "1"],
+    ["--config", str(PERFBENCH_D2), "--seed", "1"],
+    ["--lib"]], ids=["default", "d2_cube", "lib"])
+def test_benchmark_contract_plan_names(args):
+    # the benchmark's set-up (perfbench/child.py) still runs against the
+    # package: it parses each run config and plans with the config's
+    # normalization, or builds the library workload's plans, and prints
+    # one JSON line.  Its traces key on the plan's normalization and method
     from weinstein import WeinsteinParams, build_grid, make_plan
-    cfg = ExperimentConfig.from_dict(json.loads(path.read_text()))
-    assert cfg.normalization == "self-reciprocal"
-    grid = build_grid(WeinsteinParams(d=cfg.d, alpha=cfg.alphas[0]),
-                      cfg.extents, cfg.counts, radial_scheme=cfg.radial_scheme)
-    plan = make_plan(grid, normalization=cfg.normalization)
+    proc = subprocess.run(
+        [sys.executable, str(REPO / "perfbench" / "child.py"), "setup", *args],
+        capture_output=True, text=True, timeout=120, cwd=REPO,
+        env=dict(os.environ, PYTHONPATH=str(REPO / "src"),
+                 OPENBLAS_NUM_THREADS="1"))
+    assert proc.returncode == 0, proc.stderr
+    assert "setup_s" in json.loads(proc.stdout.splitlines()[-1])
+    plan = make_plan(build_grid(WeinsteinParams(d=1, alpha=0.5), (8.0, 8.0),
+                                (16, 16)), normalization="self-reciprocal")
     assert (plan.normalization, plan.method) \
         == ("self-reciprocal", "fast_separable")

@@ -216,8 +216,6 @@ def test_reflection_identity(plan_half, rng):
 def test_plan_validation():
     p = WeinsteinParams(d=1, alpha=0.5)
     g = build_grid(p, (8.0, 8.0), (32, 32))
-    with pytest.raises(ValueError):
-        make_plan(g, method="bogus")
     # the self-reciprocal measure is the one normalization
     for normalization in ("squared", 2.75, 1.0, None):
         with pytest.raises(ValueError, match="unknown normalization"):
@@ -227,17 +225,6 @@ def test_plan_validation():
     from weinstein import GridMismatchError
     with pytest.raises(GridMismatchError):
         forward(plan, gaussian_field(other))
-
-
-def test_plan_method_direct_dispatch(rng):
-    p = WeinsteinParams(d=1, alpha=0.5)
-    g = build_grid(p, (5.0, 5.0), (12, 12))
-    plan_fast = make_plan(g)
-    plan_dense = make_plan(g, method="direct_quadrature")
-    f = resolved_field(g, rng)
-    a = forward(plan_fast, f)
-    b = forward(plan_dense, f)
-    assert np.max(np.abs(a.values - b.values)) < 1e-10
 
 
 def test_kernel_cache_structure(plan_half):
