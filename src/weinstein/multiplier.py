@@ -22,8 +22,6 @@ certificates.
 """
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,7 +30,7 @@ import numpy as np
 from .bessel import weinstein_kernel
 from .core import Field, Grid, SigmaGrid, build_sigma_grid, norm_p
 from .errors import GridMismatchError, MeasureRangeError, SigmaRangeError
-from .transform import (TransformPlan, _apply_factors, _fft_gemm,
+from .transform import (TransformPlan, _apply_factors, _cpu_map, _fft_gemm,
                         _kernel_factors, _radial_first, _source, forward,
                         inverse)
 
@@ -95,51 +93,6 @@ def _check_profile(plan, profile):
     if not profile.grid.same_geometry(plan.grid_out):
         raise GridMismatchError(
             "profile does not live on the plan's output grid")
-
-
-def _cpu_count():
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # a platform without CPU affinity
-        return os.cpu_count() or 1
-
-
-def _cpu_map(fn, items):
-    """[fn(item) for item in items] on min(_cpu_count(), len(items))
-    threads, the calling thread one of them, each taking the next item in
-    turn.  Each call runs whole on one thread, under the caller's
-    np.errstate (NumPy's error state does not pass to new threads), and
-    the first exception raised is re-raised here once every thread has
-    stopped."""
-    items = list(items)
-    results = [None] * len(items)
-    errors = []
-    # one iterator shared by the threads: each next() hands out one item
-    todo = enumerate(items)
-    errstate = np.geterr()
-
-    def work():
-        with np.errstate(**errstate):
-            for i, item in todo:
-                if errors:
-                    return
-                try:
-                    results[i] = fn(item)
-                except BaseException as exc:
-                    errors.append(exc)
-                    return
-
-    helpers = [threading.Thread(target=work)
-               for _ in range(min(_cpu_count(), len(items)) - 1)]
-    for thread in helpers:
-        thread.start()
-    work()
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
 
 
 def dilate_symbol(profile, sigma):
@@ -298,11 +251,13 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     fewer than the scales it replaces; every other scale, and every scale of
     any other profile, is one synthesis.
 
-    The syntheses (the Chebyshev nodes and every other scale) are split
-    across the CPUs the process may use (``_cpu_map``), each run whole by
-    one thread, so the moments do not depend on the CPU count; each extra
-    thread holds one synthesis' blocks, and BLAS keeps its own thread
-    setting.
+    phi's ``forward`` is split across the CPUs the process may use.  The
+    syntheses (the Chebyshev nodes and every other scale) are the items of
+    the same CPU map (``transform._cpu_map`` and its persistent helper
+    threads), each run whole by one thread through ``_fft_gemm``, which
+    does not split again; so the moments do not depend on the CPU count,
+    each extra thread holds one synthesis' blocks, and BLAS keeps its own
+    thread setting.
 
     Non-finite moments are classified from the data, not from floating-point
     flags (a threaded BLAS product does not report a worker's overflow):
@@ -320,9 +275,9 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     betas = tuple(float(b) for b in betas)
     F = forward(plan, phi)
     src = _source(plan, F.values, +1)
-    radius = _radial_first(profile.radius, dtype=np.float64)
-    rsq = _radial_first(rsq, dtype=np.float64).reshape(-1)
-    w = _radial_first(plan.weights_in.weights, dtype=np.float64).reshape(-1)
+    radius = _radial_first(profile.radius)
+    rsq = _radial_first(rsq).reshape(-1)
+    w = _radial_first(plan.weights_in.weights).reshape(-1)
     # one column per real and imaginary part of each output value
     wb = np.empty((len(betas), 2 * w.size))
     with np.errstate(over="ignore", invalid="ignore"):

@@ -3,17 +3,19 @@ profiles, certificate suites, oracle cross-checks, machine-readable reports.
 
 A single JSON document configures one run.  All randomness comes from one
 seeded generator recorded in the report, so identical config + seed give
-byte-identical reports up to the timing section.
+byte-identical reports up to the timing and environment sections.
 """
 
 import hashlib
 import json
 import math
+import platform
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import transform
 from .core import (MIN_AXIS_POINTS, RADIAL_SCHEMES, Field, WeinsteinParams,
                    build_grid, gaussian_field, norm_p)
 from .errors import ConfigError, MeasureRangeError
@@ -437,8 +439,22 @@ def run(config):
         "certificates_ok": certs_ok,
         "ok": bool(self_ok and certs_ok),
         "timings": timings,
+        "environment": _environment(),
     }
     return report
+
+
+def _environment():
+    """What ran: the Python and numpy versions, the BLAS numpy was built
+    against, and ``cpus``, the CPU count the transforms and sweeps split
+    across."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"].get("blas", {})
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version")},
+        "cpus": transform._cpu_count(),
+    }
 
 
 def _config_echo(config):
@@ -459,9 +475,13 @@ def _config_echo(config):
 
 
 def report_json_bytes(report, strip_timings=False):
+    """The report as strict JSON bytes; ``strip_timings`` drops the volatile
+    ``timings`` and ``environment`` sections, leaving what a config and seed
+    determine."""
     doc = dict(report)
     if strip_timings:
         doc.pop("timings", None)
+        doc.pop("environment", None)
     return (json.dumps(doc, sort_keys=True, indent=2, allow_nan=False)
             + "\n").encode()
 

@@ -22,8 +22,18 @@ against the weighted measure:
 The inverse is the forward composed with the Euclidean reflection
 lam -> (-lam', lam_r), i.e. the conjugate-phase Fourier factor; the radial
 factor is its own inverse kernel on the mirrored frequency axis.
+
+Every ``forward`` and ``inverse`` runs on all the CPUs the process may use:
+its radial rows (layout, pre-factor, FFTs) and then its output columns
+(radial product, post-factor, layout) are split across the calling thread
+and persistent helper threads (``_cpu_map``, the package's one CPU map,
+which the multiplier sweep shares).  Each row and each column is computed
+whole by one thread, so the bits do not depend on the CPU count.
 """
 
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from functools import cached_property
 from typing import ClassVar
@@ -130,58 +140,201 @@ def make_plan(grid, normalization="self-reciprocal"):
     return TransformPlan(grid_in=grid, grid_out=frequency_grid(grid))
 
 
-def _radial_first(values, dtype=np.complex128):
-    """C-order copy of grid-shaped ``values`` with the radial axis moved
-    first: the layout the separable core works in."""
-    return np.array(np.moveaxis(values, -1, 0), dtype=dtype, order="C")
+def _cpu_count():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+# The helper threads of ``_cpu_map``: started on first use, then kept, each
+# running the jobs of one shared queue.  A forked child has none of them and
+# starts its own.
+_pool_lock = threading.Lock()
+_jobs = queue.SimpleQueue()
+_helpers = 0
+
+
+def _helper(jobs):
+    while True:
+        jobs.get()()
+
+
+def _reset_pool():
+    global _pool_lock, _jobs, _helpers
+    _pool_lock, _jobs, _helpers = threading.Lock(), queue.SimpleQueue(), 0
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_pool)
+
+
+def _cpu_map(fn, items):
+    """[fn(item) for item in items] on up to min(_cpu_count(), len(items))
+    threads: the calling thread and the pool's helpers, each taking the next
+    item in turn from one shared iterator.  Each call runs whole on one
+    thread, under the caller's np.errstate (NumPy's error state does not
+    pass to other threads), and the first exception raised is re-raised
+    here once every started item has stopped.
+
+    The caller waits only for items that have started, and a helper that
+    comes late finds none left, so a call made from inside an item, or from
+    several threads at once, runs on whatever threads are free and cannot
+    deadlock.
+    """
+    global _helpers
+    items = list(items)
+    results = [None] * len(items)
+    errors = []
+    # one iterator shared by the threads: each next() hands out one item
+    todo = enumerate(items)
+    errstate = np.geterr()
+    done = threading.Condition()
+    running = 0
+    closed = False
+
+    def work():
+        nonlocal running
+        with np.errstate(**errstate):
+            while True:
+                with done:
+                    if closed or errors:
+                        return
+                    i, item = next(todo, (None, None))
+                    if i is None:
+                        return
+                    running += 1
+                try:
+                    results[i] = fn(item)
+                except BaseException as exc:
+                    errors.append(exc)
+                finally:
+                    with done:
+                        running -= 1
+                        done.notify_all()
+
+    n_helpers = min(_cpu_count(), len(items)) - 1
+    if n_helpers > 0:
+        with _pool_lock:
+            while _helpers < n_helpers:
+                threading.Thread(target=_helper, args=(_jobs,), daemon=True,
+                                 name="weinstein-cpu-map").start()
+                _helpers += 1
+            for _ in range(n_helpers):
+                _jobs.put(work)
+    work()
+    with done:
+        closed = True
+        done.wait_for(lambda: running == 0)
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _chunks(n, parts, align=1):
+    """range(n) as up to ``parts`` consecutive slices of near-equal length,
+    each starting on a multiple of ``align``."""
+    step = -(-n // (parts * align)) * align
+    return [slice(i, min(i + step, n)) for i in range(0, n, step)]
+
+
+def _radial_first(values):
+    """C-order float64 copy of grid-shaped real ``values`` with the radial
+    axis moved first: the layout the separable core works in."""
+    return np.array(np.moveaxis(values, -1, 0), dtype=np.float64, order="C")
+
+
+def _source_rows(pre, values, v, rows):
+    """Radial rows ``rows`` of a direction's source block written into
+    ``v``: grid-shaped ``values`` in radial-first layout times the
+    direction's ``pre`` factor."""
+    v[rows] = np.moveaxis(values[..., rows], -1, 0)
+    v[rows] *= pre
 
 
 def _source(plan, values, sign):
-    """Grid-shaped ``values`` on the source grid of the direction (analysis
-    sign=-1 / synthesis sign=+1) as the radial-first complex block the
-    separable core starts from: one C-order copy times that direction's
-    ``pre`` factor.
+    """Grid-shaped ``values`` on the source grid of the direction as the
+    radial-first complex block the separable core starts from, in C order.
 
     For a real radial-first gain g, ``_fft_gemm(plan, g * block, +1)`` on
     the synthesis block is the inverse of g times ``values`` in
     radial-first layout, up to the unimodular ``post`` factor.
     """
-    v = _radial_first(values)
-    v *= plan._phases[0 if sign < 0 else 1][0]
+    v = np.empty(values.shape[-1:] + values.shape[:-1], dtype=np.complex128)
+    _source_rows(plan._phases[0 if sign < 0 else 1][0], values, v,
+                 slice(None))
     return v
 
 
-def _fft_gemm(plan, v, sign):
-    """The separable core on a radial-first complex block ``v``
-    (overwritten): each Euclidean axis' FFT in place (analysis sign=-1,
-    unscaled synthesis sign=+1), then one real matrix product over the
-    radial axis.
-
-    The (n_r, rest) complex block, viewed as an (n_r, 2 * rest) real
-    block, is multiplied by the real ``kernel_cache``: a real GEMM instead
-    of a complex one against an upcast kernel.  Returns the real
-    (n_r, 2 * rest) product, the radial-first complex result viewed as
-    real.
-    """
+def _ffts(v, sign):
+    """Each Euclidean axis' FFT of the radial-first complex block ``v``, in
+    place (analysis sign=-1, unscaled synthesis sign=+1).  Every radial row
+    is transformed on its own, so any split of the rows gives the same
+    bits."""
     for ax in range(1, v.ndim):
         if sign < 0:
             np.fft.fft(v, axis=ax, out=v)
         else:
             np.fft.ifft(v, axis=ax, norm="forward", out=v)
+
+
+def _fft_gemm(plan, v, sign):
+    """The separable core on a radial-first complex block ``v``
+    (overwritten), on the calling thread: ``_ffts``, then the real radial
+    product (``kernel_cache`` against ``v`` viewed as an (n_r, 2 * rest)
+    real block, a real GEMM instead of a complex one against an upcast
+    kernel).  Returns the real (n_r, 2 * rest) product, the radial-first
+    complex result viewed as real."""
+    _ffts(v, sign)
     return plan.kernel_cache @ v.reshape(v.shape[0], -1).view(np.float64)
 
 
+# Real columns per block of the radial product split across CPUs.  Blocks
+# that start on multiples of 16 give the bits of one whole product under
+# the BLAS kernels; blocks on multiples of 2 alone do not.
+GEMM_COLUMN_ALIGN = 16
+
+
 def _separable_apply(plan, values, sign):
-    """Normalized transform (analysis sign=-1 / synthesis sign=+1): the
-    direction's ``_source`` block, ``_fft_gemm``, its ``post`` factor, and
-    the radial axis moved back last; the result is C-contiguous."""
-    shape = values.shape[-1:] + values.shape[:-1]
-    # no reference to the source block is kept here: the FFTs run in it,
-    # and it is freed once the radial product has read it
-    out = _fft_gemm(plan, _source(plan, values, sign), sign)
-    out = out.view(np.complex128).reshape(shape)
-    out *= plan._phases[0 if sign < 0 else 1][1]
-    return np.ascontiguousarray(np.moveaxis(out, 0, -1))
+    """Normalized transform (analysis sign=-1 / synthesis sign=+1), split
+    across the CPUs the process may use (``_cpu_map``) in two phases:
+
+    * per chunk of radial rows, those rows of the direction's source block
+      (``_source_rows``) and their Euclidean FFTs (``_ffts``);
+    * per chunk of real columns (starting on multiples of
+      GEMM_COLUMN_ALIGN), ``kernel_cache`` times those columns, the
+      direction's ``post`` factor, and the write to grid layout.
+
+    Every radial row's FFTs and every output column's radial product are
+    computed whole, by one thread, from the same operands, so the result
+    does not depend on the CPU count.  It is C-contiguous.
+    """
+    n_r = values.shape[-1]
+    n_cpu = _cpu_count()
+    # the plan's cached parts are built here, on the calling thread
+    pre, post = plan._phases[0 if sign < 0 else 1]
+    kernel = plan.kernel_cache
+    post = np.broadcast_to(post, (1,) + values.shape[:-1]).reshape(-1)
+    v = np.empty((n_r,) + values.shape[:-1], dtype=np.complex128)
+    real = v.reshape(n_r, -1).view(np.float64)
+    out = np.empty(values.shape, dtype=np.complex128)
+    # grid layout with the Euclidean points flattened: (rest, n_r)
+    out_rows = out.reshape(-1, n_r)
+
+    def rows(r):
+        _source_rows(pre, values, v, r)
+        _ffts(v[r], sign)
+
+    def columns(c):
+        block = (kernel @ real[:, c]).view(np.complex128)
+        cols = slice(c.start // 2, c.stop // 2)
+        block *= post[cols]
+        out_rows[cols] = block.T
+
+    _cpu_map(rows, _chunks(n_r, n_cpu))
+    _cpu_map(columns, _chunks(real.shape[1], n_cpu, GEMM_COLUMN_ALIGN))
+    return out
 
 
 def forward(plan, f):

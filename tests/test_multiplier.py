@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import weinstein.multiplier
+import weinstein.transform
 
 from weinstein import (Field, GridMismatchError, MeasureRangeError,
                        MultiplierProfile, SigmaRangeError, WeinsteinParams,
@@ -595,7 +596,7 @@ def test_sweep_and_defect_independent_of_cpu_count(plan_name, request,
     f = _random_bump(plan.grid_in, np.random.default_rng(20240501))
     results = []
     for n in (1, 2, 3, 5):
-        monkeypatch.setattr(weinstein.multiplier, "_cpu_count", lambda: n)
+        monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: n)
         stats = multiplier_sweep(plan, profile, f, (0.0, 1.0, 2.0))
         results.append((stats.moments, admissibility_defect(profile)))
     for moments, defect in results[1:]:
@@ -617,28 +618,28 @@ def test_sweep_errors_on_three_workers(plan_mult, bump_profile, monkeypatch,
     # a worker's overflow is still a MeasureRangeError and a NaN profile a
     # ValueError; the workers run under the sweep's np.errstate, or
     # pytest's RuntimeWarning filter would turn their warnings into errors
-    monkeypatch.setattr(weinstein.multiplier, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: 3)
     check(plan_mult, bump_profile)
 
 
 def test_cpu_map_runs_items_concurrently_in_order(monkeypatch):
     # three items on three CPUs meet at a three-party barrier, which no
     # serial run can pass; results come back in item order
-    monkeypatch.setattr(weinstein.multiplier, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: 3)
     barrier = threading.Barrier(3, timeout=10)
 
     def meet(x):
         barrier.wait()
         return x * x
 
-    assert weinstein.multiplier._cpu_map(meet, [3, 1, 2]) == [9, 1, 4]
+    assert weinstein.transform._cpu_map(meet, [3, 1, 2]) == [9, 1, 4]
 
 
 def test_cpu_map_gives_helpers_the_callers_errstate_and_errors(monkeypatch):
     # at a three-party barrier each of three threads holds one item: every
     # helper runs under the caller's np.errstate, and an exception raised
     # on a helper alone reaches the caller
-    monkeypatch.setattr(weinstein.multiplier, "_cpu_count", lambda: 3)
+    monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: 3)
     barrier = threading.Barrier(3, timeout=10)
 
     def errstate(x):
@@ -646,7 +647,7 @@ def test_cpu_map_gives_helpers_the_callers_errstate_and_errors(monkeypatch):
         return np.geterr()["over"]
 
     with np.errstate(over="raise"):
-        assert weinstein.multiplier._cpu_map(errstate, range(3)) \
+        assert weinstein.transform._cpu_map(errstate, range(3)) \
             == ["raise"] * 3
 
     def fail_on_helpers(x):
@@ -656,13 +657,13 @@ def test_cpu_map_gives_helpers_the_callers_errstate_and_errors(monkeypatch):
         return x
 
     with pytest.raises(KeyError):
-        weinstein.multiplier._cpu_map(fail_on_helpers, range(3))
+        weinstein.transform._cpu_map(fail_on_helpers, range(3))
 
 
 def test_cpu_map_stress_each_item_once(monkeypatch):
     # more threads than cores and a short switch interval: every item is
     # taken exactly once and lands at its own index
-    monkeypatch.setattr(weinstein.multiplier, "_cpu_count", lambda: 8)
+    monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: 8)
     seen = []
 
     def record(x):
@@ -672,7 +673,7 @@ def test_cpu_map_stress_each_item_once(monkeypatch):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        out = weinstein.multiplier._cpu_map(record, range(20000))
+        out = weinstein.transform._cpu_map(record, range(20000))
     finally:
         sys.setswitchinterval(interval)
     assert out == [-x for x in range(20000)]

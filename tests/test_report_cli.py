@@ -226,6 +226,31 @@ def test_run_builds_no_point_pair_kernel_matrix(doc, kernel_calls):
     assert kernel_calls == []
 
 
+def test_environment_recorded_and_stripped(small_report, monkeypatch):
+    # the report names what ran; the environment, like the timings, is not
+    # part of what a config and seed determine, so the stripped bytes hold
+    # neither, and a run on another CPU count strips to the same bytes
+    import numpy as np
+    import platform
+
+    import weinstein.transform
+
+    env = small_report["environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert env == {"python": platform.python_version(),
+                   "numpy": np.__version__,
+                   "blas": {"name": blas["name"], "version": blas["version"]},
+                   "cpus": weinstein.transform._cpu_count()}
+    doc = json.loads(report_json_bytes(small_report, strip_timings=True))
+    assert "environment" not in doc and "timings" not in doc
+    assert json.loads(report_json_bytes(small_report))["environment"] == env
+    monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: 3)
+    other = run(dict(SMALL_CONFIG))
+    assert other["environment"]["cpus"] == 3
+    assert report_json_bytes(other, strip_timings=True) \
+        == report_json_bytes(small_report, strip_timings=True)
+
+
 def test_timings_keyed_per_alpha():
     # every stage keeps one time per alpha; no alpha overwrites another,
     # not even one that agrees with it to six digits

@@ -1,8 +1,12 @@
 import math
+import os
+import threading
+import time
 
 import numpy as np
 import pytest
 
+import weinstein.transform
 from weinstein import (Field, WeinsteinParams, build_grid,
                        direct_quadrature, forward, frequency_grid,
                        gaussian_field, inner_product, inverse, make_plan,
@@ -235,3 +239,151 @@ def test_kernel_cache_structure(plan_half):
     assert np.isrealobj(cache)
     bare = cache / w[None, :]
     assert np.max(np.abs(bare - bare.T)) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the split across CPUs
+# ---------------------------------------------------------------------------
+
+SPLIT_GRIDS = {
+    "d1_256_collocation": (1, (8.0, 8.0), (256, 256), "collocation"),
+    "d1_256_uniform": (1, (8.0, 8.0), (256, 256), "uniform-offset"),
+    "d2_48": (2, (6.5, 6.5, 6.5), (48, 48, 48), "collocation"),
+    "d1_250x37": (1, (8.0, 8.0), (250, 37), "uniform-offset"),
+    "d2_17x31x23": (2, (6.0, 6.0, 6.0), (17, 31, 23), "collocation"),
+}
+
+
+def _split_case(name):
+    d, extents, counts, scheme = SPLIT_GRIDS[name]
+    plan = make_plan(build_grid(WeinsteinParams(d=d, alpha=0.5), extents,
+                                counts, radial_scheme=scheme))
+    rng = np.random.default_rng(20261020)
+    values = rng.standard_normal(counts) + 1j * rng.standard_normal(counts)
+    return (plan, Field(grid=plan.grid_in, values=values),
+            Field(grid=plan.grid_out, values=values))
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_GRIDS))
+def test_transforms_independent_of_cpu_count(name, monkeypatch):
+    # each radial row's FFTs and each output column's radial product run
+    # whole on one thread, the product in column blocks aligned to 16 real
+    # columns, so any CPU count gives the same bits
+    plan, f, F = _split_case(name)
+    results = []
+    for n in (1, 2, 3, 5, 8):
+        monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: n)
+        results.append((forward(plan, f).values, inverse(plan, F).values))
+    for fwd, inv in results[1:]:
+        assert np.array_equal(fwd, results[0][0])
+        assert np.array_equal(inv, results[0][1])
+    assert results[-1][0].flags.c_contiguous
+
+
+def test_cpu_map_item_may_run_a_split_transform(plan_half, rng, monkeypatch):
+    # a map item that calls forward splits it again on whatever threads are
+    # free; the caller waits only for started items, so it cannot deadlock
+    monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: 2)
+    fields = [resolved_field(plan_half.grid_in, rng) for _ in range(4)]
+    expected = [forward(plan_half, f).values for f in fields]
+    got = []
+    thread = threading.Thread(daemon=True, target=lambda: got.extend(
+        weinstein.transform._cpu_map(
+            lambda f: forward(plan_half, f).values, fields)))
+    thread.start()
+    thread.join(60)
+    assert not thread.is_alive(), "deadlock"
+    assert len(got) == len(expected)
+    for a, b in zip(got, expected):
+        assert np.array_equal(a, b)
+
+
+def test_concurrent_callers_get_identical_transforms(monkeypatch):
+    # four user threads transform at once, sharing the helper threads
+    monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: 2)
+    plan, f, _ = _split_case("d1_256_uniform")
+    expected = forward(plan, f).values
+    barrier = threading.Barrier(4, timeout=30)
+    results = [None] * 4
+
+    def user(i):
+        barrier.wait()
+        results[i] = [forward(plan, f).values for _ in range(5)]
+
+    threads = [threading.Thread(target=user, args=(i,), daemon=True)
+               for i in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(60)
+    assert not any(thread.is_alive() for thread in threads)
+    for per_user in results:
+        assert all(np.array_equal(out, expected) for out in per_user)
+
+
+def test_split_transform_passes_errstate_and_errors(monkeypatch):
+    # at a two-party barrier each of two threads builds one half of the
+    # source rows: the caller's np.errstate holds on the helper, and an
+    # exception raised on the helper alone reaches the caller
+    monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: 2)
+    rows = weinstein.transform._source_rows
+    barrier = threading.Barrier(2, timeout=10)
+
+    def meet(*args):
+        barrier.wait()
+        return rows(*args)
+
+    monkeypatch.setattr(weinstein.transform, "_source_rows", meet)
+    # a spacing of 31 times 1e308 overflows in the pre factor, on every row
+    grid = build_grid(WeinsteinParams(d=1, alpha=0.5), (1000.0, 8.0), (64, 64))
+    plan = make_plan(grid)
+    huge = Field(grid=grid, values=np.full(grid.shape, 1e308))
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            forward(plan, huge)
+    # ignored, no thread warns (a RuntimeWarning is an error here); the
+    # non-finite output is refused by Field
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ValueError, match="finite"):
+            forward(plan, huge)
+
+    def fail_on_helper(*args):
+        barrier.wait()
+        if threading.current_thread() is not threading.main_thread():
+            raise KeyError("helper")
+        return rows(*args)
+
+    monkeypatch.setattr(weinstein.transform, "_source_rows", fail_on_helper)
+    with pytest.raises(KeyError, match="helper"):
+        forward(plan, gaussian_field(grid))
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_gets_its_own_helpers(plan_half, monkeypatch):
+    # the parent's helper threads do not exist in a forked child; it starts
+    # its own, so a split transform there runs (a two-party barrier needs a
+    # live helper) and the child exits 0
+    monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: 2)
+    f = gaussian_field(plan_half.grid_in)
+    expected = forward(plan_half, f).values
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            barrier = threading.Barrier(2, timeout=10)
+            weinstein.transform._cpu_map(lambda _: barrier.wait(), range(2))
+            if np.array_equal(forward(plan_half, f).values, expected):
+                code = 0
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60
+    while True:
+        done, status = os.waitpid(pid, os.WNOHANG)
+        if done:
+            break
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("forked child did not finish")
+        time.sleep(0.02)
+    assert os.waitstatus_to_exitcode(status) == 0
