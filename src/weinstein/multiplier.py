@@ -10,8 +10,8 @@ should equal 1 at almost every frequency x.
 
 Every symbol is radial and owned by its radius profile u -> m(u): the
 spectral route evaluates that profile at the dilated radii sigma*|x|, so
-no symbol is ever interpolated.  A sweep over the sigma grid runs each
-scale on the transform's FFT and radial-product core and keeps only the
+no symbol is ever interpolated.  A sweep over the sigma grid picks its
+scales and runs each on the transform's synthesis core, keeping only the
 moments of |T_sigma phi|^2.  The kernel route (``kernel_psi`` /
 ``apply_multiplier_kernel``) realizes the same operator through an
 explicit integral kernel with the dilation moved into analytically
@@ -30,9 +30,8 @@ import numpy as np
 from .bessel import weinstein_kernel
 from .core import Field, Grid, SigmaGrid, build_sigma_grid, norm_p
 from .errors import GridMismatchError, MeasureRangeError, SigmaRangeError
-from .transform import (TransformPlan, _apply_factors, _cpu_map, _fft_gemm,
-                        _kernel_factors, _radial_first, _source, forward,
-                        inverse)
+from .transform import (TransformPlan, _apply_factors, _kernel_factors,
+                        _synthesis_moments, forward, inverse)
 
 # Widening of a derived sigma range in ln(sigma) beyond the tail brackets.
 # Below, the profile's u^2 edge (u^4 for quadratic_bump) drops to ~1e-12;
@@ -50,11 +49,6 @@ DILATED_RADIUS_MAX = 2.0 ** 511
 # Largest tau = sigma * max|x| of the scales whose sweep moments are
 # interpolated (``_chebyshev_count`` gives 8 nodes at tau = 0.3).
 INTERP_TAU_MAX = 0.3
-# Slabs of radial rows in which a sweep evaluates the profile into each
-# synthesis block: the profile's temporaries are then a third of the block,
-# and each thread's working set stays near the block and the radial
-# product's output.
-PROFILE_SLABS = 3
 
 
 @dataclass(frozen=True)
@@ -235,14 +229,8 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     |T_sigma phi|^2 against the rows of w |x|^{2 beta} as soon as it is
     computed, so no (n_sigma, size) array is formed.
 
-    phi is transformed once, and the inverse's own source block of its
-    transform (``_source``), the dilated radii and the weights are laid out
-    once.  Per scale, the real profile values m(sigma r) scale that block
-    and the inverse's FFT and radial product run on it (``_fft_gemm``); the
-    inverse's ``post`` factor is unimodular and cannot change |T|^2, so it
-    is skipped, and so is the move back to grid layout.  The reduction is
-    an einsum, not a BLAS product, so its summation order (and the
-    moments) do not depend on the BLAS thread count.
+    phi is transformed once, and each chosen scale is one synthesis
+    (``transform._synthesis_moments``), whole on one thread.
 
     A family profile (m(u) = u^p h(u^2), p from ``_ORIGIN_POWER``, see
     ``_chebyshev_count``) has the moments of its scales with tau = sigma *
@@ -250,14 +238,6 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     ``_chebyshev_count(T)`` syntheses (T the largest such t), when that is
     fewer than the scales it replaces; every other scale, and every scale of
     any other profile, is one synthesis.
-
-    phi's ``forward`` is split across the CPUs the process may use.  The
-    syntheses (the Chebyshev nodes and every other scale) are the items of
-    the same CPU map (``transform._cpu_map`` and its persistent helper
-    threads), each run whole by one thread through ``_fft_gemm``, which
-    does not split again; so the moments do not depend on the CPU count,
-    each extra thread holds one synthesis' blocks, and BLAS keeps its own
-    thread setting.
 
     Non-finite moments are classified from the data, not from floating-point
     flags (a threaded BLAS product does not report a worker's overflow):
@@ -273,38 +253,20 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
         raise MeasureRangeError(f"the input grid's |x|^2 spans [{rsq.min():g}, "
                                 f"{rsq.max():g}]: it leaves the float range")
     betas = tuple(float(b) for b in betas)
+    w = plan.weights_in.weights
+
+    def weight(b):
+        with np.errstate(over="ignore", invalid="ignore"):
+            wb = w * rsq ** b
+        if not np.isfinite(wb).all():
+            raise MeasureRangeError(
+                "multiplier sweep weights w |x|^(2 beta) leave the float "
+                f"range at beta={b:g}")
+        return wb
+
     F = forward(plan, phi)
-    src = _source(plan, F.values, +1)
-    radius = _radial_first(profile.radius)
-    rsq = _radial_first(rsq).reshape(-1)
-    w = _radial_first(plan.weights_in.weights).reshape(-1)
-    # one column per real and imaginary part of each output value
-    wb = np.empty((len(betas), 2 * w.size))
-    with np.errstate(over="ignore", invalid="ignore"):
-        for row, b in zip(wb, betas):
-            row[0::2] = row[1::2] = w * rsq ** b
-    del rsq, w
-    finite = np.isfinite(wb).all(axis=1)
-    if not finite.all():
-        raise MeasureRangeError(
-            "multiplier sweep weights w |x|^(2 beta) leave the float range "
-            f"at beta={betas[int(np.argmin(finite))]:g}")
+    radius = profile.radius
     r_max = float(radius.max())
-
-    # the profile runs a slab of radial rows at a time, straight into the
-    # synthesis block, so its temporaries are a fraction of the block
-    step = -(-len(radius) // PROFILE_SLABS)
-    slabs = [slice(i, i + step) for i in range(0, len(radius), step)]
-
-    def scale_moments(sigma):
-        v = np.empty_like(src)
-        for rows in slabs:
-            np.multiply(profile.radial_profile(sigma * radius[rows]),
-                        src[rows], out=v[rows])
-        out = _fft_gemm(plan, v, +1)
-        out *= out
-        return np.einsum("i,bi->b", out.reshape(-1), wb)
-
     sigmas = profile.sigma_grid.sigmas
     t = (sigmas * r_max) ** 2
     p = _ORIGIN_POWER.get(profile.radial_profile)
@@ -316,8 +278,9 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
         nodes, bary = _chebyshev_rule(float(t[n_small - 1]))
     scales = [math.sqrt(tn) / r_max for tn in nodes] + list(sigmas[n_small:])
     moments = np.empty((len(sigmas), len(betas)))
+    done = _synthesis_moments(plan, F, profile.radial_profile, radius, scales,
+                              weight, betas)
     with np.errstate(over="ignore", invalid="ignore"):
-        done = _cpu_map(scale_moments, scales)
         if n_small:
             moments[:n_small] = _chebyshev_moments(
                 done[:len(nodes)], nodes, bary, t[:n_small], p)

@@ -51,8 +51,9 @@ CSV_HEADER = "name,d,alpha,lhs,rhs,ratio,satisfied,slack,input_digest"
 # grid-sized complex blocks (16 bytes a point) per thread, 64 MiB each at
 # MAX_GRID_POINTS; the plan's radial kernel and the oracle's per-axis
 # factors are dense in one axis' count, 256 MiB complex at MAX_AXIS_POINTS;
-# and each random bump keeps its values and its sweep's transform, two
-# grid-sized blocks, for the whole run: 512 MiB at MAX_BUMP_POINTS.
+# each Gaussian scale and random bump keeps its values and its sweep's
+# transform, two grid-sized blocks, for the whole run (512 MiB of either at
+# MAX_BUMP_POINTS), and each swept beta a 16-byte-a-point weight row.
 MAX_GRID_POINTS = 1 << 22
 MAX_AXIS_POINTS = 1 << 12
 MAX_BUMP_POINTS = 1 << 24
@@ -133,6 +134,9 @@ class ExperimentConfig:
             tf.get("gaussian_scales", [1.0]),
             "test_functions.gaussian_scales must be a list of positive numbers",
             lambda s: s > 0))
+        if len(scales) * points > MAX_BUMP_POINTS:
+            raise ConfigError("test_functions.gaussian_scales: at most "
+                              f"{MAX_BUMP_POINTS // points} on this grid")
         bumps = tf.get("random_bumps", 0)
         if not _whole(bumps) or bumps < 0:
             raise ConfigError("test_functions.random_bumps must be a whole "
@@ -159,6 +163,10 @@ class ExperimentConfig:
             raise ConfigError("general_exponents entries must be [beta, "
                               "delta] pairs of numbers >= 1")
         exponents = tuple((float(b), float(dd)) for b, dd in exponents)
+        if len(_sweep_betas(exponents)) * points > MAX_BUMP_POINTS:
+            raise ConfigError(
+                f"general_exponents: at most {MAX_BUMP_POINTS // points} "
+                "distinct beta, counting the swept 0 and 1, on this grid")
         ds = optional_section("donoho_stark")
         ds_conf = {
             "mass_fractions": real_list(
@@ -212,6 +220,11 @@ class ExperimentConfig:
         )
         _reject_unknown_keys(doc, _config_echo(config))
         return config
+
+
+def _sweep_betas(exponents):
+    """A run's swept betas: 0, 1 and each general exponent's beta."""
+    return sorted({0.0, 1.0, *(b for b, _ in exponents)})
 
 
 def _reject_unknown_keys(doc, echo, prefix=""):
@@ -360,7 +373,7 @@ def run(config):
         )
         timings[f"setup_{tag}"] = time.perf_counter() - t0
         sweeps = {}
-        betas = sorted({0.0, 1.0, *(b for b, _ in config.general_exponents)})
+        betas = _sweep_betas(config.general_exponents)
         sweep_key = f"sweeps_{tag}"
         timings[sweep_key] = 0.0
 

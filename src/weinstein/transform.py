@@ -10,8 +10,8 @@ against the weighted measure:
   plan runs): a pre-factor (the midpoint-symmetric grids' index phases,
   the spacings and 1/C), an FFT over each Euclidean axis, one real
   product with the dense cached Bessel-kernel matrix over the radial
-  axis, and a unimodular post-factor.  The synthesis source block
-  (``_source``) is also where every multiplier sweep starts.
+  axis, and a unimodular post-factor.  A multiplier sweep runs the
+  synthesis core once per scale (``_synthesis_moments``).
 * ``direct_quadrature``: the weighted quadrature sum itself, with the
   kernel factored over the tensor grid into one explicit matrix per axis,
   exp(-+1j*x_a*lam_a) on each Euclidean axis and j_alpha(r*rho) on the
@@ -26,8 +26,8 @@ factor is its own inverse kernel on the mirrored frequency axis.
 Every ``forward`` and ``inverse`` runs on all the CPUs the process may use:
 its radial rows (layout, pre-factor, FFTs) and then its output columns
 (radial product, post-factor, layout) are split across the calling thread
-and persistent helper threads (``_cpu_map``, the package's one CPU map,
-which the multiplier sweep shares).  Each row and each column is computed
+and persistent helper threads (``_cpu_map``, the package's one CPU map; a
+sweep's items are its scales).  Each row, column and scale is computed
 whole by one thread, so the bits do not depend on the CPU count.
 """
 
@@ -59,17 +59,16 @@ def frequency_grid(grid):
 
 @dataclass(frozen=True)
 class TransformPlan:
-    """Cached machinery for applying the transform on one grid pair; its
-    one route and one normalization are class constants."""
+    """Cached machinery for applying the transform from ``grid_in`` to its
+    frequency grid; its one route and normalization are class constants."""
 
     grid_in: Grid
-    grid_out: Grid
     method: ClassVar[str] = "fast_separable"
     normalization: ClassVar[str] = "self-reciprocal"
 
-    def __post_init__(self):
-        if self.grid_in.shape != self.grid_out.shape:
-            raise ValueError("input and output grids must have matching shapes")
+    @cached_property
+    def grid_out(self):
+        return frequency_grid(self.grid_in)
 
     @cached_property
     def weights_in(self):
@@ -137,7 +136,7 @@ def make_plan(grid, normalization="self-reciprocal"):
     "self-reciprocal", under which the transform is an isometry."""
     if normalization != TransformPlan.normalization:
         raise ValueError(f"unknown normalization {normalization!r}")
-    return TransformPlan(grid_in=grid, grid_out=frequency_grid(grid))
+    return TransformPlan(grid_in=grid)
 
 
 def _cpu_count():
@@ -253,20 +252,6 @@ def _source_rows(pre, values, v, rows):
     v[rows] *= pre
 
 
-def _source(plan, values, sign):
-    """Grid-shaped ``values`` on the source grid of the direction as the
-    radial-first complex block the separable core starts from, in C order.
-
-    For a real radial-first gain g, ``_fft_gemm(plan, g * block, +1)`` on
-    the synthesis block is the inverse of g times ``values`` in
-    radial-first layout, up to the unimodular ``post`` factor.
-    """
-    v = np.empty(values.shape[-1:] + values.shape[:-1], dtype=np.complex128)
-    _source_rows(plan._phases[0 if sign < 0 else 1][0], values, v,
-                 slice(None))
-    return v
-
-
 def _ffts(v, sign):
     """Each Euclidean axis' FFT of the radial-first complex block ``v``, in
     place (analysis sign=-1, unscaled synthesis sign=+1).  Every radial row
@@ -277,17 +262,6 @@ def _ffts(v, sign):
             np.fft.fft(v, axis=ax, out=v)
         else:
             np.fft.ifft(v, axis=ax, norm="forward", out=v)
-
-
-def _fft_gemm(plan, v, sign):
-    """The separable core on a radial-first complex block ``v``
-    (overwritten), on the calling thread: ``_ffts``, then the real radial
-    product (``kernel_cache`` against ``v`` viewed as an (n_r, 2 * rest)
-    real block, a real GEMM instead of a complex one against an upcast
-    kernel).  Returns the real (n_r, 2 * rest) product, the radial-first
-    complex result viewed as real."""
-    _ffts(v, sign)
-    return plan.kernel_cache @ v.reshape(v.shape[0], -1).view(np.float64)
 
 
 # Real columns per block of the radial product split across CPUs.  Blocks
@@ -355,6 +329,54 @@ def inverse(plan, F):
         raise GridMismatchError("field does not live on the plan's output grid")
     # Mirrored radial axes make kernel_cache (weights included) self-paired.
     return Field(grid=plan.grid_in, values=_separable_apply(plan, F.values, +1))
+
+
+# Slabs of radial rows in which ``_synthesis_moments`` evaluates the
+# profile into a block: its temporaries are then a third of the block.
+PROFILE_SLABS = 3
+
+
+def _synthesis_moments(plan, F, radial_profile, radius, scales, weight,
+                       betas):
+    """Moments sum_x weight(b) |T_sigma phi|^2 for each scale sigma, an
+    array over ``betas`` each: T_sigma phi is the synthesis of m(sigma .) F,
+    m the real ``radial_profile`` at the frequency radii ``radius``, F =
+    forward(plan, phi), and ``weight(b)`` is grid-shaped on plan.grid_in.
+
+    F's synthesis source block, the radii and the weights (one column per
+    real and imaginary part of an output value) are laid out radial-first
+    once.  Each scale is one ``_cpu_map`` item, run whole by one thread:
+    the profile scales the block a slab of radial rows at a time, then come
+    ``_ffts`` and the real radial product with ``kernel_cache``, squared in
+    place.  ``post`` is unimodular and cannot change |T|^2, so it and the
+    move back to grid layout are skipped.  The reduction is an einsum, not
+    a BLAS product, so its summation order does not depend on the BLAS
+    thread count.  Overflow is ignored: it shows as non-finite moments.
+    """
+    values = F.values
+    n_r = values.shape[-1]
+    # the plan's cached parts are built here, on the calling thread
+    kernel = plan.kernel_cache
+    src = np.empty((n_r,) + values.shape[:-1], dtype=np.complex128)
+    _source_rows(plan._phases[1][0], values, src, slice(None))
+    radius = _radial_first(radius)
+    # one weight at a time, so no grid-layout stack of them is held
+    wb = np.empty((len(betas), 2 * radius.size))
+    for row, b in zip(wb, betas):
+        row[0::2] = row[1::2] = _radial_first(weight(b)).reshape(-1)
+
+    def moments(sigma):
+        v = np.empty_like(src)
+        for rows in _chunks(n_r, PROFILE_SLABS):
+            np.multiply(radial_profile(sigma * radius[rows]), src[rows],
+                        out=v[rows])
+        _ffts(v, +1)
+        out = kernel @ v.reshape(n_r, -1).view(np.float64)
+        out *= out
+        return np.einsum("i,bi->b", out.reshape(-1), wb)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _cpu_map(moments, scales)
 
 
 def _kernel_factors(plan, sign, sigma=1.0):

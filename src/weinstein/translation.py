@@ -10,8 +10,8 @@ components,
 realized with Gauss-Jacobi nodes in t = cos(theta) (the density is exactly
 the Jacobi weight) and separable interpolation of the field: an exact or
 linear shift along the Euclidean axes, cubic along the radial axis.  The
-spectral route multiplies the transform by the kernel at x instead and is
-exact on the grid by construction; the two are cross-validated.
+spectral route multiplies the transform by the kernel at x, built per axis,
+and is exact on the grid by construction; the two are cross-validated.
 
 Convolution is the spectral product route, with a brute-force double-sum
 realization (translation against one factor, then a weighted sum) kept as
@@ -23,9 +23,8 @@ from functools import cached_property
 
 import numpy as np
 
-from ._accel import roots_jacobi
-from .bessel import weinstein_kernel
-from .core import Field
+from ._accel import j_alpha, roots_jacobi
+from .core import Field, _axis_view
 from .errors import GridMismatchError, SizeGuardError
 from .interp import apply_axis_matrix, radial_cubic_stencil, uniform_linear_matrix
 from .transform import forward, inverse
@@ -127,26 +126,22 @@ def translate_direct(rule, f, x):
 
 def spectral_multiplier(plan, x):
     """Lambda(-x, .) on plan.grid_out, grid-shaped, with -x = (-x', x_r)
-    the Euclidean reflection of ``x``.
+    the Euclidean reflection of ``x``:
 
-    The kernel is a product of a Euclidean and a radial factor, and each
-    factor is the kernel itself with the other coordinates at 0 (j_a(0) = 1
-    and exp(0) = 1): one ``weinstein_kernel`` call on the Euclidean mesh at
-    radial coordinate 0 and one on the radial nodes at Euclidean origin,
-    multiplied by broadcasting.
+        exp(-1j * sum_a (-x_a) lam_a) * j_alpha(x_r lam_r).
+
+    The phases -x_a lam_a of the Euclidean axes are summed by broadcasting
+    and exponentiated once, as ``weinstein_kernel`` does at each point, so
+    the result is the pointwise kernel bit for bit; the radial factor is
+    one j_alpha per radial node.
     """
     grid = plan.grid_out
-    params = grid.params
     x = _check_point(plan.grid_in, x)
-    xr = np.concatenate([-x[:-1], x[-1:]])
-    mesh = np.meshgrid(*grid.euclid_axes, indexing="ij")
-    euclid_pts = np.stack([m.ravel() for m in mesh]
-                          + [np.zeros(mesh[0].size)], axis=-1)
-    radial_pts = np.zeros((grid.shape[-1], params.d + 1))
-    radial_pts[:, -1] = grid.radial_nodes
-    euclid = weinstein_kernel(params, xr, euclid_pts)
-    radial = weinstein_kernel(params, xr, radial_pts)
-    return euclid.reshape(grid.shape[:-1] + (1,)) * radial
+    nd = len(grid.shape)
+    phase = sum(_axis_view(lam * -xa, ax, nd)
+                for ax, (lam, xa) in enumerate(zip(grid.euclid_axes, x)))
+    return np.exp(-1j * phase) \
+        * j_alpha(grid.params.alpha, x[-1] * grid.radial_nodes)
 
 
 def translate_spectral(plan, f, x):

@@ -147,8 +147,12 @@ def heisenberg_certificate(plan, f, slack=DEFAULT_SLACK, digest="",
         ||f||^2 <= (2 / (2 alpha + d + 2)) * ||x| f|| * ||y| F f||,
 
     with equality on the Gaussian family.  F is read from ``stats`` (f's
-    ``multiplier_sweep``) when given.
+    ``multiplier_sweep``) when given; a sweep of another plan, or of a
+    field with other values, is a ValueError.
     """
+    if stats is not None and (stats.plan is not plan or not np.array_equal(
+            stats.phi.values, f.values)):
+        raise ValueError("stats is not the sweep of f on this plan")
     F = forward(plan, f) if stats is None else stats.transform
     return _product_certificate(
         "heisenberg", plan, f, dispersion(f, plan.weights_in, 1.0),

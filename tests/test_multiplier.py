@@ -555,15 +555,17 @@ def test_sweep_interpolation_needs_its_nodes(plan_alpha_100, monkeypatch):
 def test_sweep_synthesis_count(plan_mult, bump_profile, monkeypatch):
     # the scales with tau = sigma max|x| <= 0.3 cost n syntheses in all;
     # a profile other than the family functions is synthesized at every
-    # scale
+    # scale.  A synthesis is counted by its FFTs of sign +1, one call per
+    # scale; the sweep's forward transform runs the analysis sign only
     calls = []
-    core = weinstein.multiplier._fft_gemm
+    ffts = weinstein.transform._ffts
 
-    def counted(*args):
-        calls.append(1)
-        return core(*args)
+    def counted(v, sign):
+        if sign > 0:
+            calls.append(1)
+        return ffts(v, sign)
 
-    monkeypatch.setattr(weinstein.multiplier, "_fft_gemm", counted)
+    monkeypatch.setattr(weinstein.transform, "_ffts", counted)
     f = gaussian_field(plan_mult.grid_in)
     sigmas = bump_profile.sigma_grid.sigmas
     t = (sigmas * bump_profile.radius.max()) ** 2

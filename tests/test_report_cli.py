@@ -355,6 +355,14 @@ def _set(*path_and_value):
     return edit
 
 
+def _edits(*edits):
+    """A config edit making ``edits`` in order."""
+    def edit(cfg):
+        for e in edits:
+            e(cfg)
+    return edit
+
+
 @pytest.mark.parametrize("edit,full_grid,code,message", [
     (_set("test_functions", "gaussian_scales", [1e300]), False, 3,
      "gaussian scale 1e+300: 2 scale^2 leaves the float range"),
@@ -620,8 +628,17 @@ def test_cli_flagged_certificates_reported_not_failed(tmp_path):
      "and 4194304 points in all"),
     (_set("test_functions", "random_bumps", 1e9),
      "test_functions.random_bumps: at most 65536 on this grid"),
+    # on the largest grid a Gaussian field each, or a weight row per
+    # distinct beta (0 and 1 always swept), fit four times
+    (_edits(_set("grid", "counts", [4096, 1024]),
+            _set("test_functions", "gaussian_scales", [1, 2, 3, 4, 5])),
+     "test_functions.gaussian_scales: at most 4 on this grid"),
+    (_edits(_set("grid", "counts", [4096, 1024]),
+            _set("general_exponents", [[1, 1], [2, 1], [3, 2], [4, 1]])),
+     "general_exponents: at most 4 distinct beta"),
 ], ids=["counts_1e9", "counts_1e300", "counts_axis_8192",
-        "counts_2048x4096", "random_bumps_1e9"])
+        "counts_2048x4096", "random_bumps_1e9", "gaussian_scales_5",
+        "general_exponents_5_betas"])
 def test_size_budgets_refuse_before_allocating(edit, message):
     # each is refused while the config is parsed, before any grid-sized
     # array exists (a 1e9 x 16 grid's |x|^2 alone is 128 GB)
@@ -642,8 +659,11 @@ def test_size_budgets_admit_their_limits():
     cfg = json.loads(DEFAULT_CONFIG.read_text())
     cfg["grid"]["counts"] = [1024, 4096]
     cfg["test_functions"]["random_bumps"] = 4
+    cfg["test_functions"]["gaussian_scales"] = [1, 2, 3, 4]
+    cfg["general_exponents"] = [[1, 1], [2, 1], [3, 2], [3, 1]]
     config = ExperimentConfig.from_dict(cfg)
     assert config.counts == (1024, 4096) and config.random_bumps == 4
+    assert len(config.gaussian_scales) == 4
 
 
 def test_self_test_zero_norm_guard():

@@ -1,5 +1,8 @@
+import ast
+import dataclasses
 import math
 import os
+import pathlib
 import threading
 import time
 
@@ -7,7 +10,7 @@ import numpy as np
 import pytest
 
 import weinstein.transform
-from weinstein import (Field, WeinsteinParams, build_grid,
+from weinstein import (Field, TransformPlan, WeinsteinParams, build_grid,
                        direct_quadrature, forward, frequency_grid,
                        gaussian_field, inner_product, inverse, make_plan,
                        norm_p, weinstein_kernel)
@@ -387,3 +390,43 @@ def test_forked_child_gets_its_own_helpers(plan_half, monkeypatch):
             pytest.fail("forked child did not finish")
         time.sleep(0.02)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def test_plan_output_grid_is_derived():
+    # a plan is its input grid: the output grid is always the conjugate one
+    # (a given grid of the same shape but other extents would transform
+    # onto the wrong nodes)
+    params = WeinsteinParams(d=1, alpha=0.5)
+    g = build_grid(params, (8.0, 8.0), (32, 32))
+    g2 = build_grid(params, (3.0, 5.0), (32, 32))
+    with pytest.raises(TypeError):
+        TransformPlan(grid_in=g, grid_out=g2)
+    assert [f.name for f in dataclasses.fields(TransformPlan)] == ["grid_in"]
+    assert make_plan(g).grid_out.same_geometry(frequency_grid(g))
+
+
+# The separable core's layout, FFTs, column alignment and CPU map: no
+# module but transform.py names them (report.py reads transform._cpu_count
+# for the report's environment).
+TRANSFORM_INTERNALS = {"_cpu_map", "_radial_first", "_source_rows", "_ffts",
+                       "GEMM_COLUMN_ALIGN"}
+
+
+def test_transform_internals_stay_in_transform():
+    package = pathlib.Path(weinstein.transform.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "transform.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Name):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.alias):
+                name = node.name
+            else:
+                continue
+            if name in TRANSFORM_INTERNALS:
+                found.append(f"{path.name}:{node.lineno} {name}")
+    assert not found

@@ -90,6 +90,23 @@ def test_heisenberg_scale_invariance(plan_half):
         heisenberg_certificate(plan_half, 0.0 * f)
 
 
+def test_heisenberg_refuses_another_fields_sweep(plan_mult, bump_profile):
+    # the sweep lends its transform to the certificate, so it must be f's
+    # on this plan; a sweep of an equal field (a run shares one sweep
+    # between equal fields) gives the certificate of f itself
+    f = gaussian_field(plan_mult.grid_in)
+    stats = multiplier_sweep(plan_mult, bump_profile, f)
+    with pytest.raises(ValueError, match="not the sweep of f"):
+        heisenberg_certificate(
+            plan_mult, gaussian_field(plan_mult.grid_in, scale=1.2),
+            stats=stats)
+    with pytest.raises(ValueError, match="not the sweep of f"):
+        heisenberg_certificate(make_plan(plan_mult.grid_in), f, stats=stats)
+    equal = gaussian_field(plan_mult.grid_in)
+    assert heisenberg_certificate(plan_mult, equal, stats=stats) \
+        == heisenberg_certificate(plan_mult, f)
+
+
 def test_multiplier_heisenberg(plan_mult, bump_profile):
     f = gaussian_field(plan_mult.grid_in)
     cert = multiplier_heisenberg_certificate(
