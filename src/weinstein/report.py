@@ -6,12 +6,14 @@ seeded generator recorded in the report, so identical config + seed give
 byte-identical reports up to the timing and environment sections.
 """
 
+import functools
 import hashlib
 import json
 import math
 import platform
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,15 +38,6 @@ KNOWN_CERTIFICATES = (
     "donoho_stark",
 )
 
-DEFAULT_TOLERANCES = {
-    "certificate_slack": 1e-3,
-    "plancherel": 1e-6,
-    "roundtrip": 1e-6,
-    "fast_vs_direct": 1e-8,
-    "multiplier_plancherel": 1e-4,
-    "admissibility": 1e-3,
-}
-
 CSV_HEADER = "name,d,alpha,lhs,rhs,ratio,satisfied,slack,input_digest"
 
 # Size budgets of a config (exit 2 past them).  A sweep holds a few
@@ -53,173 +46,212 @@ CSV_HEADER = "name,d,alpha,lhs,rhs,ratio,satisfied,slack,input_digest"
 # factors are dense in one axis' count, 256 MiB complex at MAX_AXIS_POINTS;
 # each Gaussian scale and random bump keeps its values and its sweep's
 # transform, two grid-sized blocks, for the whole run (512 MiB of either at
-# MAX_BUMP_POINTS), and each swept beta a 16-byte-a-point weight row.
+# MAX_BUMP_POINTS), and each swept beta a 16-byte-a-point weight row.  An
+# alpha costs a plan, a profile and their sweeps, and a certificate a report
+# entry: a list has at most MAX_LIST_ENTRIES, a run MAX_CERTIFICATES.
 MAX_GRID_POINTS = 1 << 22
 MAX_AXIS_POINTS = 1 << 12
 MAX_BUMP_POINTS = 1 << 24
+MAX_LIST_ENTRIES = 64
+MAX_CERTIFICATES = 1024
+REQUIRED = object()
+
+
+class ConfigKey(NamedTuple):
+    """One settable key: its dotted path, its default (REQUIRED if none; a
+    None default admits null), its check, ``check(key, value)``, which parses
+    the value or calls ``refuse``, and what the value must be."""
+    path: str
+    default: object
+    check: object
+    must_be: str = ""
+
+    def refuse(self, why=None):
+        raise ConfigError(f"{self.path}: {why}" if why
+                          else f"{self.path} must be {self.must_be}")
+
+
+def _number(lo=-math.inf, hi=math.inf, above=False, whole=False):
+    """A finite int or float (not bool) in [lo, hi], or (lo, hi] if
+    ``above``, as a float; a ``whole`` one has no fraction and is an int."""
+    def check(key, v):
+        number = isinstance(v, (int, float)) and not isinstance(v, bool)
+        try:  # float() overflows on an integer literal past the float range
+            x = float(v) if number else math.nan
+        except OverflowError:
+            key.refuse("an integer past the float range")
+        if not (math.isfinite(x) and (x > lo if above else x >= lo)
+                and x <= hi and (x.is_integer() or not whole)):
+            key.refuse()
+        return int(v) if whole else x
+    return check
+
+
+def _choice(options, noun):
+    """One of the strings ``options``."""
+    def check(key, v):
+        if not isinstance(v, str) or v not in options:
+            key.refuse(f"unknown {noun} {v!r} (known: {', '.join(options)})")
+        return v
+    return check
+
+
+def _entries(entry, length=None, min_len=0, distinct=True):
+    """A tuple of at most MAX_LIST_ENTRIES values that ``entry`` parses,
+    ``length`` if given, at least ``min_len``, distinct if ``distinct``."""
+    def check(key, v):
+        if not isinstance(v, (list, tuple)) or len(v) < min_len \
+                or length is not None and len(v) != length:
+            key.refuse()
+        if len(v) > MAX_LIST_ENTRIES:
+            key.refuse(f"at most {MAX_LIST_ENTRIES} entries")
+        out = tuple(entry(key, e) for e in v)
+        if distinct and len(set(out)) < len(out):
+            key.refuse("entries must be distinct")
+        return out
+    return check
+
+
+def _one_or_many(check):
+    """``check`` on a list, or on a bare value as a one-entry list."""
+    return lambda key, v: check(key, v if isinstance(v, (list, tuple))
+                                else [v])
+
+
+_POSITIVE = _number(0, above=True)
+
+# The settable keys, in the order they are parsed and refused.
+CONFIG_KEYS = (
+    ConfigKey("params.d", REQUIRED, _number(1, whole=True),
+              "a positive integer"),
+    ConfigKey("params.alpha", [0.5], _one_or_many(
+        _entries(_number(-0.5, above=True), min_len=1)),
+        "a list of numbers > -1/2"),
+    ConfigKey("grid.extents", REQUIRED, _entries(_POSITIVE, distinct=False),
+              "a list of positive numbers"),
+    ConfigKey("grid.counts", REQUIRED,
+              _entries(_number(MIN_AXIS_POINTS, whole=True), distinct=False),
+              f"a list of whole numbers >= {MIN_AXIS_POINTS}"),
+    ConfigKey("grid.radial_scheme", "uniform-offset",
+              _choice(RADIAL_SCHEMES, "scheme")),
+    ConfigKey("normalization", "self-reciprocal",
+              _choice(("self-reciprocal",), "kind")),
+    ConfigKey("multiplier.family", "gaussian_bump",
+              _choice(PROFILE_FAMILIES, "family")),
+    ConfigKey("multiplier.sigma_range", None,
+              _entries(_POSITIVE, length=2, distinct=False),
+              "[lo, hi] with 0 < lo < hi"),
+    ConfigKey("multiplier.sigma_count", None,
+              _number(2, MAX_SIGMA_COUNT, whole=True),
+              f"a whole number in [2, {MAX_SIGMA_COUNT}]"),
+    ConfigKey("multiplier.tolerance", 1e-6, _POSITIVE, "a positive number"),
+    ConfigKey("test_functions.gaussian_scales", [1.0], _entries(_POSITIVE),
+              "a list of positive numbers"),
+    ConfigKey("test_functions.random_bumps", 0, _number(0, whole=True),
+              "a whole number >= 0"),
+    ConfigKey("certificates", ["heisenberg"],
+              _entries(_choice(KNOWN_CERTIFICATES, "certificate"),
+                       min_len=1),
+              "a list of at least one certificate name"),
+    ConfigKey("general_exponents", [[1, 1], [2, 1], [1, 2], [2, 2]],
+              _entries(_entries(_number(1), length=2, distinct=False)),
+              "a list of [beta, delta] pairs of numbers >= 1"),
+    ConfigKey("donoho_stark.mass_fractions", [0.9, 0.99],
+              _entries(_number(0, 1, above=True)),
+              "a list of numbers in (0, 1]"),
+    ConfigKey("donoho_stark.sigma_floors", [1.0, 2.0], _entries(_POSITIVE),
+              "a list of positive numbers"),
+    *(ConfigKey(f"tolerances.{name}", v, _POSITIVE, "a positive number")
+      for name, v in (("certificate_slack", 1e-3), ("plancherel", 1e-6),
+                      ("roundtrip", 1e-6), ("fast_vs_direct", 1e-8),
+                      ("multiplier_plancherel", 1e-4),
+                      ("admissibility", 1e-3))),
+    ConfigKey("seed", 0, _number(0, whole=True), "a whole number >= 0"),
+)
+
+
+def _at(*path):
+    """A property reading ``document`` at ``path``."""
+    return property(lambda c: functools.reduce(dict.get, path, c.document))
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    d: int
-    alphas: tuple
-    extents: tuple
-    counts: tuple
-    radial_scheme: str
-    normalization: object
-    multiplier: dict
-    gaussian_scales: tuple
-    random_bumps: int
-    certificates: tuple
-    general_exponents: tuple
-    donoho_stark: dict
-    tolerances: dict
-    seed: int
+    """A parsed config: ``document`` has every key of CONFIG_KEYS filled in
+    and is the report's ``config`` echo; the attributes read it."""
+    document: dict
+
+    d, alphas = _at("params", "d"), _at("params", "alpha")
+    extents, counts = _at("grid", "extents"), _at("grid", "counts")
+    radial_scheme = _at("grid", "radial_scheme")
+    normalization, multiplier = _at("normalization"), _at("multiplier")
+    gaussian_scales = _at("test_functions", "gaussian_scales")
+    random_bumps = _at("test_functions", "random_bumps")
+    certificates, seed = _at("certificates"), _at("seed")
+    general_exponents = _at("general_exponents")
+    donoho_stark, tolerances = _at("donoho_stark"), _at("tolerances")
 
     @staticmethod
     def from_dict(doc):
-        def need(section, key, desc):
-            if not isinstance(section, dict) or key not in section:
-                raise ConfigError(f"missing config field: {desc}")
-            return section[key]
+        filled = _fill(doc)
+        _check_across_keys(filled)
+        _reject_unknown_keys(doc, filled)
+        return ExperimentConfig(filled)
 
-        def optional_section(key):
-            section = doc.get(key, {})
-            if not isinstance(section, dict):
-                raise ConfigError(f"{key} must be a JSON object")
-            return section
 
-        def real_list(value, desc, ok=lambda v: True):
-            if not isinstance(value, (list, tuple)) \
-                    or not all(_real(v) and ok(v) for v in value):
-                raise ConfigError(desc)
-            return [float(v) for v in value]
+def _fill(doc):
+    """``doc`` with each key of CONFIG_KEYS parsed or set to its default."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config document must be a JSON object")
+    filled = {}
+    for key in CONFIG_KEYS:
+        section, _, name = key.path.rpartition(".")
+        src = doc.get(section, {}) if section else doc
+        if not isinstance(src, dict):
+            raise ConfigError(f"{section} must be a JSON object")
+        value = src.get(name, key.default)
+        if value is REQUIRED:
+            raise ConfigError(f"missing config field: {key.path}")
+        if value is not None or key.default is not None:
+            value = key.check(key, value)
+        (filled.setdefault(section, {}) if section else filled)[name] = value
+    return filled
 
-        if not isinstance(doc, dict):
-            raise ConfigError("config document must be a JSON object")
-        params = need(doc, "params", "params")
-        d = need(params, "d", "params.d")
-        if not _whole(d) or d < 1:
-            raise ConfigError("params.d must be a positive integer")
-        alphas = params.get("alpha", 0.5)
-        if not isinstance(alphas, (list, tuple)):
-            alphas = [alphas]
-        if not alphas or not all(_real(a) and a > -0.5 for a in alphas):
-            raise ConfigError("params.alpha entries must be numbers > -1/2")
-        if len({float(a) for a in alphas}) < len(alphas):
-            raise ConfigError("params.alpha entries must be distinct")
-        grid = need(doc, "grid", "grid")
-        extents = need(grid, "extents", "grid.extents")
-        counts = need(grid, "counts", "grid.counts")
-        if not isinstance(extents, (list, tuple)) or len(extents) != d + 1 \
-                or not all(_real(e) and e > 0 for e in extents):
-            raise ConfigError("grid.extents: need d+1 entries, all positive")
-        if not isinstance(counts, (list, tuple)) or len(counts) != d + 1 \
-                or not all(_whole(n) and n >= MIN_AXIS_POINTS for n in counts):
-            raise ConfigError("grid.counts: need d+1 entries, all whole "
-                              f"numbers >= {MIN_AXIS_POINTS}")
-        points = math.prod(int(n) for n in counts)
-        if max(counts) > MAX_AXIS_POINTS or points > MAX_GRID_POINTS:
-            raise ConfigError(f"grid.counts: at most {MAX_AXIS_POINTS} per "
-                              f"axis and {MAX_GRID_POINTS} points in all")
-        scheme = grid.get("radial_scheme", "uniform-offset")
-        if not isinstance(scheme, str) or scheme not in RADIAL_SCHEMES:
-            raise ConfigError(f"grid.radial_scheme: unknown scheme {scheme!r}")
-        normalization = doc.get("normalization", "self-reciprocal")
-        if normalization != "self-reciprocal":
-            raise ConfigError(f"normalization: unknown kind {normalization!r} "
-                              "(the one kind is 'self-reciprocal')")
-        tf = optional_section("test_functions")
-        scales = tuple(real_list(
-            tf.get("gaussian_scales", [1.0]),
-            "test_functions.gaussian_scales must be a list of positive numbers",
-            lambda s: s > 0))
-        if len(scales) * points > MAX_BUMP_POINTS:
-            raise ConfigError("test_functions.gaussian_scales: at most "
-                              f"{MAX_BUMP_POINTS // points} on this grid")
-        bumps = tf.get("random_bumps", 0)
-        if not _whole(bumps) or bumps < 0:
-            raise ConfigError("test_functions.random_bumps must be a whole "
-                              "number >= 0")
-        if bumps * points > MAX_BUMP_POINTS:
-            raise ConfigError("test_functions.random_bumps: at most "
-                              f"{MAX_BUMP_POINTS // points} on this grid")
-        certs = doc.get("certificates", ["heisenberg"])
-        if not isinstance(certs, (list, tuple)):
-            raise ConfigError("certificates must be a list of names")
-        if not certs:
-            raise ConfigError("certificates: select at least one certificate")
-        for c in certs:
-            if c not in KNOWN_CERTIFICATES:
-                raise ConfigError(
-                    f"certificates: unknown certificate {c!r} "
-                    f"(known: {', '.join(KNOWN_CERTIFICATES)})"
-                )
-        exponents = doc.get("general_exponents",
-                            [[1, 1], [2, 1], [1, 2], [2, 2]])
-        if not isinstance(exponents, (list, tuple)) or not all(
-                isinstance(e, (list, tuple)) and len(e) == 2
-                and all(_real(v) and v >= 1 for v in e) for e in exponents):
-            raise ConfigError("general_exponents entries must be [beta, "
-                              "delta] pairs of numbers >= 1")
-        exponents = tuple((float(b), float(dd)) for b, dd in exponents)
-        if len(_sweep_betas(exponents)) * points > MAX_BUMP_POINTS:
-            raise ConfigError(
-                f"general_exponents: at most {MAX_BUMP_POINTS // points} "
-                "distinct beta, counting the swept 0 and 1, on this grid")
-        ds = optional_section("donoho_stark")
-        ds_conf = {
-            "mass_fractions": real_list(
-                ds.get("mass_fractions", [0.9, 0.99]),
-                "donoho_stark.mass_fractions must be a list of numbers in "
-                "(0, 1]", lambda q: 0 < q <= 1),
-            "sigma_floors": real_list(
-                ds.get("sigma_floors", [1.0, 2.0]),
-                "donoho_stark.sigma_floors must be a list of positive "
-                "numbers", lambda s: s > 0),
-        }
-        tol_doc = optional_section("tolerances")
-        tol = {k: tol_doc.get(k, v) for k, v in DEFAULT_TOLERANCES.items()}
-        mult = optional_section("multiplier")
-        mult_tol = mult.get("tolerance", 1e-6)
-        if not all(_real(v) and v > 0 for v in [*tol.values(), mult_tol]):
-            raise ConfigError("tolerances and multiplier.tolerance must all "
-                              "be positive numbers")
-        family = mult.get("family", "gaussian_bump")
-        if not isinstance(family, str) or family not in PROFILE_FAMILIES:
-            raise ConfigError(f"multiplier.family: unknown family {family!r}")
-        sigma_range = mult.get("sigma_range")
-        if sigma_range is not None and not (
-                isinstance(sigma_range, (list, tuple)) and len(sigma_range) == 2
-                and all(_real(s) for s in sigma_range)
-                and 0 < sigma_range[0] < sigma_range[1]):
-            raise ConfigError("multiplier.sigma_range must be [lo, hi] with "
-                              "0 < lo < hi")
-        sigma_count = mult.get("sigma_count")
-        if sigma_count is not None and not (
-                _whole(sigma_count) and 2 <= sigma_count <= MAX_SIGMA_COUNT):
-            raise ConfigError("multiplier.sigma_count must be a whole number "
-                              f"in [2, {MAX_SIGMA_COUNT}]")
-        seed = doc.get("seed", 0)
-        if not _whole(seed) or seed < 0:
-            raise ConfigError("seed must be a whole number >= 0")
-        config = ExperimentConfig(
-            d=int(d), alphas=tuple(float(a) for a in alphas),
-            extents=tuple(float(e) for e in extents),
-            counts=tuple(int(n) for n in counts),
-            radial_scheme=scheme, normalization=normalization,
-            multiplier={
-                "family": family,
-                "sigma_range": sigma_range,
-                "sigma_count": sigma_count,
-                "tolerance": float(mult_tol),
-            },
-            gaussian_scales=scales, random_bumps=int(bumps),
-            certificates=tuple(certs), general_exponents=exponents,
-            donoho_stark=ds_conf, tolerances=tol, seed=int(seed),
-        )
-        _reject_unknown_keys(doc, _config_echo(config))
-        return config
+
+def _check_across_keys(c):
+    """d+1 entries per grid axis, sigma_range lo < hi and the size budgets,
+    checked before anything grid-sized is allocated."""
+    counts, tf = c["grid"]["counts"], c["test_functions"]
+    if not len(c["grid"]["extents"]) == len(counts) == c["params"]["d"] + 1:
+        raise ConfigError("grid.extents and grid.counts: need d+1 entries "
+                          "each")
+    lo_hi = c["multiplier"]["sigma_range"]
+    if lo_hi is not None and not lo_hi[0] < lo_hi[1]:
+        raise ConfigError("multiplier.sigma_range: need lo < hi")
+    points = math.prod(counts)
+    if max(counts) > MAX_AXIS_POINTS or points > MAX_GRID_POINTS:
+        raise ConfigError(f"grid.counts: at most {MAX_AXIS_POINTS} per "
+                          f"axis and {MAX_GRID_POINTS} points in all")
+    scales, bumps = len(tf["gaussian_scales"]), tf["random_bumps"]
+    exponents = c["general_exponents"]
+    for path, n, what in (
+            ("test_functions.gaussian_scales", scales, ""),
+            ("test_functions.random_bumps", bumps, ""),
+            ("general_exponents", len(_sweep_betas(exponents)),
+             " distinct beta, counting the swept 0 and 1,")):
+        if n * points > MAX_BUMP_POINTS:
+            raise ConfigError(f"{path}: at most {MAX_BUMP_POINTS // points}"
+                              f"{what} on this grid")
+    ds = c["donoho_stark"]
+    per_field = {"heisenberg": 1, "multiplier_heisenberg": 1,
+                 "general_heisenberg": len(exponents), "donoho_stark":
+                 len(ds["mass_fractions"]) * len(ds["sigma_floors"])}
+    n = len(c["params"]["alpha"]) * (scales + bumps) \
+        * sum(per_field[name] for name in c["certificates"])
+    if n > MAX_CERTIFICATES:
+        raise ConfigError(
+            f"certificates: at most {MAX_CERTIFICATES} in all (params.alpha "
+            f"x test functions x certificates per function), not {n}")
 
 
 def _sweep_betas(exponents):
@@ -229,23 +261,12 @@ def _sweep_betas(exponents):
 
 def _reject_unknown_keys(doc, echo, prefix=""):
     """Raise ConfigError naming the first key of ``doc``, at any depth, that
-    the parsed config's echo lacks: a key that no setting reads."""
+    the filled-in config lacks: a key that no setting reads."""
     for key, value in doc.items():
         if key not in echo:
             raise ConfigError(f"unknown config key: {prefix}{key}")
         if isinstance(value, dict):
             _reject_unknown_keys(value, echo[key], f"{prefix}{key}.")
-
-
-def _real(v):
-    """True for a finite int or float (bool excluded)."""
-    return isinstance(v, (int, float)) and not isinstance(v, bool) \
-        and math.isfinite(v)
-
-
-def _whole(v):
-    """True for a finite number with no fractional part (bool excluded)."""
-    return _real(v) and v == int(v)
 
 
 def _random_bump(grid, rng):
@@ -365,12 +386,7 @@ def run(config):
         grid = build_grid(params, config.extents, config.counts,
                           radial_scheme=config.radial_scheme)
         plan = make_plan(grid, normalization=config.normalization)
-        profile = make_admissible_radial(
-            plan, family=config.multiplier["family"],
-            sigma_range=config.multiplier["sigma_range"],
-            sigma_count=config.multiplier["sigma_count"],
-            tolerance=config.multiplier["tolerance"],
-        )
+        profile = make_admissible_radial(plan, **config.multiplier)
         timings[f"setup_{tag}"] = time.perf_counter() - t0
         sweeps = {}
         betas = _sweep_betas(config.general_exponents)
@@ -400,9 +416,8 @@ def run(config):
                 raise MeasureRangeError(
                     f"test field {name} is 0 at every grid point (its "
                     "values underflow)")
-        needs_sweep = any(c in config.certificates for c in
-                          ("multiplier_heisenberg", "general_heisenberg",
-                           "donoho_stark"))
+        # every certificate but the plain Heisenberg one reads a sweep
+        needs_sweep = set(config.certificates) != {"heisenberg"}
         field_stats = [stats_of(f) if needs_sweep else None
                        for _, f in fields]
 
@@ -445,7 +460,7 @@ def run(config):
     certs_ok = all(c.satisfied for c in all_certs if not c.hypothesis_violated)
     timings["total"] = time.perf_counter() - t_start
     report = {
-        "config": _config_echo(config),
+        "config": config.document,
         "seed": config.seed,
         "runs": per_alpha,
         "self_tests_ok": self_ok,
@@ -467,23 +482,6 @@ def _environment():
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version")},
         "cpus": transform._cpu_count(),
-    }
-
-
-def _config_echo(config):
-    return {
-        "params": {"d": config.d, "alpha": list(config.alphas)},
-        "grid": {"extents": list(config.extents), "counts": list(config.counts),
-                 "radial_scheme": config.radial_scheme},
-        "normalization": config.normalization,
-        "multiplier": config.multiplier,
-        "test_functions": {"gaussian_scales": list(config.gaussian_scales),
-                           "random_bumps": config.random_bumps},
-        "certificates": list(config.certificates),
-        "general_exponents": [list(e) for e in config.general_exponents],
-        "donoho_stark": config.donoho_stark,
-        "tolerances": config.tolerances,
-        "seed": config.seed,
     }
 
 

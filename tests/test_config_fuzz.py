@@ -1,13 +1,15 @@
 """Property test of the CLI exit-code contract on mutated configs.
 
-One field of configs/default.json (a section, a leaf or a list entry) is
-replaced by a value of the wrong kind or an extreme magnitude on a 16x16
-grid; whatever the mutation, ``weinstein run`` must return 0, 1, 2 or 3
-without an escaping exception, exit 1 must come with a report whose ``ok``
-is false, and exit 2 or 3 with exactly one stderr line.  Size keys reach
-only budgets that refuse them before anything is allocated.  Renaming one
-dict key (appending ``_x``) must exit 2: a required key goes missing or an
-unknown one appears.
+One field of configs/default.json on a 16x16 grid is set to a value of the
+wrong kind or an extreme magnitude (an integer literal past the float range
+among them).  The fields are every key of ``report.CONFIG_KEYS``, set even
+where default.json omits it, each section that holds them, and each list
+entry default.json writes.  Whatever the mutation, ``weinstein run`` must
+return 0, 1, 2 or 3 without an escaping exception, exit 1 must come with a
+report whose ``ok`` is false, and exit 2 or 3 with exactly one stderr line.
+Size keys reach only budgets that refuse them before anything is allocated.
+Renaming one key that default.json writes (appending ``_x``) must exit 2: a
+required key goes missing or an unknown one appears.
 """
 
 import contextlib
@@ -21,10 +23,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weinstein.cli import main
+from weinstein.report import CONFIG_KEYS
 
 DEFAULT = pathlib.Path(__file__).resolve().parents[1] / "configs" / "default.json"
 BAD_VALUES = ("x", [1], {}, None, True, -1,
-              0, 1e300, -1e300, 1e-300, 1e-8, 1e8)
+              0, 1e300, -1e300, 1e-300, 1e-8, 1e8, 10**400)
 
 
 def _base():
@@ -33,23 +36,32 @@ def _base():
     return doc
 
 
-def _paths(node, prefix=()):
-    """Every section, leaf and list entry of a JSON tree, as key paths."""
-    items = node.items() if isinstance(node, dict) else \
-        enumerate(node) if isinstance(node, list) else ()
-    for key, child in items:
-        yield prefix + (key,)
-        yield from _paths(child, prefix + (key,))
-
-
-PATHS = sorted(_paths(_base()), key=repr)
-KEY_PATHS = [p for p in PATHS if isinstance(p[-1], str)]
-
-
 def _parent(doc, path):
     for key in path[:-1]:
         doc = doc[key]
     return doc
+
+
+def _entries(path, value):
+    """Each entry of a list, at any depth, as key paths."""
+    for i, entry in enumerate(value if isinstance(value, list) else ()):
+        yield path + (i,)
+        yield from _entries(path + (i,), entry)
+
+
+def _paths(base):
+    """Each key of CONFIG_KEYS, its section and each list entry that
+    ``base`` writes there, as key paths."""
+    for key in CONFIG_KEYS:
+        path = tuple(key.path.split("."))
+        yield from (path[:i] for i in range(1, len(path) + 1))
+        yield from _entries(path, _parent(base, path).get(path[-1]))
+
+
+BASE = _base()
+PATHS = sorted(set(_paths(BASE)), key=repr)
+KEY_PATHS = [p for p in PATHS if isinstance(p[-1], str)
+             and p[-1] in _parent(BASE, p)]
 
 
 def _run(doc, tmp):

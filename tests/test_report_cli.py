@@ -1,6 +1,7 @@
 import json
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -10,8 +11,8 @@ import pytest
 
 from weinstein.cli import main
 from weinstein.errors import ConfigError, MeasureRangeError
-from weinstein.report import (ExperimentConfig, _self_tests, emit,
-                              report_csv, report_json_bytes, run,
+from weinstein.report import (CONFIG_KEYS, ExperimentConfig, _self_tests,
+                              emit, report_csv, report_json_bytes, run,
                               self_tests_pass)
 
 DEFAULT_CONFIG = pathlib.Path(__file__).resolve().parents[1] / "configs" \
@@ -95,6 +96,19 @@ def test_config_validation_errors():
             ({"donoho_stark": {"sigma_floors": [-1]}}, "sigma_floors"),
             ({"donoho_stark": {"sigma_floors": [1.0, 0]}}, "sigma_floors"),
             ({"certificates": 1}, "certificates"),
+            # every list key refuses a repeated entry
+            ({"params": {"d": 1, "alpha": [0.5, 0.5]}},
+             "params.alpha: entries must be distinct"),
+            ({"test_functions": {"gaussian_scales": [1, 1.0]}},
+             "test_functions.gaussian_scales: entries must be distinct"),
+            ({"certificates": ["heisenberg", "heisenberg"]},
+             "certificates: entries must be distinct"),
+            ({"general_exponents": [[2, 1], [2.0, 1]]},
+             "general_exponents: entries must be distinct"),
+            ({"donoho_stark": {"mass_fractions": [0.9, 0.9]}},
+             "donoho_stark.mass_fractions: entries must be distinct"),
+            ({"donoho_stark": {"sigma_floors": [2.0, 2]}},
+             "donoho_stark.sigma_floors: entries must be distinct"),
             # unknown keys, named, at the top level and in every section
             ({"certificate": ["heisenberg"]}, "unknown config key: certificate"),
             ({"params": {"d": 1, "alpha_": 0.5}}, "params.alpha_"),
@@ -355,6 +369,11 @@ def _set(*path_and_value):
     return edit
 
 
+def _distinct(n, step=1.0):
+    """n distinct positive numbers: step, 2 step, ..., n step."""
+    return [step * (i + 1) for i in range(n)]
+
+
 def _edits(*edits):
     """A config edit making ``edits`` in order."""
     def edit(cfg):
@@ -402,13 +421,21 @@ def _edits(*edits):
      "normalization: unknown kind 'squared'"),
     (_set("normalization", 2.75), False, 2,
      "normalization: unknown kind 2.75"),
+    # integer literals past the float range used to raise OverflowError
+    (_set("seed", 10**400), False, 2,
+     "seed: an integer past the float range"),
+    (_set("params", "d", 10**400), False, 2,
+     "params.d: an integer past the float range"),
+    (_set("test_functions", "random_bumps", 10**400), False, 2,
+     "test_functions.random_bumps: an integer past the float range"),
 ], ids=["gaussian_scale_1e300", "alpha_1e300", "sigma_range_1e300",
         "gaussian_scale_0.001",
         "gaussian_scale_0.001_default_grid", "extents_1e200",
         "extents_1e-200", "delta_1e6", "sigma_count_1e300",
         "radial_extent_1e5", "euclid_extent_1e-8", "beta_1e6",
         "extents_1e200_15", "extents_1e300_15", "variant_modulus",
-        "normalization_squared", "normalization_2.75"])
+        "normalization_squared", "normalization_2.75", "seed_400_digits",
+        "d_400_digits", "random_bumps_400_digits"])
 def test_cli_out_of_range_inputs_exit_with_one_line(tmp_path, capsys, edit,
                                                     full_grid, code, message):
     # each input used to end in a traceback (exit 4): an OverflowError, a
@@ -581,6 +608,12 @@ def test_cli_run_and_seed_override(tmp_path, capsys):
     d1.pop("timings")
     d2.pop("timings")
     assert json.dumps(d1, sort_keys=True) == json.dumps(d2, sort_keys=True)
+    capsys.readouterr()
+    code = main(["run", "--config", str(path), "--out", str(tmp_path / "o3"),
+                 "--seed", "9" * 400])
+    assert code == 2
+    assert capsys.readouterr().err \
+        == "config error: seed: an integer past the float range\n"
 
 
 def test_cli_certificate_failure_exit(tmp_path):
@@ -636,9 +669,28 @@ def test_cli_flagged_certificates_reported_not_failed(tmp_path):
     (_edits(_set("grid", "counts", [4096, 1024]),
             _set("general_exponents", [[1, 1], [2, 1], [3, 2], [4, 1]])),
      "general_exponents: at most 4 distinct beta"),
+    # every list holds at most 64 entries, and a run makes at most 1024
+    # certificates (here 1 Gaussian + 1024 bumps, one certificate each)
+    (_set("params", "alpha", _distinct(65)),
+     "params.alpha: at most 64 entries"),
+    (_set("test_functions", "gaussian_scales", _distinct(65)),
+     "test_functions.gaussian_scales: at most 64 entries"),
+    (_set("certificates", ["heisenberg"] * 65),
+     "certificates: at most 64 entries"),
+    (_set("general_exponents", [[b, 1] for b in _distinct(65)]),
+     "general_exponents: at most 64 entries"),
+    (_set("donoho_stark", "mass_fractions", _distinct(65, 1 / 65)),
+     "donoho_stark.mass_fractions: at most 64 entries"),
+    (_set("donoho_stark", "sigma_floors", _distinct(65)),
+     "donoho_stark.sigma_floors: at most 64 entries"),
+    (_edits(_set("test_functions", "random_bumps", 1024),
+            _set("certificates", ["heisenberg"])),
+     "certificates: at most 1024 in all"),
 ], ids=["counts_1e9", "counts_1e300", "counts_axis_8192",
         "counts_2048x4096", "random_bumps_1e9", "gaussian_scales_5",
-        "general_exponents_5_betas"])
+        "general_exponents_5_betas", "alpha_65", "gaussian_scales_65",
+        "certificates_65", "general_exponents_65", "mass_fractions_65",
+        "sigma_floors_65", "certificates_1025"])
 def test_size_budgets_refuse_before_allocating(edit, message):
     # each is refused while the config is parsed, before any grid-sized
     # array exists (a 1e9 x 16 grid's |x|^2 alone is 128 GB)
@@ -655,15 +707,42 @@ def test_size_budgets_refuse_before_allocating(edit, message):
     assert peak < 1 << 20
 
 
+# (config edit, attributes it must parse to) at the limits of the budgets
+ADMITTED = [
+    (_edits(_set("grid", "counts", [1024, 4096]),
+            _set("test_functions", "random_bumps", 4),
+            _set("test_functions", "gaussian_scales", [1, 2, 3, 4]),
+            _set("general_exponents", [[1, 1], [2, 1], [3, 2], [3, 1]])),
+     {"counts": (1024, 4096), "random_bumps": 4,
+      "gaussian_scales": (1.0, 2.0, 3.0, 4.0)}),
+    # 64 entries in each list (four distinct certificate names are all
+    # there are), and exactly 1024 certificates
+    (_edits(_set("params", "alpha", _distinct(64)),
+            _set("certificates", ["heisenberg"])),
+     {"alphas": tuple(_distinct(64))}),
+    (_set("test_functions", "gaussian_scales", _distinct(64)),
+     {"gaussian_scales": tuple(_distinct(64))}),
+    (_set("general_exponents", [[b, 1] for b in _distinct(64)]),
+     {"general_exponents": tuple((b, 1.0) for b in _distinct(64))}),
+    (_set("donoho_stark", "mass_fractions", _distinct(64, 1 / 64)),
+     {"donoho_stark": {"mass_fractions": tuple(_distinct(64, 1 / 64)),
+                       "sigma_floors": (1.0, 2.0)}}),
+    (_set("donoho_stark", "sigma_floors", _distinct(64)),
+     {"donoho_stark": {"mass_fractions": (0.9, 0.99),
+                       "sigma_floors": tuple(_distinct(64))}}),
+    (_edits(_set("test_functions", "random_bumps", 1023),
+            _set("certificates", ["heisenberg"])),
+     {"random_bumps": 1023, "certificates": ("heisenberg",)}),
+]
+
+
 def test_size_budgets_admit_their_limits():
-    cfg = json.loads(DEFAULT_CONFIG.read_text())
-    cfg["grid"]["counts"] = [1024, 4096]
-    cfg["test_functions"]["random_bumps"] = 4
-    cfg["test_functions"]["gaussian_scales"] = [1, 2, 3, 4]
-    cfg["general_exponents"] = [[1, 1], [2, 1], [3, 2], [3, 1]]
-    config = ExperimentConfig.from_dict(cfg)
-    assert config.counts == (1024, 4096) and config.random_bumps == 4
-    assert len(config.gaussian_scales) == 4
+    for edit, expect in ADMITTED:
+        cfg = json.loads(DEFAULT_CONFIG.read_text())
+        cfg["grid"]["counts"] = [16, 16]
+        edit(cfg)
+        config = ExperimentConfig.from_dict(cfg)
+        assert {name: getattr(config, name) for name in expect} == expect
 
 
 def test_self_test_zero_norm_guard():
@@ -708,3 +787,12 @@ def test_benchmark_contract_plan_names(args):
                                 (16, 16)), normalization="self-reciprocal")
     assert (plan.normalization, plan.method) \
         == ("self-reciprocal", "fast_separable")
+
+
+def test_readme_lists_every_config_key():
+    # README's table of config keys names exactly the paths of CONFIG_KEYS
+    readme = (REPO / "README.md").read_text()
+    table = readme.split("| Key | Default | Accepted values |\n")[1]
+    table = table.split("\n\n")[0]
+    listed = re.findall(r"^\| `([\w.]+)` \|", table, re.MULTILINE)
+    assert sorted(listed) == sorted(key.path for key in CONFIG_KEYS)
