@@ -9,7 +9,7 @@ from .bessel import bessel_j_normalized, weinstein_kernel
 from .core import (Field, Grid, SigmaGrid, WeightField, WeinsteinParams,
                    build_grid, build_sigma_grid, gaussian_field,
                    inner_product, measure_weights, norm_p,
-                   normalization_constant, theta_integral)
+                   normalization_constant)
 from .errors import (ConfigError, GridMismatchError, IntegrabilityGuardError,
                      MeasureRangeError, SigmaRangeError, SizeGuardError)
 from .multiplier import (MultiplierProfile, SweepStats, admissibility_defect,
@@ -35,7 +35,7 @@ __all__ = [
     "bessel_j_normalized", "weinstein_kernel",
     "Field", "Grid", "SigmaGrid", "WeightField", "WeinsteinParams",
     "build_grid", "build_sigma_grid", "gaussian_field", "inner_product",
-    "measure_weights", "norm_p", "normalization_constant", "theta_integral",
+    "measure_weights", "norm_p", "normalization_constant",
     "ConfigError", "GridMismatchError", "IntegrabilityGuardError",
     "MeasureRangeError", "SigmaRangeError", "SizeGuardError",
     "MultiplierProfile", "SweepStats", "admissibility_defect",

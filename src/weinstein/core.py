@@ -184,8 +184,8 @@ def build_grid(params, extents, counts, radial_scheme="uniform-offset"):
     counts = tuple(int(n) for n in counts)
     if len(extents) != params.d + 1 or len(counts) != params.d + 1:
         raise ValueError("need d+1 extents and d+1 counts")
-    if any(e <= 0 for e in extents):
-        raise ValueError("extents must be positive")
+    if not all(0.0 < e < math.inf for e in extents):
+        raise ValueError("extents must be positive and finite")
     if any(n < MIN_AXIS_POINTS for n in counts):
         raise ValueError(f"need at least {MIN_AXIS_POINTS} points per axis")
     euclid_axes = []
@@ -385,18 +385,3 @@ def build_sigma_grid(sigma_min, sigma_max, count):
         w[:k] = _GREGORY_EDGE * h
         w[-k:] = _GREGORY_EDGE[::-1] * h
     return SigmaGrid(sigmas=_readonly(s), log_weights=_readonly(w))
-
-
-def theta_integral(values, sg, w):
-    """Iterated sum over the product measure (d(sigma)/sigma) x (weighted dx).
-
-    ``values`` is shaped (len(sg), grid size) or (len(sg),) + grid shape.
-    """
-    values = np.asarray(values)
-    flat = values.reshape(values.shape[0], -1) if values.ndim > 1 else values.reshape(1, -1)
-    if values.ndim == 1 or flat.shape[0] != len(sg) or flat.shape[1] != w.grid.size:
-        raise ValueError(
-            f"values must be shaped ({len(sg)}, {w.grid.size}), got {values.shape}"
-        )
-    return float(sg.log_weights @ (flat @ w.flat))
-

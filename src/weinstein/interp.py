@@ -1,39 +1,47 @@
 """Separable interpolation of sampled fields, used by translation.
 
-Each rule is one 1-D interpolation: the Euclidean shifts apply a dense
-(n_query, n_nodes) linear matrix per axis, and the radial rule is its
-4-point cubic stencil, which translation contracts before building any
-matrix.  ``radial_cubic_matrix``, the stencil's dense form, is the
-reference the contracted radial mix is tested against.
+Each rule is a 1-D stencil.  A Euclidean shift by a constant offset is
+linear interpolation with the same two weights at every node
+(``linear_shift``), applied by slicing; the radial rule is a 4-point cubic
+stencil per query (``radial_cubic_stencil``), which translation contracts
+into its radial mix.  ``radial_cubic_matrix``, the radial stencil's dense
+form, is the reference the contracted radial mix is tested against.
 
 Radial interpolation assumes the half-step-offset uniform sampling of
 (0, R] and extends fields evenly through 0 (fields here are even in the
 last variable, and the mirrored offset nodes continue the uniform grid
-seamlessly); queries beyond the sampled extent evaluate to 0.
+seamlessly); queries beyond the sampled extent evaluate to 0, as do
+shifted Euclidean nodes beyond the node range.
 """
+
+import math
 
 import numpy as np
 
 
-def uniform_linear_matrix(nodes, queries):
-    """Linear interpolation on a uniform axis; 0 outside the node range."""
-    nodes = np.asarray(nodes)
-    queries = np.asarray(queries, dtype=np.float64)
-    n = len(nodes)
-    h = nodes[1] - nodes[0]
-    t = (queries - nodes[0]) / h
-    base = np.floor(t).astype(np.int64)
-    frac = t - base
-    # snap queries that land on nodes (keeps aligned shifts exact)
-    on_node = np.abs(frac) < 1e-12
-    frac = np.where(on_node, 0.0, frac)
-    m = np.zeros((len(queries), n))
-    rows = np.arange(len(queries))
-    for off, wt in ((0, 1.0 - frac), (1, frac)):
-        idx = base + off
-        ok = (idx >= 0) & (idx < n) & (wt != 0.0)
-        np.add.at(m, (rows[ok], idx[ok]), wt[ok])
-    return m
+def linear_shift(values, axis, step, shift):
+    """``values`` linearly interpolated at nodes + ``shift`` along ``axis``
+    of a uniform axis of spacing ``step``; 0 beyond the node range.
+
+    Every node has the stencil (1 - frac, frac) at offsets (k, k + 1), with
+    k + frac = shift / step, so each weight scales one slice.  A fraction
+    below 1e-12 is snapped to 0, which keeps node-aligned shifts exact.
+    """
+    t = shift / step
+    k = math.floor(t)
+    frac = t - k
+    if frac < 1e-12:
+        frac = 0.0
+    n = values.shape[axis]
+    out = np.zeros(values.shape, dtype=np.complex128)
+    for off, wt in ((k, 1.0 - frac), (k + 1, frac)):
+        lo, hi = max(0, -off), min(n, n - off)
+        if wt != 0.0 and lo < hi:
+            dst = [slice(None)] * values.ndim
+            src = list(dst)
+            dst[axis], src[axis] = slice(lo, hi), slice(lo + off, hi + off)
+            out[tuple(dst)] += wt * values[tuple(src)]
+    return out
 
 
 _CUBIC_OFFSETS = np.array([-1, 0, 1, 2])

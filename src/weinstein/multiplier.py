@@ -89,11 +89,16 @@ def _check_profile(plan, profile):
             "profile does not live on the plan's output grid")
 
 
+def _check_scale(sigma):
+    if not 0.0 < sigma < math.inf:
+        raise ValueError(
+            f"dilation scale must be positive and finite, got {sigma}")
+
+
 def dilate_symbol(profile, sigma):
     """The dilated symbol m(sigma * .) on the frequency grid: the radius
     profile evaluated at the dilated radii.  sigma = 1 returns the symbol."""
-    if sigma <= 0:
-        raise ValueError(f"dilation scale must be positive, got {sigma}")
+    _check_scale(sigma)
     if sigma == 1.0:
         return profile.symbol
     return Field(grid=profile.grid,
@@ -123,11 +128,9 @@ def admissibility_defect(profile):
 
 def apply_multiplier(plan, profile, sigma, phi):
     """T phi = inverse(m(sigma .) * forward(phi)); linear in phi."""
-    if sigma <= 0:
-        raise ValueError(f"dilation scale must be positive, got {sigma}")
     _check_profile(plan, profile)
-    F = forward(plan, phi)
     dil = dilate_symbol(profile, float(sigma))
+    F = forward(plan, phi)
     return inverse(plan, Field(grid=plan.grid_out, values=dil.values * F.values))
 
 
@@ -331,8 +334,7 @@ def kernel_psi(profile, plan, sigma, x, y):
 
     with K the analysis kernel; the dilation lives in the kernel arguments,
     so the symbol itself is never interpolated."""
-    if sigma <= 0:
-        raise ValueError(f"dilation scale must be positive, got {sigma}")
+    _check_scale(sigma)
     _check_profile(plan, profile)
     x = np.asarray(x, dtype=np.float64).reshape(-1) / sigma
     y = np.asarray(y, dtype=np.float64).reshape(-1) / sigma
@@ -360,8 +362,7 @@ def apply_multiplier_kernel(plan, profile, sigma, phi, region_mask=None):
     The modulus of the result obeys
     |T(chi phi)(x)| <= sigma^{-deg} ||m||_1 ||phi||_2 sqrt(mu(Omega)).
     """
-    if sigma <= 0:
-        raise ValueError(f"dilation scale must be positive, got {sigma}")
+    _check_scale(sigma)
     _check_profile(plan, profile)
     if not phi.grid.same_geometry(plan.grid_in):
         raise GridMismatchError("field does not live on the plan's input grid")

@@ -8,8 +8,9 @@ components,
                    * sin(theta)^{2*alpha} d(theta),
 
 realized with Gauss-Jacobi nodes in t = cos(theta) (the density is exactly
-the Jacobi weight) and separable interpolation of the field: an exact or
-linear shift along the Euclidean axes, cubic along the radial axis.  The
+the Jacobi weight, and the normalized rule weights absorb c_a) and
+separable interpolation of the field: a two-point linear stencil along
+each Euclidean axis, cubic along the radial axis.  The
 spectral route multiplies the transform by the kernel at x, built per axis,
 and is exact on the grid by construction; the two are cross-validated.
 
@@ -26,7 +27,7 @@ import numpy as np
 from ._accel import j_alpha, roots_jacobi
 from .core import Field, _axis_view
 from .errors import GridMismatchError, SizeGuardError
-from .interp import apply_axis_matrix, radial_cubic_stencil, uniform_linear_matrix
+from .interp import apply_axis_matrix, linear_shift, radial_cubic_stencil
 from .transform import forward, inverse
 
 CONVOLVE_DIRECT_GUARD = 4096
@@ -45,21 +46,13 @@ class TranslationRule:
             raise ValueError("alpha out of range: need alpha > -1/2")
 
     @cached_property
-    def c_alpha(self):
-        """Normalization making the angular density a probability weight."""
-        from math import gamma, pi, sqrt
-
-        return gamma(self.alpha + 1.0) / (sqrt(pi) * gamma(self.alpha + 0.5))
-
-    @cached_property
     def _nodes(self):
-        # integral over [0, pi] with density sin(theta)^{2 alpha} equals the
-        # Jacobi integral over t = cos(theta) with weight (1-t^2)^{alpha-1/2}
-        return roots_jacobi(N_THETA, self.alpha - 0.5, self.alpha - 0.5)
-
-    @property
-    def theta_weights(self):
-        return self._nodes[1]
+        """Nodes t = cos(theta) and probability weights of the average: the
+        integral over [0, pi] with density sin(theta)^{2 alpha} is the
+        Jacobi integral over t with weight (1-t^2)^{alpha-1/2}, and
+        dividing by the weights' sum is the normalization c_a."""
+        t, w = roots_jacobi(N_THETA, self.alpha - 0.5, self.alpha - 0.5)
+        return t, w / w.sum()
 
 
 def _check_alpha(rule, grid):
@@ -72,7 +65,7 @@ def _check_point(grid, x):
     if x.shape != (grid.params.d + 1,):
         raise ValueError(f"translation point needs {grid.params.d + 1} coordinates")
     for xj, L in zip(x[:-1], grid.euclid_halfwidths):
-        if abs(xj) > L:
+        if not abs(xj) <= L:
             raise ValueError("translation point lies outside the grid box")
     if not 0.0 <= x[-1] <= grid.radial_extent:
         raise ValueError("translation point lies outside the grid box")
@@ -80,11 +73,11 @@ def _check_point(grid, x):
 
 
 def radial_mix_matrix(rule, grid, x_r):
-    """Matrix M with (M f)(r_k) = c_a * sum_t w_t f(rho(k, t)) for the
-    angular average at radial offset ``x_r``.
+    """Matrix M with (M f)(r_k) = sum_t w_t f(rho(k, t)) for the angular
+    average at radial offset ``x_r``, w_t the rule's probability weights.
 
     Each of the n_r * N_THETA points rho(k, t) has a 4-point cubic stencil
-    (``radial_cubic_stencil``); c_a * w_t is folded into its weights, which
+    (``radial_cubic_stencil``); w_t is folded into its weights, which
     one bincount scatters into the (n_r, n_r) matrix, so no dense
     interpolation matrix over all points is built.
     """
@@ -96,16 +89,17 @@ def radial_mix_matrix(rule, grid, x_r):
     cos_t, w_t = rule._nodes
     rho = np.sqrt(r[:, None] ** 2 + x_r ** 2 + 2.0 * x_r * r[:, None] * cos_t[None, :])
     idx, wts = radial_cubic_stencil(r, grid.radial_extent, rho)
-    wts = wts * (rule.c_alpha * w_t)[None, :, None]
+    wts = wts * w_t[None, :, None]
     flat = idx + (n * np.arange(n))[:, None, None]
     return np.bincount(flat.ravel(), weights=wts.ravel(),
                        minlength=n * n).reshape(n, n)
 
 
-def _apply_operators(values, operators):
-    """Apply (axis, matrix) operators to ``values`` in order."""
-    for axis, matrix in operators:
-        values = apply_axis_matrix(values, matrix, axis)
+def _shift_euclid(grid, values, offsets):
+    """``linear_shift`` along each Euclidean axis with a nonzero offset."""
+    for ax, (step, s) in enumerate(zip(grid.euclid_spacings(), offsets)):
+        if s != 0.0:
+            values = linear_shift(values, ax, step, s)
     return values
 
 
@@ -116,12 +110,11 @@ def translate_direct(rule, f, x):
     grid = f.grid
     _check_alpha(rule, grid)
     x = _check_point(grid, x)
-    operators = [(ax, uniform_linear_matrix(nodes, nodes + s))
-                 for ax, (nodes, s) in enumerate(zip(grid.euclid_axes, x[:-1]))
-                 if s != 0.0]
+    values = _shift_euclid(grid, f.values, x[:-1])
     if x[-1] != 0.0:
-        operators.append((grid.params.d, radial_mix_matrix(rule, grid, x[-1])))
-    return Field(grid=grid, values=_apply_operators(f.values, operators))
+        values = apply_axis_matrix(values, radial_mix_matrix(rule, grid, x[-1]),
+                                   grid.params.d)
+    return Field(grid=grid, values=values)
 
 
 def spectral_multiplier(plan, x):
@@ -172,9 +165,8 @@ def convolve_direct(rule, f, g, w):
 
     (f * g)(x) = sum_y w(y) * (tau_x f)(-y) * g(y), with -y the Euclidean
     reflection of y.  Each tau_x f is ``translate_direct``'s, bit for bit,
-    but its operators are built once per distinct offset (one linear shift
-    per Euclidean coordinate, one radial mix per radial node), and a
-    Euclidean point's shifted field is shared by its radial line.
+    but one radial mix is built per radial node, and a Euclidean point's
+    shifted field is shared by its radial line.
     """
     grid = f.grid
     if not (grid.same_geometry(g.grid) and grid.same_geometry(w.grid)):
@@ -186,19 +178,16 @@ def convolve_direct(rule, f, g, w):
             f"({CONVOLVE_DIRECT_GUARD})"
         )
     d = grid.params.d
-    # None where translate_direct skips a zero offset; radial nodes of the
-    # uniform-offset axis (the only one radial_mix_matrix accepts) are > 0
-    shifts = [[None if s == 0.0 else uniform_linear_matrix(nodes, nodes + s)
-               for s in nodes] for nodes in grid.euclid_axes]
+    # radial nodes of the uniform-offset axis (the only one
+    # radial_mix_matrix accepts) are > 0, so translate_direct mixes at each
     mixes = [radial_mix_matrix(rule, grid, r) for r in grid.radial_nodes]
     flip = tuple(range(d))
     gw = (w.weights * g.values).ravel()
     out = np.empty(grid.shape, dtype=np.complex128)
     for euclid in np.ndindex(grid.shape[:-1]):
-        shifted = _apply_operators(f.values, [
-            (ax, shifts[ax][j]) for ax, j in enumerate(euclid)
-            if shifts[ax][j] is not None])
+        shifted = _shift_euclid(grid, f.values, [
+            nodes[j] for nodes, j in zip(grid.euclid_axes, euclid)])
         for k, mix in enumerate(mixes):
-            tf = _apply_operators(shifted, [(d, mix)])
+            tf = apply_axis_matrix(shifted, mix, d)
             out[euclid + (k,)] = np.flip(tf, axis=flip).ravel() @ gw
     return Field(grid=grid, values=out)

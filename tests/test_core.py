@@ -6,7 +6,7 @@ import pytest
 from weinstein import (Field, GridMismatchError, MeasureRangeError,
                        WeinsteinParams, build_grid, build_sigma_grid,
                        gaussian_field, inner_product, measure_weights, norm_p,
-                       normalization_constant, theta_integral)
+                       normalization_constant)
 
 
 def test_params_homogeneity_degree():
@@ -60,6 +60,11 @@ def test_build_grid_rejects_bad_inputs():
         build_grid(p, (8.0, 8.0), (64,))
     with pytest.raises(ValueError):
         build_grid(p, (8.0, 8.0), (64, 64), radial_scheme="bogus")
+    for extents in ((8.0, math.nan), (math.nan, 8.0), (8.0, math.inf),
+                    (math.inf, 8.0), (8.0, 0.0)):
+        with pytest.raises(ValueError, match="extents must be positive and "
+                                             "finite"):
+            build_grid(p, extents, (64, 64))
 
 
 def test_measure_weights_box_volume():
@@ -101,6 +106,15 @@ def test_measure_out_of_float_range():
     # the public constant itself leaves the float range past alpha ~ 171
     with pytest.raises(MeasureRangeError, match="alpha=200"):
         normalization_constant(WeinsteinParams(d=1, alpha=200.0))
+    # alpha = 140: the constant is finite, and the radial weights r^281
+    # (uniform-offset) or (R/2)^282 (collocation) overflow
+    for extent, scheme in ((15.0, "uniform-offset"), (30.0, "collocation")):
+        g = build_grid(WeinsteinParams(d=1, alpha=140.0), (extent, extent),
+                       (16, 16), radial_scheme=scheme)
+        assert math.isfinite(normalization_constant(g.params))
+        with pytest.raises(MeasureRangeError,
+                           match="radial weights overflow at alpha=140"):
+            measure_weights(g)
 
 
 def test_gaussian_scale_out_of_float_range():
@@ -243,31 +257,6 @@ def test_sigma_grid_weights():
     assert sg_t.log_weights.sum() == pytest.approx(math.log(4.0), rel=1e-14)
     with pytest.raises(ValueError):
         build_sigma_grid(1.0, 0.5, 16)
-
-
-def test_theta_integral_product_measure():
-    p = WeinsteinParams(d=1, alpha=0.5)
-    g = build_grid(p, (3.0, 2.0), (16, 16))
-    w = measure_weights(g)
-    sg = build_sigma_grid(1e-1, 1e1, 32)
-    ones = np.ones((len(sg), g.size))
-    assert theta_integral(ones, sg, w) == pytest.approx(
-        math.log(100.0) * w.total, rel=1e-12)
-    assert theta_integral(np.zeros_like(ones), sg, w) == 0.0
-
-
-def test_theta_integral_fubini(rng):
-    p = WeinsteinParams(d=1, alpha=1.5)
-    g = build_grid(p, (3.0, 2.0), (12, 12))
-    w = measure_weights(g)
-    sg = build_sigma_grid(1e-1, 1e1, 24)
-    a = rng.uniform(size=len(sg))
-    b = rng.uniform(size=g.size)
-    sep = np.outer(a, b)
-    expected = float(a @ sg.log_weights) * float(b @ w.flat)
-    assert theta_integral(sep, sg, w) == pytest.approx(expected, rel=1e-12)
-    with pytest.raises(ValueError):
-        theta_integral(np.ones((3, 5)), sg, w)
 
 
 def test_measure_scaling_homogeneity():

@@ -1,20 +1,49 @@
 import numpy as np
 import pytest
 
-from weinstein.interp import (apply_axis_matrix, radial_cubic_matrix,
-                              uniform_linear_matrix)
+from weinstein.interp import (apply_axis_matrix, linear_shift,
+                              radial_cubic_matrix)
 
 
 def test_linear_exact_on_nodes():
-    nodes = np.linspace(-3, 3, 13)
-    m = uniform_linear_matrix(nodes, nodes.copy())
-    assert np.allclose(m, np.eye(13))
+    # a node-aligned shift moves the samples k nodes and fills with 0; a
+    # fraction left by rounding (2.1 / 0.3 = 7 + 9e-16) is snapped, so the
+    # copy is exact
+    rng = np.random.default_rng(3)
+    values = rng.normal(size=(13, 5)) + 1j * rng.normal(size=(13, 5))
+    assert 2.1 / 0.3 > 7
+    for step, shift, k in ((0.5, 0.0, 0), (0.5, 1.5, 3), (0.5, -1.0, -2),
+                           (0.5, 4.0, 8), (0.3, 2.1, 7)):
+        out = linear_shift(values, 0, step, shift)
+        ref = np.zeros_like(values)
+        src = values[max(k, 0):13 + min(k, 0)]
+        ref[max(-k, 0):max(-k, 0) + len(src)] = src
+        assert np.array_equal(out, ref)
 
 
 def test_linear_zero_outside():
-    nodes = np.linspace(-3, 3, 13)
-    m = uniform_linear_matrix(nodes, np.array([-5.0, 4.1]))
-    assert np.all(m == 0)
+    values = np.ones((6, 13), dtype=np.complex128)
+    for shift in (-6.5, 6.5, 40.0):
+        assert np.all(linear_shift(values, 1, 0.5, shift) == 0)
+
+
+def test_linear_shift_matches_interp():
+    # off-node shifts along every axis equal np.interp on the zero-extended
+    # axis (one 0 node beyond each end), at nodes + shift
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=(7, 9, 4)) + 1j * rng.normal(size=(7, 9, 4))
+    step = 0.25
+    for axis in range(3):
+        n = values.shape[axis]
+        nodes = step * np.arange(-1, n + 1)
+        moved = np.moveaxis(values, axis, 0).reshape(n, -1)
+        for shift in (0.3 * step, -1.7 * step, 2.5 * step, (n - 0.4) * step):
+            out = np.moveaxis(linear_shift(values, axis, step, shift), axis, 0)
+            for j in range(moved.shape[1]):
+                col = np.concatenate([[0], moved[:, j], [0]])
+                ref = np.interp(nodes[1:-1] + shift, nodes, col.real) \
+                    + 1j * np.interp(nodes[1:-1] + shift, nodes, col.imag)
+                assert np.max(np.abs(out.reshape(n, -1)[:, j] - ref)) < 1e-14
 
 
 def test_radial_even_reflection():

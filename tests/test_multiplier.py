@@ -33,11 +33,20 @@ def test_dilate_identity(bump_profile):
     assert dilate_symbol(bump_profile, 1.0) is bump_profile.symbol
 
 
-def test_dilate_rejects_nonpositive(bump_profile):
-    with pytest.raises(ValueError):
-        dilate_symbol(bump_profile, 0.0)
-    with pytest.raises(ValueError):
-        dilate_symbol(bump_profile, -2.0)
+def test_dilate_rejects_nonpositive(plan_mult, bump_profile):
+    # every entry point taking a dilation scale refuses 0, negative and
+    # non-finite ones before computing anything
+    f = gaussian_field(plan_mult.grid_in)
+    x = np.array([0.5, 0.5])
+    for sigma in (0.0, -2.0, math.nan, math.inf):
+        for call in (lambda: dilate_symbol(bump_profile, sigma),
+                     lambda: apply_multiplier(plan_mult, bump_profile, sigma, f),
+                     lambda: kernel_psi(bump_profile, plan_mult, sigma, x, x),
+                     lambda: apply_multiplier_kernel(plan_mult, bump_profile,
+                                                     sigma, f)):
+            with pytest.raises(ValueError,
+                               match="dilation scale must be positive"):
+                call()
 
 
 def test_dilate_support_shrinks(bump_profile):
@@ -580,6 +589,20 @@ def test_sweep_synthesis_count(plan_mult, bump_profile, monkeypatch):
     per_scale = multiplier_sweep(plan_mult, ad_hoc, f)
     assert len(calls) == len(sigmas)
     np.testing.assert_allclose(stats.moments, per_scale.moments, rtol=1e-12)
+    # a family profile with no more small scales than nodes synthesizes
+    # every scale, and matches the dense oracle
+    r_max = float(bump_profile.radius.max())
+    coarse = dataclasses.replace(
+        bump_profile, sigma_grid=build_sigma_grid(0.1 / r_max, 10.0 / r_max, 16))
+    t = (coarse.sigma_grid.sigmas * r_max) ** 2
+    n_small = int(np.count_nonzero(t <= 0.3 ** 2))
+    assert 0 < n_small <= weinstein.multiplier._chebyshev_count(
+        float(t[n_small - 1]))
+    calls.clear()
+    moments = multiplier_sweep(plan_mult, coarse, f).moments[:, 0]
+    assert len(calls) == len(coarse.sigma_grid)
+    oracle = multiplier_densities(plan_mult, coarse, f) @ plan_mult.weights_in.flat
+    np.testing.assert_allclose(moments, oracle, rtol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -230,8 +230,12 @@ def test_plan_validation():
     plan = make_plan(g)
     other = build_grid(p, (7.0, 8.0), (32, 32))
     from weinstein import GridMismatchError
-    with pytest.raises(GridMismatchError):
-        forward(plan, gaussian_field(other))
+    f = gaussian_field(other)
+    for call in (lambda: forward(plan, f), lambda: inverse(plan, f),
+                 lambda: direct_quadrature(plan, f),
+                 lambda: direct_quadrature(plan, f, inverse=True)):
+        with pytest.raises(GridMismatchError):
+            call()
 
 
 def test_kernel_cache_structure(plan_half):

@@ -2,10 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import ive
 
 from weinstein import (Field, GridMismatchError, SizeGuardError,
-                       TranslationRule, WeinsteinParams,
+                       TranslationRule, WeightField, WeinsteinParams,
                        build_grid, convolve, convolve_direct, forward,
                        gaussian_field, make_plan, measure_weights, norm_p,
                        translate_direct, translate_spectral, weinstein_kernel)
@@ -14,22 +13,27 @@ from weinstein import translation
 from weinstein.translation import radial_mix_matrix, spectral_multiplier
 
 
+def normalized_bessel_i(a, z):
+    """Gamma(a+1) (2/z)^a I_a(z) by its power series, finite at any a."""
+    q = z ** 2 / 4.0
+    term = np.ones_like(z)
+    total = term.copy()
+    for k in range(1, 60):
+        term = term * q / (k * (a + k))
+        total = total + term
+    return total
+
+
 def translated_gaussian(grid, x):
     """Closed form for the translate of exp(-|.|^2/2): the Euclidean factor
     shifts, the radial factor is exp(-(x_r^2+y_r^2)/2) i_a(x_r y_r) with i_a
-    the normalized modified Bessel function (scipy's scaled ive keeps the
-    product stable)."""
-    a = grid.params.alpha
+    the normalized modified Bessel function."""
     d = grid.params.d
     pts = grid.points
     eu = np.exp(-0.5 * np.sum((pts[:, :d] + x[:d]) ** 2, axis=1))
     yr = pts[:, d]
-    z = x[d] * yr
-    if x[d] == 0:
-        rad = np.exp(-0.5 * yr ** 2)
-    else:
-        scaled = 2 ** a * math.gamma(a + 1) * ive(a, z) / z ** a
-        rad = np.exp(-0.5 * (x[d] - yr) ** 2) * scaled
+    rad = np.exp(-0.5 * (x[d] ** 2 + yr ** 2)) \
+        * normalized_bessel_i(grid.params.alpha, x[d] * yr)
     return Field(grid=grid, values=(eu * rad).reshape(grid.shape))
 
 
@@ -39,10 +43,14 @@ def signed_field(grid, k=1.7):
 
 
 def test_rule_normalization():
-    for alpha in (-0.3, 0.5, 1.0, 2.5):
-        rule = TranslationRule(alpha=alpha)
-        total = rule.c_alpha * rule.theta_weights.sum()
-        assert total == pytest.approx(1.0, abs=1e-10)
+    # the rule's weights are the probability density c_a (1-t^2)^{a-1/2}:
+    # they sum to 1 and reproduce its second moment E[t^2] = 1/(2a+2), also
+    # at alpha = 200, where Gamma(alpha + 1) leaves the float range
+    for alpha in (-0.3, 0.5, 1.0, 2.5, 200.0):
+        t, w = TranslationRule(alpha=alpha)._nodes
+        assert w.sum() == pytest.approx(1.0, abs=1e-14)
+        assert w @ t ** 2 == pytest.approx(1.0 / (2.0 * alpha + 2.0),
+                                           rel=1e-12)
     with pytest.raises(ValueError):
         TranslationRule(alpha=-0.6)
 
@@ -65,6 +73,11 @@ def test_translate_outside_box_rejected(plan_half):
         translate_direct(rule, f, np.array([1.0, 9.5]))
     with pytest.raises(ValueError, match="outside the grid box"):
         translate_spectral(plan_half, f, np.array([0.0, -0.5]))
+    for x in ([math.nan, 0.5], [0.5, math.nan]):
+        with pytest.raises(ValueError, match="outside the grid box"):
+            translate_direct(rule, f, np.array(x))
+        with pytest.raises(ValueError, match="outside the grid box"):
+            translate_spectral(plan_half, f, np.array(x))
 
 
 def test_rule_alpha_must_match_grid(plan_half):
@@ -172,7 +185,7 @@ def test_direct_vs_spectral_translation_2d(plan_2d_uniform):
 
 @pytest.mark.parametrize("extent, n", [(8.0, 48), (16.0, 256)])
 def test_radial_mix_matrix_matches_dense_interpolation(extent, n):
-    # oracle: c_a * sum_t w_t * (rows of the dense cubic matrix at the
+    # oracle: sum_t w_t * (rows of the dense cubic matrix at the
     # angular points); 0.9 R sends queries past the extent, and every
     # offset reflects some of them through 0
     params = WeinsteinParams(d=1, alpha=0.5)
@@ -184,7 +197,7 @@ def test_radial_mix_matrix_matches_dense_interpolation(extent, n):
         rho = np.sqrt(r[:, None] ** 2 + x_r ** 2
                       + 2.0 * x_r * r[:, None] * cos_t[None, :])
         dense = radial_cubic_matrix(r, extent, rho.ravel())
-        oracle = rule.c_alpha * np.einsum(
+        oracle = np.einsum(
             "t,kti->ki", w_t, dense.reshape(n, len(cos_t), n))
         mix = radial_mix_matrix(rule, g, x_r)
         assert mix.shape == (n, n)
@@ -337,8 +350,8 @@ def test_convolve_direct_matches_translate_direct(alpha, extents, counts):
 
 
 def test_convolve_direct_builds_one_operator_per_offset(monkeypatch):
-    # 48 radial nodes and 48 Euclidean coordinates: 48 + 48 operators for
-    # the 2304 translations
+    # 48 radial nodes and 48 Euclidean coordinates: 48 radial mixes and 48
+    # Euclidean shifts for the 2304 translations
     counts = {}
 
     def counted(fn):
@@ -347,13 +360,34 @@ def test_convolve_direct_builds_one_operator_per_offset(monkeypatch):
             return fn(*args)
         return call
 
-    for name in ("radial_mix_matrix", "uniform_linear_matrix"):
+    for name in ("radial_mix_matrix", "linear_shift"):
         monkeypatch.setattr(translation, name,
                             counted(getattr(translation, name)))
     g = build_grid(WeinsteinParams(d=1, alpha=0.5), (8.0, 8.0), (48, 48))
     f = gaussian_field(g)
     convolve_direct(TranslationRule(alpha=0.5), f, f, measure_weights(g))
-    assert counts == {"radial_mix_matrix": 48, "uniform_linear_matrix": 48}
+    assert counts == {"radial_mix_matrix": 48, "linear_shift": 48}
+
+
+def test_translation_at_large_alpha():
+    # at alpha = 200 Gamma(alpha + 1) leaves the float range, but the
+    # angular rule does not need it: the translated Gaussian matches its
+    # closed form (to the radial extent's truncation of the Gaussian), and
+    # convolve_direct the per-point translations (under unit weights, as
+    # this measure's normalization constant leaves the float range)
+    alpha = 200.0
+    g = build_grid(WeinsteinParams(d=1, alpha=alpha), (4.0, 4.0), (32, 32))
+    rule = TranslationRule(alpha=alpha)
+    f = gaussian_field(g)
+    x = np.array([4 * g.euclid_spacings()[0], 1.5])
+    exact = translated_gaussian(g, x).values
+    td = translate_direct(rule, f, x).values
+    assert np.max(np.abs(td - exact)) < 1e-3 * np.max(np.abs(exact))
+    unit = WeightField(grid=g, weights=np.ones(g.shape),
+                       normalization_constant=1.0)
+    h = gaussian_field(g, scale=1.2)
+    assert np.array_equal(convolve_direct(rule, f, h, unit).values,
+                          convolve_direct_reference(rule, f, h, unit))
 
 
 def test_convolve_direct_rejects_factors_of_another_grid():
@@ -366,6 +400,15 @@ def test_convolve_direct_rejects_factors_of_another_grid():
         convolve_direct(rule, f, gaussian_field(other), measure_weights(g16))
     with pytest.raises(GridMismatchError):
         convolve_direct(rule, f, f, measure_weights(other))
+
+
+def test_convolve_rejects_factors_of_another_grid(plan_half):
+    f = gaussian_field(plan_half.grid_in)
+    other = gaussian_field(build_grid(WeinsteinParams(d=1, alpha=0.5),
+                                      (4.0, 4.0), (16, 16)))
+    for a, b in ((f, other), (other, f)):
+        with pytest.raises(GridMismatchError, match="different grids"):
+            convolve(plan_half, a, b)
 
 
 def test_convolve_direct_guard(plan_half):
