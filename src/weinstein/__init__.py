@@ -5,20 +5,20 @@ operators, and numerically certified uncertainty inequalities, on tensor
 grids carrying the weighted measure x_{d+1}^{2*alpha+1} dx / C.
 """
 
-from .bessel import bessel_j_normalized, weinstein_kernel
+from ._accel import j_alpha
 from .core import (Field, Grid, SigmaGrid, WeightField, WeinsteinParams,
                    build_grid, build_sigma_grid, gaussian_field,
                    inner_product, measure_weights, norm_p,
                    normalization_constant)
 from .errors import (ConfigError, GridMismatchError, IntegrabilityGuardError,
                      MeasureRangeError, SigmaRangeError, SizeGuardError)
-from .multiplier import (MultiplierProfile, SweepStats, admissibility_defect,
-                         apply_multiplier, apply_multiplier_kernel,
-                         dilate_symbol, kernel_psi,
+from .multiplier import (BumpProfile, MultiplierProfile, SweepStats,
+                         admissibility_defect, apply_multiplier,
+                         apply_multiplier_kernel, dilate_symbol, kernel_psi,
                          make_admissible_radial, multiplier_densities,
                          multiplier_plancherel_defect, multiplier_sweep)
 from .transform import (TransformPlan, direct_quadrature, forward,
-                        frequency_grid, inverse, make_plan)
+                        frequency_grid, inverse, make_plan, weinstein_kernel)
 from .translation import (TranslationRule, convolve, convolve_direct,
                           translate_direct, translate_spectral)
 from .uncertainty import (InequalityCertificate, Region, ball_region,
@@ -32,18 +32,18 @@ from .uncertainty import (InequalityCertificate, Region, ball_region,
 __version__ = "0.1.0"
 
 __all__ = [
-    "bessel_j_normalized", "weinstein_kernel",
+    "j_alpha",
     "Field", "Grid", "SigmaGrid", "WeightField", "WeinsteinParams",
     "build_grid", "build_sigma_grid", "gaussian_field", "inner_product",
     "measure_weights", "norm_p", "normalization_constant",
     "ConfigError", "GridMismatchError", "IntegrabilityGuardError",
     "MeasureRangeError", "SigmaRangeError", "SizeGuardError",
-    "MultiplierProfile", "SweepStats", "admissibility_defect",
+    "BumpProfile", "MultiplierProfile", "SweepStats", "admissibility_defect",
     "apply_multiplier", "apply_multiplier_kernel", "dilate_symbol",
     "kernel_psi", "make_admissible_radial",
     "multiplier_densities", "multiplier_plancherel_defect", "multiplier_sweep",
     "TransformPlan", "direct_quadrature", "forward", "frequency_grid",
-    "inverse", "make_plan",
+    "inverse", "make_plan", "weinstein_kernel",
     "TranslationRule", "convolve", "convolve_direct", "translate_direct",
     "translate_spectral",
     "InequalityCertificate", "Region", "ball_region",

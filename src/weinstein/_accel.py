@@ -3,7 +3,8 @@
 Kernels
 -------
 roots_jacobi       Gauss-Jacobi nodes and weights, memoized per rule
-j_alpha            normalized Bessel function of index alpha, array-valued
+j_alpha            normalized Bessel function of index alpha, float- or
+                   array-valued
 si                 sine integral Si(z), array-valued
 
 Gauss-Jacobi rules follow Golub & Welsch (Math. Comp. 1969): the nodes are
@@ -292,7 +293,10 @@ def _j_alpha(alpha, x):
 
 
 def j_alpha(alpha, x):
-    """Normalized Bessel function of index ``alpha`` on a float array.
+    """Normalized Bessel function of index ``alpha`` > -1/2 at a float or
+    a float array (a float gives a float): the entire even function with
+    j_alpha(0) = 1 solving u'' + ((2 alpha + 1)/r) u' = -u, equal to
+    2^alpha Gamma(alpha+1) J_alpha(x) / x^alpha, with values in [-1, 1].
 
     The accuracy is absolute: within 1e-12 of mpmath's 2^a Gamma(a+1)
     J_a(x) / x^a for alpha from -0.45 to 100 and x up to 65,536.  It is
@@ -300,8 +304,11 @@ def j_alpha(alpha, x):
     alpha = 100 and x = 250, j_alpha is 7.8e-54 and the table gives
     5.4e-17), and no caller divides by the values.  Arguments whose table
     needs more than MARCH_STEP_BUDGET Taylor steps raise SizeGuardError."""
+    if not alpha > -0.5:
+        raise ValueError(f"alpha out of range: need alpha > -1/2, got {alpha}")
     x = np.asarray(x, dtype=np.float64)
-    return _j_alpha(float(alpha), x.ravel()).reshape(x.shape)
+    out = _j_alpha(float(alpha), x.ravel()).reshape(x.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def si(z):

@@ -66,9 +66,10 @@ def _main(args):
         print("error: --config is required", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, RecursionError,
+            json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG_ERROR
     if args.seed is not None and isinstance(doc, dict):

@@ -24,14 +24,15 @@ def linear_shift(values, axis, step, shift):
     of a uniform axis of spacing ``step``; 0 beyond the node range.
 
     Every node has the stencil (1 - frac, frac) at offsets (k, k + 1), with
-    k + frac = shift / step, so each weight scales one slice.  A fraction
-    below 1e-12 is snapped to 0, which keeps node-aligned shifts exact.
+    k + frac = shift / step, so each weight scales one slice.  A ratio
+    within 1e-12 of a whole number is snapped to it, which keeps
+    node-aligned shifts exact whichever way they round.
     """
     t = shift / step
+    if abs(t - round(t)) < 1e-12:
+        t = float(round(t))
     k = math.floor(t)
     frac = t - k
-    if frac < 1e-12:
-        frac = 0.0
     n = values.shape[axis]
     out = np.zeros(values.shape, dtype=np.complex128)
     for off, wt in ((k, 1.0 - frac), (k + 1, frac)):

@@ -27,11 +27,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .bessel import weinstein_kernel
 from .core import Field, Grid, SigmaGrid, build_sigma_grid, norm_p
 from .errors import GridMismatchError, MeasureRangeError, SigmaRangeError
 from .transform import (TransformPlan, _apply_factors, _kernel_factors,
-                        _synthesis_moments, forward, inverse)
+                        _synthesis_moments, forward, inverse,
+                        weinstein_kernel)
 
 # Widening of a derived sigma range in ln(sigma) beyond the tail brackets.
 # Below, the profile's u^2 edge (u^4 for quadratic_bump) drops to ~1e-12;
@@ -66,7 +66,6 @@ class MultiplierProfile:
     grid: Grid
     radial_profile: object           # radius profile u -> m(u)
     sigma_grid: SigmaGrid
-    tail_mass: object = None         # optional closed-form out-of-range mass
 
     @cached_property
     def radius(self):
@@ -177,7 +176,7 @@ def _chebyshev_count(T):
     """Node count n of the sweep's interpolation on [0, T] in t = tau^2:
     the smallest n with 2 e^T (T/4)^n / n! <= 2^-53.
 
-    Both families are m(u) = u^p h(u^2) with h(s) = sqrt(2) e^{-s/2} =
+    A ``BumpProfile`` is m(u) = u^p h(u^2) with h(s) = sqrt(2) e^{-s/2} =
     sum_k c_k s^k, |c_k| = sqrt(2) 2^-k / k!.  With rho = r / max r <= 1,
     the squared symbol over tau^{2p} is
 
@@ -235,12 +234,11 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     phi is transformed once, and each chosen scale is one synthesis
     (``transform._synthesis_moments``), whole on one thread.
 
-    A family profile (m(u) = u^p h(u^2), p from ``_ORIGIN_POWER``, see
-    ``_chebyshev_count``) has the moments of its scales with tau = sigma *
-    max|x| <= INTERP_TAU_MAX interpolated in t = tau^2 from
-    ``_chebyshev_count(T)`` syntheses (T the largest such t), when that is
-    fewer than the scales it replaces; every other scale, and every scale of
-    any other profile, is one synthesis.
+    A ``BumpProfile`` (m(u) = u^p h(u^2), see ``_chebyshev_count``) has the
+    moments of its scales with tau = sigma * max|x| <= INTERP_TAU_MAX
+    interpolated in t = tau^2 from ``_chebyshev_count(T)`` syntheses (T the
+    largest such t), when that is fewer than the scales it replaces; every
+    other scale, and every scale of any other profile, is one synthesis.
 
     Non-finite moments are classified from the data, not from floating-point
     flags (a threaded BLAS product does not report a worker's overflow):
@@ -272,8 +270,9 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     r_max = float(radius.max())
     sigmas = profile.sigma_grid.sigmas
     t = (sigmas * r_max) ** 2
-    p = _ORIGIN_POWER.get(profile.radial_profile)
-    n_small = 0 if p is None else int(np.count_nonzero(t <= INTERP_TAU_MAX ** 2))
+    bump = profile.radial_profile
+    n_small = int(np.count_nonzero(t <= INTERP_TAU_MAX ** 2)) \
+        if isinstance(bump, BumpProfile) else 0
     if n_small and n_small <= _chebyshev_count(float(t[n_small - 1])):
         n_small = 0
     nodes = bary = np.empty(0)
@@ -286,7 +285,7 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
     with np.errstate(over="ignore", invalid="ignore"):
         if n_small:
             moments[:n_small] = _chebyshev_moments(
-                done[:len(nodes)], nodes, bary, t[:n_small], p)
+                done[:len(nodes)], nodes, bary, t[:n_small], bump.p)
         for j, m in enumerate(done[len(nodes):], start=n_small):
             moments[j] = m
     if not np.all(np.isfinite(moments)):
@@ -381,32 +380,39 @@ def apply_multiplier_kernel(plan, profile, sigma, phi, region_mask=None):
 # admissible profile construction
 # ---------------------------------------------------------------------------
 
-def gaussian_bump_profile(u):
-    """Radial profile sqrt(2) u exp(-u^2/2); its squared dilation average is 1."""
-    u = np.asarray(u, dtype=np.float64)
-    return math.sqrt(2.0) * u * np.exp(-0.5 * u * u)
+@dataclass(frozen=True)
+class BumpProfile:
+    """The admissible bump m(u) = sqrt(2) u^p e^{-u^2/2}, p = 1 or 2: the
+    squared dilation average int |m(u)|^2 du/u is Gamma(p) = 1.  p = 2 is
+    smooth at the origin (|x|^2 is a polynomial), so multiplier outputs
+    decay fast in space instead of carrying the cone's algebraic tails.
+    The sweep's interpolation (``_chebyshev_count``) holds for this form."""
 
+    p: int
 
-def gaussian_bump_tail_mass(u_lo, u_hi):
-    """Squared-profile mass of the gaussian bump outside [u_lo, u_hi]."""
-    return 1.0 - (math.exp(-u_lo ** 2) - math.exp(-u_hi ** 2))
+    def __post_init__(self):
+        if self.p not in (1, 2):
+            raise ValueError(f"a bump's origin power is 1 or 2, got {self.p}")
 
+    def __call__(self, u):
+        u = np.asarray(u, dtype=np.float64)
+        m = math.sqrt(2.0) * u
+        for _ in range(self.p - 1):
+            m = m * u
+        return m * np.exp(-0.5 * u * u)
 
-def quadratic_bump_profile(u):
-    """Radial profile sqrt(2) u^2 exp(-u^2/2): admissible like the linear
-    bump but smooth at the origin (|x|^2 is a polynomial), so multiplier
-    outputs decay fast in space instead of carrying the cone's algebraic
-    tails."""
-    u = np.asarray(u, dtype=np.float64)
-    return math.sqrt(2.0) * u * u * np.exp(-0.5 * u * u)
+    def tail_mass(self, u_lo, u_hi):
+        """Squared-profile mass outside [u_lo, u_hi] (u_hi may be inf):
+        1 - (anti(u_lo) - anti(u_hi)), with the mass above u
+        anti(u) = e^{-u^2} sum_{k<p} u^{2k} / k!."""
+        def anti(u):
+            if math.isinf(u):
+                return 0.0
+            u2 = u ** 2
+            return sum(u2 ** k / math.factorial(k)
+                       for k in range(self.p)) * math.exp(-u2)
 
-
-def quadratic_bump_tail_mass(u_lo, u_hi):
-    """Squared-profile mass of the quadratic bump outside [u_lo, u_hi]."""
-    def anti(u):
-        return 0.0 if math.isinf(u) else (u ** 2 + 1.0) * math.exp(-u ** 2)
-
-    return 1.0 - (anti(u_lo) - anti(u_hi))
+        return 1.0 - (anti(u_lo) - anti(u_hi))
 
 
 def radial_admissibility_quadrature(radial_profile, sg, radius):
@@ -421,15 +427,8 @@ def radial_admissibility_quadrature(radial_profile, sg, radius):
     return float(out) if out.ndim == 0 else out
 
 
-PROFILE_FAMILIES = {
-    # profile, closed-form squared-mass outside [u_lo, u_hi]
-    "gaussian_bump": (gaussian_bump_profile, gaussian_bump_tail_mass),
-    "quadratic_bump": (quadratic_bump_profile, quadratic_bump_tail_mass),
-}
-
-# p of the family profiles m(u) = u^p sqrt(2) e^{-u^2/2}, keyed by the
-# function itself; any other profile is synthesized at every scale
-_ORIGIN_POWER = {gaussian_bump_profile: 1, quadratic_bump_profile: 2}
+PROFILE_FAMILIES = {"gaussian_bump": BumpProfile(1),
+                    "quadratic_bump": BumpProfile(2)}
 
 
 def _tail_bracket(tail, target, start, direction):
@@ -454,7 +453,7 @@ def _tail_bracket(tail, target, start, direction):
     return hi if direction > 0 else lo
 
 
-def _probe(profile_fn, tail_fn, sg, x_lo, x_hi):
+def _probe(bump, sg, x_lo, x_hi):
     """Quadrature and closed-form out-of-range mass at the radii a sigma
     grid is checked on: one period h (the grid's log-step) of log-radius
     above x_lo, where the trapezoid error is h-periodic once the integrand
@@ -463,19 +462,18 @@ def _probe(profile_fn, tail_fn, sg, x_lo, x_hi):
     steps = np.exp(h * np.arange(PROBES_PER_PERIOD) / PROBES_PER_PERIOD)
     radii = np.append(np.minimum(x_lo * steps, x_hi),
                       [math.sqrt(x_lo * x_hi), x_hi])
-    quad = radial_admissibility_quadrature(profile_fn, sg, radii)
-    tail = np.array([tail_fn(sg.sigma_min * r, sg.sigma_max * r)
+    quad = radial_admissibility_quadrature(bump, sg, radii)
+    tail = np.array([bump.tail_mass(sg.sigma_min * r, sg.sigma_max * r)
                      for r in radii])
     return quad, tail
 
 
-def _smallest_sigma_count(profile_fn, tail_fn, s_min, s_max, x_lo, x_hi,
-                          target):
+def _smallest_sigma_count(bump, s_min, s_max, x_lo, x_hi, target):
     """Smallest scale count whose quadrature defect |quad + tail - 1| at
     the probe radii is <= ``target`` (MAX_SIGMA_COUNT if none is)."""
     for count in range(MIN_SIGMA_COUNT, MAX_SIGMA_COUNT):
         sg = build_sigma_grid(s_min, s_max, count)
-        quad, tail = _probe(profile_fn, tail_fn, sg, x_lo, x_hi)
+        quad, tail = _probe(bump, sg, x_lo, x_hi)
         if np.max(np.abs(quad + tail - 1.0)) <= target:
             return count
     return MAX_SIGMA_COUNT
@@ -499,7 +497,7 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
     """
     if family not in PROFILE_FAMILIES:
         raise ValueError(f"unknown profile family {family!r}")
-    profile_fn, tail_fn = PROFILE_FAMILIES[family]
+    bump = PROFILE_FAMILIES[family]
     grid_f = plan.grid_out
     rsq = grid_f.radius_sq
     rsq_lo, rsq_hi = float(rsq.min()), float(rsq.max())
@@ -509,10 +507,10 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
             "leaves the float range")
     x_lo, x_hi = math.sqrt(rsq_lo), math.sqrt(rsq_hi)
     if sigma_range is None:
-        u_lo = _tail_bracket(lambda u: tail_fn(u, math.inf), tolerance / 16.0,
-                             start=1.0, direction=-1)
-        u_hi = _tail_bracket(lambda u: tail_fn(0.0, u), tolerance / 16.0,
-                             start=1.0, direction=+1)
+        u_lo = _tail_bracket(lambda u: bump.tail_mass(u, math.inf),
+                             tolerance / 16.0, start=1.0, direction=-1)
+        u_hi = _tail_bracket(lambda u: bump.tail_mass(0.0, u),
+                             tolerance / 16.0, start=1.0, direction=+1)
         sigma_range = (u_lo / x_hi * math.exp(-LOG_PAD_BELOW),
                        u_hi / x_lo * math.exp(LOG_PAD_ABOVE))
     s_min, s_max = float(sigma_range[0]), float(sigma_range[1])
@@ -522,15 +520,14 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
             f"sigma range [{s_min:g}, {s_max:g}] at frequency radii up to "
             f"{x_hi:g}: sigma*|x| or the range's width leaves the float range")
     if sigma_count is None:
-        sigma_count = _smallest_sigma_count(profile_fn, tail_fn, s_min, s_max,
-                                            x_lo, x_hi, tolerance / 16.0)
+        sigma_count = _smallest_sigma_count(bump, s_min, s_max, x_lo, x_hi,
+                                            tolerance / 16.0)
     sg = build_sigma_grid(s_min, s_max, sigma_count)
-    quad, tail = _probe(profile_fn, tail_fn, sg, x_lo, x_hi)
+    quad, tail = _probe(bump, sg, x_lo, x_hi)
     worst = max(float(np.max(np.abs(quad - 1.0))), float(np.max(tail)))
     if worst > tolerance:
         raise SigmaRangeError(
             f"sigma range [{s_min:g}, {s_max:g}] too narrow: achieved "
             f"admissibility defect {worst:.3e} > tolerance {tolerance:g}"
         )
-    return MultiplierProfile(grid=grid_f, radial_profile=profile_fn,
-                             sigma_grid=sg, tail_mass=tail_fn)
+    return MultiplierProfile(grid=grid_f, radial_profile=bump, sigma_grid=sg)

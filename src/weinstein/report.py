@@ -323,8 +323,8 @@ def _self_tests(stats):
     quad = radial_admissibility_quadrature(profile.radial_profile,
                                            profile.sigma_grid, 1.0)
     # the closed-form tail mass separates truncation from quadrature
-    tail = profile.tail_mass(profile.sigma_grid.sigma_min,
-                             profile.sigma_grid.sigma_max)
+    tail = profile.radial_profile.tail_mass(profile.sigma_grid.sigma_min,
+                                            profile.sigma_grid.sigma_max)
     oracle_defect = abs(quad + tail - 1.0)
     return {
         "plancherel_defect": plancherel,

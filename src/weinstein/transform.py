@@ -379,6 +379,31 @@ def _synthesis_moments(plan, F, radial_profile, radius, scales, weight,
         return _cpu_map(moments, scales)
 
 
+def weinstein_kernel(params, lam, x):
+    """Kernel value exp(-1j*<x', lam'>) * j_alpha(x_{d+1} * lam_{d+1}) at
+    alpha = params.alpha, point by point: ``_kernel_factors`` is its form
+    per axis of a tensor grid.
+
+    ``lam`` and ``x`` are real points of R^{d+1} (single points or (n, d+1)
+    arrays); the modulus never exceeds 1 on real arguments.
+    """
+    lam = np.asarray(lam, dtype=np.float64)
+    x = np.asarray(x, dtype=np.float64)
+    single = lam.ndim == 1 and x.ndim == 1
+    lam = np.atleast_2d(lam)
+    x = np.atleast_2d(x)
+    if lam.shape[-1] != params.d + 1 or x.shape[-1] != params.d + 1:
+        raise ValueError(f"points must have {params.d + 1} coordinates")
+    lam, x = np.broadcast_arrays(lam, x)
+    d = params.d
+    phase = np.einsum("ij,ij->i", x[:, :d], lam[:, :d])
+    radial = _accel.j_alpha(params.alpha, lam[:, d] * x[:, d])
+    vals = radial * np.exp(-1j * phase)
+    if single:
+        return complex(vals[0])
+    return vals
+
+
 def _kernel_factors(plan, sign, sigma=1.0):
     """Per-axis factors of the kernel from plan.grid_in, its coordinates
     divided by ``sigma``, to plan.grid_out: exp(1j*sign*lam_a*x_a/sigma) on

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-import weinstein.bessel
+import weinstein.transform
 from weinstein import (WeinsteinParams, build_grid, make_admissible_radial,
                        make_plan)
 
@@ -79,7 +79,7 @@ def kernel_calls(monkeypatch):
     call made while the test runs, through any of the package's module
     namespaces."""
     calls = []
-    kernel = weinstein.bessel.weinstein_kernel
+    kernel = weinstein.transform.weinstein_kernel
 
     def counted(params, lam, x):
         calls.append((lam, x))

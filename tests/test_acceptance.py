@@ -25,11 +25,8 @@ from weinstein import (Field, TranslationRule, WeinsteinParams, build_grid,
                        multiplier_heisenberg_certificate,
                        multiplier_plancherel_defect, multiplier_sweep,
                        apply_multiplier, apply_multiplier_kernel,
-                       bessel_j_normalized,
-                       weinstein_kernel)
-from weinstein.multiplier import (gaussian_bump_profile,
-                                  gaussian_bump_tail_mass,
-                                  radial_admissibility_quadrature)
+                       BumpProfile, j_alpha, weinstein_kernel)
+from weinstein.multiplier import radial_admissibility_quadrature
 from weinstein.report import report_json_bytes, run
 
 
@@ -120,7 +117,7 @@ def test_criterion_02_kernel_properties():
 
     def residual(h):
         r = np.arange(1, 2001) * h
-        u = bessel_j_normalized(alpha, lam_r * r)
+        u = j_alpha(alpha, lam_r * r)
         d2 = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
         d1 = (u[2:] - u[:-2]) / (2 * h)
         res = d2 + (2 * alpha + 1) / r[1:-1] * d1 + lam_r ** 2 * u[1:-1]
@@ -158,10 +155,11 @@ def test_criterion_04_admissibility_oracle():
     # full-line closed form: integral of 2 u exp(-u^2) du over (0, inf) = 1
     full, quad_err = quad(lambda u: 2 * u * math.exp(-u * u), 0, np.inf)
     sg = build_sigma_grid(1e-2, 1e2, 128)
+    bump = BumpProfile(1)
     worst = 0.0
     for radius in np.geomspace(0.1, 8.0, 25):
-        q = radial_admissibility_quadrature(gaussian_bump_profile, sg, radius)
-        tail = gaussian_bump_tail_mass(1e-2 * radius, 1e2 * radius)
+        q = radial_admissibility_quadrature(bump, sg, radius)
+        tail = bump.tail_mass(1e-2 * radius, 1e2 * radius)
         worst = max(worst, abs(q + tail - 1.0))
     ok = worst <= 1e-8 and abs(full - 1.0) <= 1e-10
     report_line(4, ok,

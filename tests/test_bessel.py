@@ -9,7 +9,7 @@ import pytest
 from scipy.special import jn_zeros
 
 from weinstein import MeasureRangeError, SizeGuardError, WeinsteinParams, \
-    _accel, bessel_j_normalized, weinstein_kernel
+    _accel, j_alpha, weinstein_kernel
 
 mp.mp.dps = 80
 
@@ -28,19 +28,21 @@ def j_reference(alpha, x, terms=200):
 
 def test_j_at_zero_is_one():
     for alpha in (-0.3, 0.5, 1.0, 2.7):
-        assert bessel_j_normalized(alpha, 0.0) == 1.0
+        # a float argument gives a float
+        assert type(j_alpha(alpha, 0.0)) is float
+        assert j_alpha(alpha, 0.0) == 1.0
 
 
 def test_half_integer_closed_form():
     # j_{1/2}(x) = sin(x)/x
     for x in (0.5, 1.0, 2.0, 5.0):
-        assert bessel_j_normalized(0.5, x) == pytest.approx(
+        assert j_alpha(0.5, x) == pytest.approx(
             math.sin(x) / x, rel=1e-12)
 
 
 def test_first_zero_of_order_one():
     z = float(jn_zeros(1, 1)[0])
-    assert abs(bessel_j_normalized(1.0, z)) < 1e-10
+    assert abs(j_alpha(1.0, z)) < 1e-10
 
 
 @pytest.mark.parametrize("alpha", [-0.45, -0.1, 0.5, 1.0, 2.0, 3.7,
@@ -52,7 +54,7 @@ def test_against_extended_precision_series(alpha):
         # a dense window around x = 12
         np.linspace(11.5, 12.5, 41),
     ])
-    vals = bessel_j_normalized(alpha, xs)
+    vals = j_alpha(alpha, xs)
     for x, v in zip(xs, vals):
         assert v == pytest.approx(j_reference(alpha, x), abs=1e-10)
 
@@ -60,14 +62,14 @@ def test_against_extended_precision_series(alpha):
 def test_even_and_bounded(rng):
     for alpha in (0.0, 0.5, 2.0):
         xs = rng.uniform(-80, 80, size=500)
-        vals = bessel_j_normalized(alpha, xs)
-        assert np.allclose(vals, bessel_j_normalized(alpha, -xs), rtol=0, atol=0)
+        vals = j_alpha(alpha, xs)
+        assert np.allclose(vals, j_alpha(alpha, -xs), rtol=0, atol=0)
         assert np.all(np.abs(vals) <= 1.0 + 1e-14)
 
 
 def test_evaluator_validation():
     with pytest.raises(ValueError, match="alpha out of range"):
-        bessel_j_normalized(-0.7, 1.0)
+        j_alpha(-0.7, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +125,7 @@ def test_radial_eigen_equation_residual():
 
     def residual(h):
         r = np.arange(1, 2001) * h
-        u = bessel_j_normalized(alpha, lam * r)
+        u = j_alpha(alpha, lam * r)
         d2 = (u[2:] - 2 * u[1:-1] + u[:-2]) / h ** 2
         d1 = (u[2:] - u[:-2]) / (2 * h)
         mid = r[1:-1]
@@ -159,7 +161,7 @@ def test_j_alpha_against_mpmath_besselj(alpha):
                float(mp.besselj(a, x) * mp.gamma(a + 1) * (2 / mp.mpf(x)) ** a)
                for x in xs]
     assert np.max(np.abs(vals - np.array(ref))) <= 1e-10
-    assert bessel_j_normalized(alpha, 0.0) == 1.0
+    assert j_alpha(alpha, 0.0) == 1.0
     assert np.array_equal(_accel.j_alpha(alpha, -xs), vals)
 
 
@@ -230,7 +232,7 @@ def test_j_alpha_march_refuses_panels_before_counting():
 
 def test_j_alpha_rejects_non_finite():
     with pytest.raises(ValueError, match="finite"):
-        bessel_j_normalized(0.5, np.array([1.0, np.nan]))
+        j_alpha(0.5, np.array([1.0, np.nan]))
 
 
 def _gauss_jacobi_reference(n, a, b):

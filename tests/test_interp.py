@@ -7,13 +7,14 @@ from weinstein.interp import (apply_axis_matrix, linear_shift,
 
 def test_linear_exact_on_nodes():
     # a node-aligned shift moves the samples k nodes and fills with 0; a
-    # fraction left by rounding (2.1 / 0.3 = 7 + 9e-16) is snapped, so the
-    # copy is exact
+    # ratio left by rounding on either side of a node (2.1 / 0.3 = 7 + 9e-16,
+    # 2.0999999999999996 / 0.7 = 3 - 4e-16) is snapped, so the copy is exact
     rng = np.random.default_rng(3)
     values = rng.normal(size=(13, 5)) + 1j * rng.normal(size=(13, 5))
-    assert 2.1 / 0.3 > 7
+    assert 2.1 / 0.3 > 7 and 2.0999999999999996 / 0.7 < 3
     for step, shift, k in ((0.5, 0.0, 0), (0.5, 1.5, 3), (0.5, -1.0, -2),
-                           (0.5, 4.0, 8), (0.3, 2.1, 7)):
+                           (0.5, 4.0, 8), (0.3, 2.1, 7),
+                           (0.7, 2.0999999999999996, 3)):
         out = linear_shift(values, 0, step, shift)
         ref = np.zeros_like(values)
         src = values[max(k, 0):13 + min(k, 0)]

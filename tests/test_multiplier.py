@@ -9,18 +9,15 @@ import pytest
 import weinstein.multiplier
 import weinstein.transform
 
-from weinstein import (Field, GridMismatchError, MeasureRangeError,
-                       MultiplierProfile, SigmaRangeError, WeinsteinParams,
-                       admissibility_defect, apply_multiplier,
+from weinstein import (BumpProfile, Field, GridMismatchError,
+                       MeasureRangeError, MultiplierProfile, SigmaRangeError,
+                       WeinsteinParams, admissibility_defect, apply_multiplier,
                        apply_multiplier_kernel, build_grid, build_sigma_grid,
                        dilate_symbol, forward,
                        gaussian_field, kernel_psi, make_admissible_radial,
                        make_plan, multiplier_densities,
                        multiplier_plancherel_defect, multiplier_sweep, norm_p)
-from weinstein.multiplier import (gaussian_bump_profile,
-                                  gaussian_bump_tail_mass,
-                                  quadratic_bump_profile,
-                                  quadratic_bump_tail_mass,
+from weinstein.multiplier import (PROFILE_FAMILIES,
                                   radial_admissibility_quadrature)
 from weinstein.report import _random_bump
 
@@ -67,7 +64,7 @@ def test_dilate_matches_analytic_profile(bump_profile):
         dil = dilate_symbol(bump_profile, s)
         # the radius profile is evaluated at the dilated radii, not
         # interpolated
-        assert np.array_equal(dil.values, gaussian_bump_profile(s * r))
+        assert np.array_equal(dil.values, BumpProfile(1)(s * r))
 
 
 def test_dilate_norm_homogeneity(plan_mult, bump_profile):
@@ -90,14 +87,38 @@ def test_admissibility_oracle_closed_form():
     # log-grid quadrature plus closed-form tail mass certifies it at radii
     # where the sigma range covers the dilation profile
     sg = build_sigma_grid(1e-2, 1e2, 128)
-    for radius in (0.1, 0.2, 1.0, 3.0, 8.0):
-        quad = radial_admissibility_quadrature(gaussian_bump_profile, sg, radius)
-        tail = gaussian_bump_tail_mass(1e-2 * radius, 1e2 * radius)
-        assert abs(quad + tail - 1.0) < 1e-8
-    for radius in (0.2, 1.0, 5.0):
-        quad = radial_admissibility_quadrature(quadratic_bump_profile, sg, radius)
-        tail = quadratic_bump_tail_mass(1e-2 * radius, 1e2 * radius)
-        assert abs(quad + tail - 1.0) < 1e-8
+    for bump, radii in ((BumpProfile(1), (0.1, 0.2, 1.0, 3.0, 8.0)),
+                        (BumpProfile(2), (0.2, 1.0, 5.0))):
+        for radius in radii:
+            quad = radial_admissibility_quadrature(bump, sg, radius)
+            tail = bump.tail_mass(1e-2 * radius, 1e2 * radius)
+            assert abs(quad + tail - 1.0) < 1e-8
+
+
+def test_bump_profiles_match_closed_forms():
+    # the family is one type: each origin power gives its explicit formula
+    # bit for bit, and its tail mass the closed form, 0 and inf included
+    u = np.append(0.0, np.geomspace(1e-6, 40.0, 4001))
+    assert np.array_equal(BumpProfile(1)(u),
+                          math.sqrt(2.0) * u * np.exp(-0.5 * u * u))
+    assert np.array_equal(BumpProfile(2)(u),
+                          math.sqrt(2.0) * u * u * np.exp(-0.5 * u * u))
+
+    def above(p, v):
+        if v == math.inf:
+            return 0.0
+        return (1.0 if p == 1 else v ** 2 + 1.0) * math.exp(-v ** 2)
+
+    for lo, hi in ((0.0, 0.5), (0.3, 2.0), (1e-3, 1e3), (2.5, 7.0),
+                   (0.0, math.inf), (1.5, math.inf)):
+        for p in (1, 2):
+            assert BumpProfile(p).tail_mass(lo, hi) \
+                == 1.0 - (above(p, lo) - above(p, hi))
+    assert BumpProfile(1) == PROFILE_FAMILIES["gaussian_bump"]
+    assert BumpProfile(2) == PROFILE_FAMILIES["quadratic_bump"]
+    for p in (0, 3):
+        with pytest.raises(ValueError, match="origin power"):
+            BumpProfile(p)
 
 
 def test_admissibility_defect_sampled(bump_profile):
@@ -121,9 +142,8 @@ def test_admissibility_scaling_invariance(bump_profile):
     base = bump_profile
     scaled = MultiplierProfile(
         grid=grid,
-        radial_profile=lambda u: gaussian_bump_profile(c * u),
+        radial_profile=lambda u: BumpProfile(1)(c * u),
         sigma_grid=base.sigma_grid,
-        tail_mass=base.tail_mass,
     )
     r_interior = (np.sqrt(grid.radius_sq) > 0.5) & (np.sqrt(grid.radius_sq) < 5.0)
     d1 = admissibility_defect(base)[r_interior]
@@ -145,6 +165,7 @@ def test_sampled_defect_matches_radial_oracle(plan_mult, bump_profile):
 def test_make_admissible_families(plan_mult):
     for family in ("gaussian_bump", "quadratic_bump"):
         prof = make_admissible_radial(plan_mult, family=family)
+        assert prof.radial_profile is PROFILE_FAMILIES[family]
         assert prof.defect.max() < 1e-5
     with pytest.raises(ValueError):
         make_admissible_radial(plan_mult, family="bogus")
@@ -160,12 +181,8 @@ def plan_default():
 
 
 @pytest.mark.parametrize("tolerance", [1e-6, 1e-8])
-@pytest.mark.parametrize("family,profile_fn", [
-    ("gaussian_bump", gaussian_bump_profile),
-    ("quadratic_bump", quadratic_bump_profile),
-])
-def test_derived_sigma_grid_meets_tolerance(plan_default, family, profile_fn,
-                                            tolerance):
+@pytest.mark.parametrize("family", ["gaussian_bump", "quadratic_bump"])
+def test_derived_sigma_grid_meets_tolerance(plan_default, family, tolerance):
     # the derived range and count hold the full dilation average (no tail
     # mass added back) within tolerance/16 at every distinct frequency
     # radius of the grid, not only at the probe radii the count is chosen on
@@ -174,18 +191,19 @@ def test_derived_sigma_grid_meets_tolerance(plan_default, family, profile_fn,
     sg = prof.sigma_grid
     assert len(sg) < 128
     radii = np.unique(np.sqrt(plan_default.grid_out.radius_sq))
-    quad = radial_admissibility_quadrature(profile_fn, sg, radii)
+    quad = radial_admissibility_quadrature(PROFILE_FAMILIES[family], sg, radii)
     assert np.max(np.abs(quad - 1.0)) <= tolerance / 16.0
 
 
 def test_radial_quadrature_vectorized():
     sg = build_sigma_grid(1e-2, 1e2, 64)
     radii = np.array([0.3, 1.0, 4.0])
-    quad = radial_admissibility_quadrature(gaussian_bump_profile, sg, radii)
+    bump = BumpProfile(1)
+    quad = radial_admissibility_quadrature(bump, sg, radii)
     assert quad.shape == (3,)
     for r, v in zip(radii, quad):
         assert v == pytest.approx(radial_admissibility_quadrature(
-            gaussian_bump_profile, sg, float(r)), rel=1e-14)
+            bump, sg, float(r)), rel=1e-14)
 
 
 def test_make_admissible_narrow_range_errors(plan_mult):
@@ -295,9 +313,8 @@ def test_plancherel_defect_tracks_admissibility_defect(plan_mult, bump_profile):
     delta = 0.05
     scaled = MultiplierProfile(
         grid=bump_profile.grid,
-        radial_profile=lambda u: math.sqrt(1 + delta) * gaussian_bump_profile(u),
+        radial_profile=lambda u: math.sqrt(1 + delta) * BumpProfile(1)(u),
         sigma_grid=bump_profile.sigma_grid,
-        tail_mass=bump_profile.tail_mass,
     )
     f = gaussian_field(plan_mult.grid_in)
     defect = multiplier_plancherel_defect(
@@ -488,7 +505,7 @@ def test_sweep_rejects_non_finite_profile(plan_mult, bump_profile):
     # a profile that is NaN at one radius (the largest dilated one) makes
     # non-finite moments, which the sweep refuses
     def broken(u):
-        out = gaussian_bump_profile(u)
+        out = BumpProfile(1)(u)
         out[u == u.max()] = np.nan
         return out
 
@@ -562,9 +579,9 @@ def test_sweep_interpolation_needs_its_nodes(plan_alpha_100, monkeypatch):
 
 
 def test_sweep_synthesis_count(plan_mult, bump_profile, monkeypatch):
-    # the scales with tau = sigma max|x| <= 0.3 cost n syntheses in all;
-    # a profile other than the family functions is synthesized at every
-    # scale.  A synthesis is counted by its FFTs of sign +1, one call per
+    # the scales with tau = sigma max|x| <= 0.3 cost n syntheses in all,
+    # for any BumpProfile; any other profile, even a wrapped bump, is
+    # synthesized at every scale.  A synthesis is counted by its FFTs of sign +1, one call per
     # scale; the sweep's forward transform runs the analysis sign only
     calls = []
     ffts = weinstein.transform._ffts
@@ -584,8 +601,14 @@ def test_sweep_synthesis_count(plan_mult, bump_profile, monkeypatch):
     assert (n_small, n) == (49, 8)
     assert len(calls) == len(sigmas) - n_small + n
     calls.clear()
+    fresh = dataclasses.replace(bump_profile, radial_profile=BumpProfile(1))
+    assert fresh.radial_profile is not bump_profile.radial_profile
+    assert np.array_equal(multiplier_sweep(plan_mult, fresh, f).moments,
+                          stats.moments)
+    assert len(calls) == len(sigmas) - n_small + n
+    calls.clear()
     ad_hoc = dataclasses.replace(
-        bump_profile, radial_profile=lambda u: gaussian_bump_profile(u))
+        bump_profile, radial_profile=lambda u: BumpProfile(1)(u))
     per_scale = multiplier_sweep(plan_mult, ad_hoc, f)
     assert len(calls) == len(sigmas)
     np.testing.assert_allclose(stats.moments, per_scale.moments, rtol=1e-12)

@@ -315,7 +315,7 @@ def test_cli_missing_config(capsys):
     assert main(["run", "--config", "/nonexistent.json"]) == 2
 
 
-def test_cli_config_error(tmp_path):
+def test_cli_config_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"params": {"d": 1}, "grid": {},
                                "certificates": []}))
@@ -336,6 +336,16 @@ def test_cli_config_error(tmp_path):
     listdoc = tmp_path / "list.json"
     listdoc.write_text("[1]")
     assert main(["run", "--config", str(listdoc), "--seed", "3"]) == 2
+    # a byte that is not UTF-8, and nesting deeper than the parser recurses,
+    # are one line on stderr, not a traceback
+    capsys.readouterr()
+    for name, data in (("latin1.json", b'{"seed": "\xe9"}'),
+                       ("deep.json", b"[" * 100000)):
+        path = tmp_path / name
+        path.write_bytes(data)
+        assert main(["run", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and len(err.splitlines()) == 1
 
 
 def test_cli_guard_error(tmp_path):
