@@ -21,13 +21,12 @@ from .transform import (TransformPlan, direct_quadrature, forward,
                         frequency_grid, inverse, make_plan, weinstein_kernel)
 from .translation import (TranslationRule, convolve, convolve_direct,
                           translate_direct, translate_spectral)
-from .uncertainty import (InequalityCertificate, Region, ball_region,
-                          ball_region_for_mass, concentration_defect,
-                          dispersion, donoho_stark_certificate,
+from .uncertainty import (InequalityCertificate, ball_region_for_mass,
+                          concentration_defect, dispersion,
+                          donoho_stark_certificate,
                           general_heisenberg_certificate,
                           heisenberg_certificate,
-                          multiplier_heisenberg_certificate,
-                          region_from_mask)
+                          multiplier_heisenberg_certificate)
 
 __version__ = "0.1.0"
 
@@ -46,9 +45,8 @@ __all__ = [
     "inverse", "make_plan", "weinstein_kernel",
     "TranslationRule", "convolve", "convolve_direct", "translate_direct",
     "translate_spectral",
-    "InequalityCertificate", "Region", "ball_region",
-    "ball_region_for_mass", "concentration_defect", "dispersion",
-    "donoho_stark_certificate", "general_heisenberg_certificate",
-    "heisenberg_certificate", "multiplier_heisenberg_certificate",
-    "region_from_mask",
+    "InequalityCertificate", "ball_region_for_mass", "concentration_defect",
+    "dispersion", "donoho_stark_certificate",
+    "general_heisenberg_certificate", "heisenberg_certificate",
+    "multiplier_heisenberg_certificate",
 ]

@@ -304,8 +304,9 @@ def j_alpha(alpha, x):
     alpha = 100 and x = 250, j_alpha is 7.8e-54 and the table gives
     5.4e-17), and no caller divides by the values.  Arguments whose table
     needs more than MARCH_STEP_BUDGET Taylor steps raise SizeGuardError."""
-    if not alpha > -0.5:
-        raise ValueError(f"alpha out of range: need alpha > -1/2, got {alpha}")
+    if not -0.5 < alpha < math.inf:
+        raise ValueError(f"alpha out of range: need a finite alpha > -1/2, "
+                         f"got {alpha}")
     x = np.asarray(x, dtype=np.float64)
     out = _j_alpha(float(alpha), x.ravel()).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
@@ -316,8 +317,10 @@ def si(z):
     whole panels of width PANEL_WIDTH below |z|, summed cumulatively, plus
     the part of the last one, each on the PANEL_DEGREE-node Gauss-Legendre
     rule (exact to degree 2 PANEL_DEGREE - 1, past the sinc's round-off
-    degree on a panel)."""
+    degree on a panel).  Non-finite arguments are a ValueError."""
     z = np.asarray(z, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("si needs finite arguments")
     az = np.abs(z).ravel()
     t, log2_w = _gauss_jacobi(PANEL_DEGREE, 0.0, 0.0)
     w, s = np.exp2(log2_w), 0.5 * (1.0 + t)

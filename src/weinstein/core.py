@@ -165,7 +165,8 @@ class Grid:
         return _readonly(out)
 
     def same_geometry(self, other):
-        if self.shape != other.shape:
+        """Same parameters, shape and nodes: the same measure's samples."""
+        if self.params != other.params or self.shape != other.shape:
             return False
         return all(
             np.array_equal(a, b) for a, b in zip(self.axes, other.axes)
@@ -181,7 +182,7 @@ def build_grid(params, extents, counts, radial_scheme="uniform-offset"):
     node), or at collocation nodes when requested.
     """
     extents = tuple(float(e) for e in extents)
-    counts = tuple(int(n) for n in counts)
+    counts = tuple(_whole(n) for n in counts)
     if len(extents) != params.d + 1 or len(counts) != params.d + 1:
         raise ValueError("need d+1 extents and d+1 counts")
     if not all(0.0 < e < math.inf for e in extents):
@@ -307,10 +308,10 @@ def gaussian_field(grid, scale=1.0):
 def norm_p(f, w, p):
     """L^p norm of a Field against a WeightField (p = inf gives max |values|)."""
     _check_pair(f, w)
-    if p == math.inf or p == "inf":
-        return float(np.max(np.abs(f.values)))
     p = float(p)
-    if p < 1.0:
+    if p == math.inf:
+        return float(np.max(np.abs(f.values)))
+    if not p >= 1.0:
         raise ValueError(f"norms require p >= 1, got {p}")
     a = np.abs(f.values)
     with np.errstate(over="ignore"):
@@ -336,6 +337,21 @@ def inner_product(f, g, w):
 def _check_pair(f, w):
     if f.grid is not w.grid and not f.grid.same_geometry(w.grid):
         raise GridMismatchError("field and weights live on different grids")
+
+
+def _check_mask(grid, mask):
+    """A spatial region: ``mask`` as a boolean array of ``grid``'s shape."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != grid.shape:
+        raise GridMismatchError("region mask and grid differ in shape")
+    return mask
+
+
+def _whole(n):
+    """A point count as an int; a non-whole or non-finite one is refused."""
+    if not float(n).is_integer():
+        raise ValueError(f"counts must be whole numbers, got {n!r}")
+    return int(n)
 
 
 @dataclass(frozen=True)
@@ -371,9 +387,9 @@ def build_sigma_grid(sigma_min, sigma_max, count):
     The trapezoid rule, with Gregory endpoint corrections once there are at
     least 10 scales; the weights sum to log(sigma_max/sigma_min) exactly.
     """
-    if not 0 < sigma_min < sigma_max:
-        raise ValueError("need 0 < sigma_min < sigma_max")
-    count = int(count)
+    if not 0 < sigma_min < sigma_max < math.inf:
+        raise ValueError("need 0 < sigma_min < sigma_max < inf")
+    count = _whole(count)
     if count < 2:
         raise ValueError("need at least 2 sigma points")
     s = np.exp(np.linspace(math.log(sigma_min), math.log(sigma_max), count))

@@ -27,7 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import Field, Grid, SigmaGrid, build_sigma_grid, norm_p
+from .core import (Field, Grid, SigmaGrid, _check_mask, build_sigma_grid,
+                   norm_p)
 from .errors import GridMismatchError, MeasureRangeError, SigmaRangeError
 from .transform import (TransformPlan, _apply_factors, _kernel_factors,
                         _synthesis_moments, forward, inverse,
@@ -350,9 +351,9 @@ def apply_multiplier_kernel(plan, profile, sigma, phi, region_mask=None):
 
         (T phi)(x) = sigma^{-(2 alpha + d + 2)} * sum_y w_y Psi(x, y) phi(y),
 
-    optionally restricted to chi_Omega * phi via ``region_mask``.  On the
-    grid the reflected kernel is the conjugate one, K(u, (-x', x_r)/sigma)
-    = conj K(u, x/sigma), so with A = K(u, x/sigma) the sum is
+    optionally restricted to chi_Omega * phi (``region_mask``: a boolean mask
+    of phi's grid).  On the grid, K(u, (-x', x_r)/sigma) = conj K(u, x/sigma)
+    is the reflected kernel, so with A = K(u, x/sigma) the sum is
 
         sigma^{-deg} * A^H ((w_out m) * (A (w_in * phi))),
 
@@ -368,7 +369,7 @@ def apply_multiplier_kernel(plan, profile, sigma, phi, region_mask=None):
     grid = phi.grid
     factors = _kernel_factors(plan, -1.0, sigma)
     vals = phi.values if region_mask is None \
-        else phi.values * np.reshape(region_mask, grid.shape)
+        else phi.values * _check_mask(grid, region_mask)
     wm = plan.weights_out.weights * profile.symbol.values
     inner = wm * _apply_factors(factors, plan.weights_in.weights * vals)
     out = _apply_factors([m.conj().T for m in factors], inner)

@@ -26,7 +26,8 @@ from .multiplier import (MAX_SIGMA_COUNT, PROFILE_FAMILIES,
                          make_admissible_radial, multiplier_plancherel_defect,
                          multiplier_sweep, radial_admissibility_quadrature)
 from .transform import direct_quadrature, inverse, make_plan
-from .uncertainty import (ball_region_for_mass, donoho_stark_certificate,
+from .uncertainty import (DEFAULT_ADMISSIBILITY_TOL, DEFAULT_SLACK,
+                          ball_region_for_mass, donoho_stark_certificate,
                           general_heisenberg_certificate,
                           heisenberg_certificate,
                           multiplier_heisenberg_certificate)
@@ -161,11 +162,11 @@ CONFIG_KEYS = (
               "a list of numbers in (0, 1]"),
     ConfigKey("donoho_stark.sigma_floors", [1.0, 2.0], _entries(_POSITIVE),
               "a list of positive numbers"),
-    *(ConfigKey(f"tolerances.{name}", v, _POSITIVE, "a positive number")
-      for name, v in (("certificate_slack", 1e-3), ("plancherel", 1e-6),
-                      ("roundtrip", 1e-6), ("fast_vs_direct", 1e-8),
-                      ("multiplier_plancherel", 1e-4),
-                      ("admissibility", 1e-3))),
+    *(ConfigKey(f"tolerances.{k}", v, _POSITIVE, "a positive number")
+      for k, v in (("certificate_slack", DEFAULT_SLACK), ("plancherel", 1e-6),
+                   ("roundtrip", 1e-6), ("fast_vs_direct", 1e-8),
+                   ("multiplier_plancherel", 1e-4),
+                   ("admissibility", DEFAULT_ADMISSIBILITY_TOL))),
     ConfigKey("seed", 0, _number(0, whole=True), "a whole number >= 0"),
 )
 

@@ -20,37 +20,22 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._accel import si
-from .core import norm_p
+from .core import _check_mask, _check_pair, norm_p
 from .errors import IntegrabilityGuardError, MeasureRangeError
 from .transform import forward
 
 DEFAULT_SLACK = 1e-3
+DEFAULT_ADMISSIBILITY_TOL = 1e-3
 LOG_FLOAT_MAX = math.log(np.finfo(np.float64).max)
 LOG_FLOAT_TINY = math.log(np.finfo(np.float64).tiny)
 
 
-@dataclass(frozen=True)
-class Region:
-    """Measurable subset of the spatial box as a boolean mask."""
-
-    mask: np.ndarray
-    measure: float
-
-
-def region_from_mask(grid, w, mask):
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != grid.shape:
-        raise ValueError("mask shape does not match grid")
-    return Region(mask=mask, measure=float(w.weights[mask].sum()))
-
-
-def ball_region(grid, w, radius):
-    """Region |x| <= radius."""
-    return region_from_mask(grid, w, grid.radius_sq <= radius * radius)
-
-
 def ball_region_for_mass(f, w, fraction):
-    """Smallest centered ball holding at least ``fraction`` of |f|^2 mass."""
+    """Boolean mask of the smallest centered ball holding at least
+    ``fraction`` in (0, 1] of the |f|^2 mass."""
+    _check_pair(f, w)
+    if not 0.0 < fraction <= 1.0:
+        raise ValueError(f"mass fraction must be in (0, 1], got {fraction}")
     rsq = f.grid.radius_sq.reshape(-1)
     dens = (w.flat * np.abs(f.flat) ** 2)
     order = np.argsort(rsq)
@@ -61,7 +46,7 @@ def ball_region_for_mass(f, w, fraction):
     idx = int(np.searchsorted(csum, fraction * total))
     idx = min(idx, len(rsq) - 1)
     threshold = float(rsq[order][idx])
-    return region_from_mask(f.grid, w, f.grid.radius_sq <= threshold)
+    return f.grid.radius_sq <= threshold
 
 
 @dataclass(frozen=True)
@@ -130,9 +115,12 @@ def _product_certificate(name, plan, f, a, b, beta, delta, slack, digest,
 
 
 def dispersion(f, w, beta=1.0):
-    """Weighted spread (integral of |x|^{2 beta} |f|^2)^{1/2}; beta >= 1."""
-    if beta < 1.0:
-        raise ValueError(f"dispersion power must be >= 1, got {beta}")
+    """Weighted spread (integral of |x|^{2 beta} |f|^2)^{1/2}; beta >= 1
+    and finite."""
+    _check_pair(f, w)
+    if not 1.0 <= beta < math.inf:
+        raise ValueError(
+            f"dispersion power must be >= 1 and finite, got {beta}")
     # |x|^{2 beta} may leave the float range: the certificate refuses the
     # inf or nan spread this gives
     with np.errstate(over="ignore", invalid="ignore"):
@@ -179,8 +167,9 @@ def aggregated_dispersion(stats, beta=1.0):
     return math.sqrt(float(lw @ stats.column(beta)))
 
 
-def multiplier_heisenberg_certificate(stats, slack=DEFAULT_SLACK,
-                                      admissibility_tol=1e-3, digest=""):
+def multiplier_heisenberg_certificate(
+        stats, slack=DEFAULT_SLACK,
+        admissibility_tol=DEFAULT_ADMISSIBILITY_TOL, digest=""):
     """Product uncertainty bound with the multiplier family on the spatial
     side:
 
@@ -199,16 +188,18 @@ def multiplier_heisenberg_certificate(stats, slack=DEFAULT_SLACK,
         digest, _hypothesis_flags(stats, admissibility_tol))
 
 
-def general_heisenberg_certificate(stats, beta, delta, slack=DEFAULT_SLACK,
-                                   admissibility_tol=1e-3, digest=""):
+def general_heisenberg_certificate(
+        stats, beta, delta, slack=DEFAULT_SLACK,
+        admissibility_tol=DEFAULT_ADMISSIBILITY_TOL, digest=""):
     """General-exponent product bound (``_product_certificate``) with a =
     A_beta, which aggregates ||x|^beta T_sigma f|| over scales, and b =
     B_delta = ||y|^delta F f||, all read from ``stats`` (f's
     ``multiplier_sweep``, which must have swept ``beta``).  beta = delta =
     1 gives the multiplier certificate identically.
     """
-    if beta < 1.0 or delta < 1.0:
-        raise ValueError("exponents must satisfy beta, delta >= 1")
+    if not (1.0 <= beta < math.inf and 1.0 <= delta < math.inf):
+        raise ValueError("exponents must satisfy beta, delta >= 1 and be "
+                         f"finite, got beta={beta}, delta={delta}")
     plan = stats.plan
     flags = {"beta": beta, "delta": delta, "eps": delta / (beta + delta),
              **_hypothesis_flags(stats, admissibility_tol)}
@@ -220,11 +211,13 @@ def general_heisenberg_certificate(stats, beta, delta, slack=DEFAULT_SLACK,
 
 
 def concentration_defect(f, w, region):
-    """Smallest eps with ||f - chi f|| <= eps ||f||; in [0, 1]."""
+    """Smallest eps with ||f - chi f|| <= eps ||f||, for the spatial region
+    given as a boolean mask of f's grid; in [0, 1]."""
+    region = _check_mask(f.grid, region)
     total = norm_p(f, w, 2) ** 2
     if total == 0:
         raise ValueError("zero field has no concentration defect")
-    outside = float((w.weights * np.abs(f.values) ** 2)[~region.mask].sum())
+    outside = float((w.weights * np.abs(f.values) ** 2)[~region].sum())
     return math.sqrt(min(max(outside / total, 0.0), 1.0))
 
 
@@ -258,10 +251,11 @@ def _halfline_measure(sg, w, floor):
     return float(sg.log_weights[sg.sigmas >= floor].sum()) * w.total
 
 
-def donoho_stark_certificate(stats, region, floor, slack=DEFAULT_SLACK,
-                             admissibility_tol=1e-3, digest=""):
+def donoho_stark_certificate(
+        stats, region, floor, slack=DEFAULT_SLACK,
+        admissibility_tol=DEFAULT_ADMISSIBILITY_TOL, digest=""):
     """Concentration bound: if f is eps-concentrated on the spatial region
-    and the multiplier output nu-concentrated on the (sigma, x) region,
+    Omega and the multiplier output nu-concentrated on the (sigma, x) region,
 
       ||m||_1 * mu(Omega)^{1/2} * (int_Sigma sigma^{-2(2a+d+2)} dTheta)^{1/2}
           >= 1 - (eps + nu).
@@ -269,6 +263,8 @@ def donoho_stark_certificate(stats, region, floor, slack=DEFAULT_SLACK,
     The bound side is reported as rhs and the constrained side 1-(eps+nu)
     as lhs, so ratio = lhs/rhs keeps the satisfied convention.  Vacuous
     instances (eps + nu >= 1) are flagged and never count as evidence.
+    Omega is ``region``, a boolean mask of the plan's input grid, which eps
+    and mu(Omega) both weigh with the plan's input weights.
 
     The sigma-region is the half-line {sigma >= floor} x box, given by its
     ``floor``.  Its decay integral has the closed form mu(box) *
@@ -280,11 +276,14 @@ def donoho_stark_certificate(stats, region, floor, slack=DEFAULT_SLACK,
     The sigma^{-2 deg} integrand explodes toward sigma -> 0: half-lines
     reaching the smallest sampled scale (floor <= sigma_min), or whose
     decay integral overflows or underflows the float range, raise
-    IntegrabilityGuardError.
+    IntegrabilityGuardError; a NaN floor is a ValueError.
     """
     plan, profile = stats.plan, stats.profile
     params = plan.grid_in.params
     sg = profile.sigma_grid
+    region = _check_mask(plan.grid_in, region)
+    if math.isnan(floor):
+        raise ValueError("sigma floor must be a number, got nan")
     if floor <= sg.sigma_min:
         raise IntegrabilityGuardError(
             "sigma-region reaches the integrability boundary (floor <= the "
@@ -303,7 +302,8 @@ def donoho_stark_certificate(stats, region, floor, slack=DEFAULT_SLACK,
     eps = concentration_defect(stats.phi, plan.weights_in, region)
     nu = _halfline_concentration_defect(stats.column(0.0), sg, floor)
     m_norm1 = norm_p(profile.symbol, plan.weights_out, 1)
-    bound = m_norm1 * math.sqrt(region.measure) * math.sqrt(theta_decay)
+    measure = float(plan.weights_in.weights[region].sum())
+    bound = m_norm1 * math.sqrt(measure) * math.sqrt(theta_decay)
     constrained = 1.0 - (eps + nu)
     flags = {"eps": eps, "nu": nu, "m_norm1": m_norm1,
              "theta_decay_integral": theta_decay,
@@ -312,8 +312,7 @@ def donoho_stark_certificate(stats, region, floor, slack=DEFAULT_SLACK,
         flags["vacuous"] = True
     # corollary form: with rho = 1/floor, rho^{2 deg} * Theta(Sigma)
     # dominates the decay integral, so its bound is implied by the main one
-    corollary_bound = math.exp(deg * log_rho) * m_norm1 \
-        * math.sqrt(region.measure) \
+    corollary_bound = math.exp(deg * log_rho) * m_norm1 * math.sqrt(measure) \
         * math.sqrt(_halfline_measure(sg, plan.weights_in, floor))
     flags["corollary_bound"] = corollary_bound
     flags["corollary_satisfied"] = bool(

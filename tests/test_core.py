@@ -67,6 +67,16 @@ def test_build_grid_rejects_bad_inputs():
             build_grid(p, extents, (64, 64))
 
 
+def test_same_geometry_needs_equal_parameters():
+    # one set of nodes under two alphas samples two measures: fields and
+    # weights of the two do not combine
+    g1 = build_grid(WeinsteinParams(d=1, alpha=0.5), (8.0, 8.0), (16, 16))
+    g2 = build_grid(WeinsteinParams(d=1, alpha=2.0), (8.0, 8.0), (16, 16))
+    assert g1.same_geometry(g1) and not g1.same_geometry(g2)
+    with pytest.raises(GridMismatchError):
+        norm_p(gaussian_field(g1), measure_weights(g2), 2)
+
+
 def test_measure_weights_box_volume():
     # weighted volume of [-1,1] x (0,1] is 2 * (1/3) / C, and the midpoint
     # rule converges to it at second order

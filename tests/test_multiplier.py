@@ -397,6 +397,22 @@ def test_kernel_route_pointwise_bound(small_setup, rng):
             assert np.max(np.abs(out.values)) <= bound * (1 + 1e-10)
 
 
+def test_kernel_route_refuses_foreign_masks(small_setup):
+    # the region mask must have the field's grid shape: a flattened mask,
+    # one of another shape and one with an extra axis are refused
+    plan, prof = small_setup
+    grid = plan.grid_in
+    f = gaussian_field(grid)
+    mask = grid.radius_sq <= 4.0
+    for bad in (mask.ravel(), mask[:-1], mask[..., None]):
+        with pytest.raises(GridMismatchError):
+            apply_multiplier_kernel(plan, prof, 1.0, f, region_mask=bad)
+    out = apply_multiplier_kernel(plan, prof, 1.0, f, region_mask=mask)
+    ones = apply_multiplier_kernel(plan, prof, 1.0, f,
+                                   region_mask=mask.astype(int))
+    assert np.array_equal(out.values, ones.values)
+
+
 @pytest.mark.parametrize("d, counts", [(1, (8, 8)), (2, (8, 8, 8))])
 def test_kernel_route_matches_assembled_psi(d, counts, kernel_calls):
     # the two matrix-vector products equal the kernel sum assembled from

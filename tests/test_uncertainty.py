@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
-from weinstein import (Field, IntegrabilityGuardError, WeinsteinParams,
-                       ball_region, ball_region_for_mass, build_grid,
+from weinstein import (Field, GridMismatchError, IntegrabilityGuardError,
+                       MeasureRangeError, WeinsteinParams,
+                       ball_region_for_mass, build_grid,
                        concentration_defect, dispersion,
                        donoho_stark_certificate, forward, gaussian_field,
                        general_heisenberg_certificate, heisenberg_certificate,
                        make_admissible_radial, make_plan, measure_weights,
                        multiplier_heisenberg_certificate, multiplier_sweep,
-                       norm_p, region_from_mask)
+                       norm_p)
 from weinstein.multiplier import MultiplierProfile
 from weinstein.uncertainty import _halfline_measure
 from weinstein.report import report_csv
@@ -153,6 +154,17 @@ def test_general_heisenberg_exponents(plan_mult, bump_profile, beta, delta):
         general_heisenberg_certificate(stats, 0.5, 1.0)
 
 
+def test_general_heisenberg_refuses_nan_exponents(plan_mult, bump_profile):
+    # a NaN exponent is refused by the exponent check, not reported as a
+    # float-range failure of the bound
+    f = gaussian_field(plan_mult.grid_in)
+    stats = multiplier_sweep(plan_mult, bump_profile, f, (1.0,))
+    for beta, delta in ((1.0, math.nan), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError, match="exponents") as info:
+            general_heisenberg_certificate(stats, beta, delta)
+        assert not isinstance(info.value, MeasureRangeError)
+
+
 def test_holder_step_on_frequency_side(plan_mult):
     # || |y| F f || <= || |y|^2 F f ||^{1/2} ||f||^{1/2} (the delta-side
     # interpolation step behind the general-exponent bound)
@@ -168,8 +180,8 @@ def test_concentration_defect_limits(plan_half):
     g = plan_half.grid_in
     w = plan_half.weights_in
     f = gaussian_field(g)
-    full = region_from_mask(g, w, np.ones(g.shape, dtype=bool))
-    empty = region_from_mask(g, w, np.zeros(g.shape, dtype=bool))
+    full = np.ones(g.shape, dtype=bool)
+    empty = np.zeros(g.shape, dtype=bool)
     assert concentration_defect(f, w, full) < 1e-12
     assert concentration_defect(f, w, empty) == pytest.approx(1.0, abs=1e-12)
 
@@ -178,8 +190,8 @@ def test_concentration_defect_ball_formula(plan_half):
     g = plan_half.grid_in
     w = plan_half.weights_in
     f = gaussian_field(g)
-    ball = ball_region(g, w, 1.5)
-    inside = float((w.weights * np.abs(f.values) ** 2)[ball.mask].sum())
+    ball = g.radius_sq <= 1.5 * 1.5
+    inside = float((w.weights * np.abs(f.values) ** 2)[ball].sum())
     total = norm_p(f, w, 2) ** 2
     expected = math.sqrt(1.0 - inside / total)
     assert concentration_defect(f, w, ball) == pytest.approx(expected, rel=1e-12)
@@ -190,9 +202,9 @@ def test_concentration_monotone_under_region_growth(plan_half):
     w = plan_half.weights_in
     f = gaussian_field(g)
     r_prev = 1.0
-    prev = concentration_defect(f, w, ball_region(g, w, r_prev))
+    prev = concentration_defect(f, w, g.radius_sq <= r_prev * r_prev)
     for r in (1.5, 2.0, 3.0):
-        cur = concentration_defect(f, w, ball_region(g, w, r))
+        cur = concentration_defect(f, w, g.radius_sq <= r * r)
         assert cur <= prev + 1e-15
         prev = cur
 
@@ -205,6 +217,49 @@ def test_ball_region_for_mass(plan_half):
         omega = ball_region_for_mass(f, w, q)
         eps = concentration_defect(f, w, omega)
         assert eps <= math.sqrt(1 - q) + 1e-6
+
+
+def test_spatial_functionals_refuse_foreign_weights(plan_half):
+    # the field and the weights must sample one measure: other parameters
+    # on the same nodes, another box of the same shape and another shape
+    # are all GridMismatchError
+    g = plan_half.grid_in
+    f = gaussian_field(g)
+    others = [build_grid(WeinsteinParams(d=1, alpha=2.0), (8.0, 8.0), g.shape),
+              build_grid(g.params, (6.0, 6.0), g.shape),
+              build_grid(g.params, (8.0, 8.0), (32, 32))]
+    for other in others:
+        w = measure_weights(other)
+        with pytest.raises(GridMismatchError):
+            dispersion(f, w, 1.0)
+        with pytest.raises(GridMismatchError):
+            ball_region_for_mass(f, w, 0.9)
+        with pytest.raises(GridMismatchError):
+            concentration_defect(f, w, g.radius_sq <= 4.0)
+
+
+def test_donoho_stark_weighs_its_region_with_the_plan(plan_mult, bump_profile,
+                                                      rng):
+    # mu(Omega) is read with the sweep's plan weights, the ones eps uses:
+    # the rhs is m_norm1 * mu(Omega)^{1/2} * theta_decay^{1/2} on any mask;
+    # a 0/1 mask is the boolean one, and a mask of another shape is refused
+    g = plan_mult.grid_in
+    f = gaussian_field(g)
+    stats = multiplier_sweep(plan_mult, bump_profile, f)
+    for _ in range(3):
+        mask = rng.uniform(size=g.shape) < rng.uniform(0.2, 0.9)
+        cert = donoho_stark_certificate(stats, mask, 1.0)
+        measure = stats.plan.weights_in.weights[mask].sum()
+        assert cert.rhs == cert.flags["m_norm1"] * math.sqrt(measure) \
+            * math.sqrt(cert.flags["theta_decay_integral"])
+        assert cert.flags["eps"] == concentration_defect(
+            f, stats.plan.weights_in, mask)
+        assert donoho_stark_certificate(stats, mask.astype(int), 1.0) == cert
+    for bad in (mask.ravel(), mask[:-1], mask[..., None]):
+        with pytest.raises(GridMismatchError):
+            donoho_stark_certificate(stats, bad, 1.0)
+        with pytest.raises(GridMismatchError):
+            concentration_defect(f, stats.plan.weights_in, bad)
 
 
 def test_donoho_stark_designed_family(plan_mult, bump_profile):
