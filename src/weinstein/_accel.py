@@ -292,6 +292,14 @@ def _j_alpha(alpha, x):
     return out
 
 
+def check_alpha(alpha):
+    """A Bessel index as a float: finite and > -1/2, else ValueError."""
+    if not -0.5 < alpha < math.inf:
+        raise ValueError(f"alpha out of range: need a finite alpha > -1/2, "
+                         f"got {alpha}")
+    return float(alpha)
+
+
 def j_alpha(alpha, x):
     """Normalized Bessel function of index ``alpha`` > -1/2 at a float or
     a float array (a float gives a float): the entire even function with
@@ -304,11 +312,8 @@ def j_alpha(alpha, x):
     alpha = 100 and x = 250, j_alpha is 7.8e-54 and the table gives
     5.4e-17), and no caller divides by the values.  Arguments whose table
     needs more than MARCH_STEP_BUDGET Taylor steps raise SizeGuardError."""
-    if not -0.5 < alpha < math.inf:
-        raise ValueError(f"alpha out of range: need a finite alpha > -1/2, "
-                         f"got {alpha}")
     x = np.asarray(x, dtype=np.float64)
-    out = _j_alpha(float(alpha), x.ravel()).reshape(x.shape)
+    out = _j_alpha(check_alpha(alpha), x.ravel()).reshape(x.shape)
     return float(out) if out.ndim == 0 else out
 
 

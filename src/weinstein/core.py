@@ -18,7 +18,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._accel import roots_jacobi
+from ._accel import check_alpha, roots_jacobi
 from .errors import GridMismatchError, MeasureRangeError
 
 RADIAL_SCHEMES = ("uniform-offset", "collocation")
@@ -40,8 +40,7 @@ class WeinsteinParams:
     def __post_init__(self):
         if not isinstance(self.d, int) or self.d < 1:
             raise ValueError(f"d must be a positive integer, got {self.d!r}")
-        if not self.alpha > -0.5:
-            raise ValueError(f"alpha out of range: need alpha > -1/2, got {self.alpha}")
+        check_alpha(self.alpha)
 
     @property
     def homogeneity_degree(self):
@@ -181,12 +180,10 @@ def build_grid(params, extents, counts, radial_scheme="uniform-offset"):
     the radial axis samples (0, R] the same way (so 0 itself is never a
     node), or at collocation nodes when requested.
     """
-    extents = tuple(float(e) for e in extents)
+    extents = tuple(_check_positive(float(e), "extents") for e in extents)
     counts = tuple(_whole(n) for n in counts)
     if len(extents) != params.d + 1 or len(counts) != params.d + 1:
         raise ValueError("need d+1 extents and d+1 counts")
-    if not all(0.0 < e < math.inf for e in extents):
-        raise ValueError("extents must be positive and finite")
     if any(n < MIN_AXIS_POINTS for n in counts):
         raise ValueError(f"need at least {MIN_AXIS_POINTS} points per axis")
     euclid_axes = []
@@ -194,13 +191,11 @@ def build_grid(params, extents, counts, radial_scheme="uniform-offset"):
         step = 2.0 * L / n
         euclid_axes.append(_readonly(-L + (np.arange(n) + 0.5) * step))
     R, n_r = extents[-1], counts[-1]
-    if radial_scheme == "uniform-offset":
-        radial = (np.arange(n_r) + 0.5) * (R / n_r)
-    elif radial_scheme == "collocation":
+    if radial_scheme == "collocation":
         t, _ = roots_jacobi(n_r, 0.0, 2.0 * params.alpha + 1.0)
         radial = R * (t + 1.0) / 2.0
-    else:
-        raise ValueError(f"unknown radial scheme {radial_scheme!r}")
+    else:  # Grid refuses a scheme that is neither
+        radial = (np.arange(n_r) + 0.5) * (R / n_r)
     return Grid(
         params=params,
         euclid_axes=tuple(euclid_axes),
@@ -345,6 +340,13 @@ def _check_mask(grid, mask):
     if mask.shape != grid.shape:
         raise GridMismatchError("region mask and grid differ in shape")
     return mask
+
+
+def _check_positive(x, name):
+    """A scalar argument as a float: positive and finite, else ValueError."""
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {x}")
+    return float(x)
 
 
 def _whole(n):

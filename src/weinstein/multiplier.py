@@ -27,8 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (Field, Grid, SigmaGrid, _check_mask, build_sigma_grid,
-                   norm_p)
+from .core import (Field, Grid, SigmaGrid, _check_mask, _check_positive,
+                   build_sigma_grid, norm_p)
 from .errors import GridMismatchError, MeasureRangeError, SigmaRangeError
 from .transform import (TransformPlan, _apply_factors, _kernel_factors,
                         _synthesis_moments, forward, inverse,
@@ -89,16 +89,10 @@ def _check_profile(plan, profile):
             "profile does not live on the plan's output grid")
 
 
-def _check_scale(sigma):
-    if not 0.0 < sigma < math.inf:
-        raise ValueError(
-            f"dilation scale must be positive and finite, got {sigma}")
-
-
 def dilate_symbol(profile, sigma):
     """The dilated symbol m(sigma * .) on the frequency grid: the radius
     profile evaluated at the dilated radii.  sigma = 1 returns the symbol."""
-    _check_scale(sigma)
+    _check_positive(sigma, "dilation scale")
     if sigma == 1.0:
         return profile.symbol
     return Field(grid=profile.grid,
@@ -255,6 +249,8 @@ def multiplier_sweep(plan, profile, phi, betas=(0.0,)):
         raise MeasureRangeError(f"the input grid's |x|^2 spans [{rsq.min():g}, "
                                 f"{rsq.max():g}]: it leaves the float range")
     betas = tuple(float(b) for b in betas)
+    if not all(0.0 <= b < math.inf for b in betas):
+        raise ValueError(f"each beta must be finite and >= 0, got {betas}")
     w = plan.weights_in.weights
 
     def weight(b):
@@ -334,7 +330,7 @@ def kernel_psi(profile, plan, sigma, x, y):
 
     with K the analysis kernel; the dilation lives in the kernel arguments,
     so the symbol itself is never interpolated."""
-    _check_scale(sigma)
+    _check_positive(sigma, "dilation scale")
     _check_profile(plan, profile)
     x = np.asarray(x, dtype=np.float64).reshape(-1) / sigma
     y = np.asarray(y, dtype=np.float64).reshape(-1) / sigma
@@ -362,7 +358,7 @@ def apply_multiplier_kernel(plan, profile, sigma, phi, region_mask=None):
     The modulus of the result obeys
     |T(chi phi)(x)| <= sigma^{-deg} ||m||_1 ||phi||_2 sqrt(mu(Omega)).
     """
-    _check_scale(sigma)
+    _check_positive(sigma, "dilation scale")
     _check_profile(plan, profile)
     if not phi.grid.same_geometry(plan.grid_in):
         raise GridMismatchError("field does not live on the plan's input grid")
@@ -392,8 +388,8 @@ class BumpProfile:
     p: int
 
     def __post_init__(self):
-        if self.p not in (1, 2):
-            raise ValueError(f"a bump's origin power is 1 or 2, got {self.p}")
+        if type(self.p) is not int or self.p not in (1, 2):
+            raise ValueError(f"a bump's origin power is 1 or 2, got {self.p!r}")
 
     def __call__(self, u):
         u = np.asarray(u, dtype=np.float64)
@@ -496,6 +492,7 @@ def make_admissible_radial(plan, family="gaussian_bump", sigma_range=None,
     raises SigmaRangeError with the achieved defect, and so do frequency
     radii or dilated radii sigma*|x| whose squares leave the float range.
     """
+    tolerance = _check_positive(tolerance, "tolerance")
     if family not in PROFILE_FAMILIES:
         raise ValueError(f"unknown profile family {family!r}")
     bump = PROFILE_FAMILIES[family]

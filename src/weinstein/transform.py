@@ -384,7 +384,7 @@ def weinstein_kernel(params, lam, x):
     alpha = params.alpha, point by point: ``_kernel_factors`` is its form
     per axis of a tensor grid.
 
-    ``lam`` and ``x`` are real points of R^{d+1} (single points or (n, d+1)
+    ``lam`` and ``x`` are finite points of R^{d+1} (single points or (n, d+1)
     arrays); the modulus never exceeds 1 on real arguments.
     """
     lam = np.asarray(lam, dtype=np.float64)
@@ -394,6 +394,8 @@ def weinstein_kernel(params, lam, x):
     x = np.atleast_2d(x)
     if lam.shape[-1] != params.d + 1 or x.shape[-1] != params.d + 1:
         raise ValueError(f"points must have {params.d + 1} coordinates")
+    if not (np.isfinite(lam).all() and np.isfinite(x).all()):
+        raise ValueError("kernel points must be finite")
     lam, x = np.broadcast_arrays(lam, x)
     d = params.d
     phase = np.einsum("ij,ij->i", x[:, :d], lam[:, :d])

@@ -24,7 +24,7 @@ from functools import cached_property
 
 import numpy as np
 
-from ._accel import j_alpha, roots_jacobi
+from ._accel import check_alpha, j_alpha, roots_jacobi
 from .core import Field, _axis_view
 from .errors import GridMismatchError, SizeGuardError
 from .interp import apply_axis_matrix, linear_shift, radial_cubic_stencil
@@ -42,8 +42,7 @@ class TranslationRule:
     alpha: float
 
     def __post_init__(self):
-        if not self.alpha > -0.5:
-            raise ValueError("alpha out of range: need alpha > -1/2")
+        check_alpha(self.alpha)
 
     @cached_property
     def _nodes(self):

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._accel import si
-from .core import _check_mask, _check_pair, norm_p
+from .core import _check_mask, _check_pair, _check_positive, norm_p
 from .errors import IntegrabilityGuardError, MeasureRangeError
 from .transform import forward
 
@@ -80,6 +80,7 @@ class InequalityCertificate:
 
 
 def _certificate(name, params, lhs, rhs, slack, digest, flags=None):
+    slack = _check_positive(slack, "slack")
     if not (math.isfinite(lhs) and math.isfinite(rhs)):
         raise MeasureRangeError(f"{name} certificate leaves the float "
                                 f"range: lhs {lhs:g}, rhs {rhs:g}")
@@ -150,8 +151,9 @@ def heisenberg_certificate(plan, f, slack=DEFAULT_SLACK, digest="",
 def _hypothesis_flags(stats, admissibility_tol):
     """Flags of a certificate whose hypotheses fail, else {}: the
     certificates admit only profiles that pass the admissibility gate."""
+    tol = _check_positive(admissibility_tol, "admissibility_tol")
     defect = stats.admissibility_defect
-    if defect > admissibility_tol:
+    if defect > tol:
         return {"hypothesis_violated": True, "admissibility_defect": defect}
     return {}
 
