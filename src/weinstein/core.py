@@ -253,13 +253,28 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self):
+        self._seal(np.array)
+
+    @classmethod
+    def _own(cls, grid, values):
+        """A Field on ``values``, an array the package has just built and
+        holds no other reference to, without the constructor's copy (a
+        C-ordered complex one is taken as it is)."""
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", values)
+        field._seal(np.asarray)
+        return field
+
+    def _seal(self, make):
         v = np.asarray(self.values)
         if v.shape != self.grid.shape:
             raise GridMismatchError(
                 f"values shape {v.shape} does not match grid shape {self.grid.shape}"
             )
-        # one C-ordered complex copy, whose float view checks every part
-        v = np.array(v, dtype=np.complex128, order="C")
+        # one C-ordered complex array (a copy, unless _own was handed one),
+        # whose float view checks every part
+        v = make(v, dtype=np.complex128, order="C")
         if not np.all(np.isfinite(v.view(np.float64))):
             raise ValueError("field values must be finite")
         v.flags.writeable = False

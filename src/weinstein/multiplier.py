@@ -332,8 +332,14 @@ def kernel_psi(profile, plan, sigma, x, y):
     so the symbol itself is never interpolated."""
     _check_positive(sigma, "dilation scale")
     _check_profile(plan, profile)
-    x = np.asarray(x, dtype=np.float64).reshape(-1) / sigma
-    y = np.asarray(y, dtype=np.float64).reshape(-1) / sigma
+    points = [np.asarray(p, dtype=np.float64).reshape(-1) for p in (x, y)]
+    with np.errstate(over="ignore"):
+        x, y = (p / sigma for p in points)
+    # a non-finite point is weinstein_kernel's to refuse
+    if any(np.any(np.isinf(q) & np.isfinite(p))
+           for p, q in zip(points, (x, y))):
+        raise ValueError(f"dilation scale {sigma!r}: x/sigma or y/sigma "
+                         "leaves the float range")
     params, u = profile.grid.params, profile.grid.points
     x_reflected = np.concatenate([-x[:params.d], x[params.d:]])
     # frequency-side quadrature weights under the plan's normalization

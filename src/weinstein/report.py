@@ -43,10 +43,13 @@ CSV_HEADER = "name,d,alpha,lhs,rhs,ratio,satisfied,slack,input_digest"
 
 # Size budgets of a config (exit 2 past them).  A sweep holds a few
 # grid-sized complex blocks (16 bytes a point) per thread, 64 MiB each at
-# MAX_GRID_POINTS; the plan's radial kernel and the oracle's per-axis
-# factors are dense in one axis' count, 256 MiB complex at MAX_AXIS_POINTS;
-# each Gaussian scale and random bump keeps its values and its sweep's
-# transform, two grid-sized blocks, for the whole run (512 MiB of either at
+# MAX_GRID_POINTS.  Between calls, each thread that has run a transform
+# keeps its scratch (transform.py): the source block, if it called one, and
+# one column chunk of the radial product, at most a grid-sized block each.
+# The plan's radial kernel and the oracle's per-axis factors are dense in
+# one axis' count, 256 MiB complex at MAX_AXIS_POINTS; each Gaussian scale
+# and random bump keeps its values and its sweep's transform, two
+# grid-sized blocks, for the whole run (512 MiB of either at
 # MAX_BUMP_POINTS), and each swept beta a 16-byte-a-point weight row.  An
 # alpha costs a plan, a profile and their sweeps, and a certificate a report
 # entry: a list has at most MAX_LIST_ENTRIES, a run MAX_CERTIFICATES.

@@ -29,6 +29,17 @@ its radial rows (layout, pre-factor, FFTs) and then its output columns
 and persistent helper threads (``_cpu_map``, the package's one CPU map; a
 sweep's items are its scales).  Each row, column and scale is computed
 whole by one thread, so the bits do not depend on the CPU count.
+
+Two blocks of a transform, each at most grid-sized, are kept per thread
+(``_scratch``) instead of allocated per call: the radial-first source
+block and a column chunk's radial product, each reallocated only when its
+shape changes.  The rule that keeps them correct: a scratch block is used
+only on its own thread.  The source block is used by the thread that
+called ``_separable_apply``, for that call; a product block only inside
+one column item.  No map item calls code that takes the same block: an
+item that itself transforms (a nested call) runs on its own thread, with
+that thread's blocks.  Only the output block is new per call, and it is
+handed to its Field without a copy.
 """
 
 import os
@@ -264,6 +275,19 @@ def _ffts(v, sign):
             np.fft.ifft(v, axis=ax, norm="forward", out=v)
 
 
+_scratch = threading.local()
+
+
+def _scratch_block(name, shape, dtype):
+    """This thread's kept block ``name`` (one dtype per name; see the module
+    docstring), reallocated only when its shape changes."""
+    block = getattr(_scratch, name, None)
+    if block is None or block.shape != shape:
+        block = np.empty(shape, dtype)
+        setattr(_scratch, name, block)
+    return block
+
+
 # Real columns per block of the radial product split across CPUs.  Blocks
 # that start on multiples of 16 give the bits of one whole product under
 # the BLAS kernels; blocks on multiples of 2 alone do not.
@@ -282,7 +306,9 @@ def _separable_apply(plan, values, sign):
 
     Every radial row's FFTs and every output column's radial product are
     computed whole, by one thread, from the same operands, so the result
-    does not depend on the CPU count.  It is C-contiguous.
+    does not depend on the CPU count.  It is C-contiguous, and the only
+    block the call allocates: the source block and the radial products are
+    the threads' scratch (``_scratch_block``).
     """
     n_r = values.shape[-1]
     n_cpu = _cpu_count()
@@ -290,7 +316,7 @@ def _separable_apply(plan, values, sign):
     pre, post = plan._phases[0 if sign < 0 else 1]
     kernel = plan.kernel_cache
     post = np.broadcast_to(post, (1,) + values.shape[:-1]).reshape(-1)
-    v = np.empty((n_r,) + values.shape[:-1], dtype=np.complex128)
+    v = _scratch_block("source", (n_r,) + values.shape[:-1], np.complex128)
     real = v.reshape(n_r, -1).view(np.float64)
     out = np.empty(values.shape, dtype=np.complex128)
     # grid layout with the Euclidean points flattened: (rest, n_r)
@@ -301,7 +327,8 @@ def _separable_apply(plan, values, sign):
         _ffts(v[r], sign)
 
     def columns(c):
-        block = (kernel @ real[:, c]).view(np.complex128)
+        block = _scratch_block("product", (n_r, c.stop - c.start), np.float64)
+        block = np.matmul(kernel, real[:, c], out=block).view(np.complex128)
         cols = slice(c.start // 2, c.stop // 2)
         block *= post[cols]
         out_rows[cols] = block.T
@@ -315,7 +342,7 @@ def forward(plan, f):
     """Transform of ``f`` (on plan.grid_in), sampled on plan.grid_out."""
     if not f.grid.same_geometry(plan.grid_in):
         raise GridMismatchError("field does not live on the plan's input grid")
-    return Field(grid=plan.grid_out, values=_separable_apply(plan, f.values, -1))
+    return Field._own(plan.grid_out, _separable_apply(plan, f.values, -1))
 
 
 def inverse(plan, F):
@@ -328,7 +355,7 @@ def inverse(plan, F):
     if not F.grid.same_geometry(plan.grid_out):
         raise GridMismatchError("field does not live on the plan's output grid")
     # Mirrored radial axes make kernel_cache (weights included) self-paired.
-    return Field(grid=plan.grid_in, values=_separable_apply(plan, F.values, +1))
+    return Field._own(plan.grid_in, _separable_apply(plan, F.values, +1))
 
 
 # Slabs of radial rows in which ``_synthesis_moments`` evaluates the
@@ -385,7 +412,8 @@ def weinstein_kernel(params, lam, x):
     per axis of a tensor grid.
 
     ``lam`` and ``x`` are finite points of R^{d+1} (single points or (n, d+1)
-    arrays); the modulus never exceeds 1 on real arguments.
+    arrays) whose phase and radial argument stay finite; the modulus never
+    exceeds 1 on real arguments.
     """
     lam = np.asarray(lam, dtype=np.float64)
     x = np.asarray(x, dtype=np.float64)
@@ -398,8 +426,17 @@ def weinstein_kernel(params, lam, x):
         raise ValueError("kernel points must be finite")
     lam, x = np.broadcast_arrays(lam, x)
     d = params.d
-    phase = np.einsum("ij,ij->i", x[:, :d], lam[:, :d])
-    radial = _accel.j_alpha(params.alpha, lam[:, d] * x[:, d])
+    with np.errstate(over="ignore", invalid="ignore"):
+        phase = np.einsum("ij,ij->i", x[:, :d], lam[:, :d])
+        arg = lam[:, d] * x[:, d]
+    bad = ~(np.isfinite(phase) & np.isfinite(arg))
+    if bad.any():
+        i = np.flatnonzero(bad)[0]
+        raise ValueError(
+            f"kernel points lam={lam[i].tolist()}, x={x[i].tolist()}: the "
+            "phase <x', lam'> or the radial argument x_r lam_r leaves the "
+            "float range")
+    radial = _accel.j_alpha(params.alpha, arg)
     vals = radial * np.exp(-1j * phase)
     if single:
         return complex(vals[0])

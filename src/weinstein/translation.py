@@ -147,7 +147,7 @@ def translate_spectral(plan, f, x):
     """
     mult = spectral_multiplier(plan, x)
     F = forward(plan, f)
-    return inverse(plan, Field(grid=plan.grid_out, values=mult * F.values))
+    return inverse(plan, Field._own(plan.grid_out, mult * F.values))
 
 
 def convolve(plan, f, g):
@@ -156,7 +156,7 @@ def convolve(plan, f, g):
         raise GridMismatchError("convolution factors live on different grids")
     Ff = forward(plan, f)
     Fg = forward(plan, g)
-    return inverse(plan, Field(grid=plan.grid_out, values=Ff.values * Fg.values))
+    return inverse(plan, Field._own(plan.grid_out, Ff.values * Fg.values))
 
 
 def convolve_direct(rule, f, g, w):

@@ -126,6 +126,15 @@ REFUSED = [
     ("kernel_psi(y)",
      lambda s, v: kernel_psi(s.profile, s.plan, 1.0, [0.0, 1.0], [1.0, v]),
      NON_FINITE, "kernel points must be finite"),
+    ("kernel_psi(sigma) subnormal",
+     lambda s, v: kernel_psi(s.profile, s.plan, v, [0.0, 1.0], [0.0, 1.0]),
+     (1e-310, 5e-324), r"^dilation scale .* leaves the float range"),
+    ("weinstein_kernel(lam', x') overflowing phase",
+     lambda s, v: weinstein_kernel(PARAMS, [v, 1.0], [v, 1.0]),
+     (1e200, -1e200, 1e308), "^kernel points .* leaves the float range"),
+    ("weinstein_kernel(lam_r, x_r) overflowing product",
+     lambda s, v: weinstein_kernel(PARAMS, [1.0, v], [1.0, v]),
+     (1e200, 1e308), "^kernel points .* leaves the float range"),
     ("weinstein_kernel(lam)",
      lambda s, v: weinstein_kernel(PARAMS, [v, 0.0], [1.0, 1.0]),
      NON_FINITE, "kernel points must be finite"),

@@ -3,8 +3,10 @@ import dataclasses
 import math
 import os
 import pathlib
+import sys
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -328,6 +330,72 @@ def test_concurrent_callers_get_identical_transforms(monkeypatch):
         assert all(np.array_equal(out, expected) for out in per_user)
 
 
+@pytest.mark.parametrize("other", (None, "d1_250x37"))
+@pytest.mark.parametrize("n_cpu", (1, 2))
+def test_two_threads_keep_their_own_scratch(n_cpu, other, monkeypatch):
+    # one thread runs forward and another inverse on the same plan, at once;
+    # with ``other`` the second alternates with a plan of another grid
+    # shape, so its kept blocks are reallocated mid-run.  Every result has
+    # the serial bits.
+    monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: n_cpu)
+    plan, f, F = _split_case("d1_256_uniform")
+    jobs = [[(forward, plan, f)], [(inverse, plan, F)]]
+    if other is not None:
+        plan2, f2, _ = _split_case(other)
+        jobs[1].append((forward, plan2, f2))
+    expected = [[fn(p, x).values for fn, p, x in job] for job in jobs]
+    barrier = threading.Barrier(2, timeout=30)
+    mismatches = []
+
+    def user(job, want):
+        barrier.wait()
+        for i in range(24):
+            fn, p, x = job[i % len(job)]
+            if not np.array_equal(fn(p, x).values, want[i % len(job)]):
+                mismatches.append((fn.__name__, i))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=user, args=args, daemon=True)
+                   for args in zip(jobs, expected)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not mismatches
+
+
+@pytest.mark.parametrize("n_cpu", (1, 2))
+def test_forward_allocates_only_its_output(n_cpu, monkeypatch):
+    # after a warm-up call, a 256^2 forward allocates one grid-sized block,
+    # its output, and at no time holds a second one beside it: the source
+    # block and the radial product are the thread's kept scratch, and the
+    # output becomes the Field's values without a copy.  Outputs never
+    # alias one another (nor, so, a scratch block) and are read-only.
+    monkeypatch.setattr(weinstein.transform, "_cpu_count", lambda: n_cpu)
+    plan, f, _ = _split_case("d1_256_uniform")
+    block = 16 * plan.grid_out.size
+    first = forward(plan, f)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        second = forward(plan, f)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert block <= kept - before < 1.5 * block
+    assert peak - before < 2 * block
+    assert not np.shares_memory(first.values, second.values)
+    assert not first.values.flags.writeable
+    assert not second.values.flags.writeable
+    assert np.array_equal(first.values, second.values)
+
+
 def test_split_transform_passes_errstate_and_errors(monkeypatch):
     # at a two-party barrier each of two threads builds one half of the
     # source rows: the caller's np.errstate holds on the helper, and an
@@ -409,11 +477,11 @@ def test_plan_output_grid_is_derived():
     assert make_plan(g).grid_out.same_geometry(frequency_grid(g))
 
 
-# The separable core's layout, FFTs, column alignment and CPU map: no
-# module but transform.py names them (report.py reads transform._cpu_count
-# for the report's environment).
+# The separable core's layout, FFTs, scratch, column alignment and CPU
+# map: no module but transform.py names them (report.py reads
+# transform._cpu_count for the report's environment).
 TRANSFORM_INTERNALS = {"_cpu_map", "_radial_first", "_source_rows", "_ffts",
-                       "GEMM_COLUMN_ALIGN"}
+                       "_scratch_block", "GEMM_COLUMN_ALIGN"}
 
 
 def test_transform_internals_stay_in_transform():
